@@ -50,7 +50,7 @@ from .quality import EmptyInput, QualityReport, compare, min_angles, pooled, rep
 from .corpus import GenerationFailed, generate_corpus, generate_polygon, star_ring
 from .formats import ParseError, parse_polygon, serialize_polygon, triangulation_to_json
 from .svg import render_svg
-from .pipeline import ALGORITHMS, RunConfig, run, triangulate_polygon
+from .pipeline import ALGORITHMS, triangulate_polygon
 
 __version__ = "0.1.0"
 
@@ -75,7 +75,6 @@ __all__ = [
     "PolygonWithHoles",
     "QualityReport",
     "Ring",
-    "RunConfig",
     "Triangle",
     "Triangulation",
     "VertexNode",
@@ -100,7 +99,6 @@ __all__ = [
     "remove_vertex",
     "render_svg",
     "report",
-    "run",
     "segments_properly_cross",
     "serialize_polygon",
     "signed_area",

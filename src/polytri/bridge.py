@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .geom import DEFAULT_EPS, Epsilon, GeometryError, Point2, segments_properly_cross
-from .polygon import PolygonWithHoles, Ring
+from .polygon import PolygonWithHoles, Ring, _ring_edges
 
 __all__ = ["NoValidBridge", "BridgeEdge", "DegenerateRing", "find_bridge", "merge_hole", "eliminate_holes"]
 
@@ -67,11 +67,6 @@ class DegenerateRing:
     ring: Ring
     indices: tuple[int, ...]
     bridges: tuple[BridgeEdge, ...]
-
-
-def _ring_edges(ring: Ring) -> list[tuple[Point2, Point2]]:
-    pts = ring.points
-    return [(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))]
 
 
 def _in_wedge(v: Point2, toward_next: Point2, toward_prev: Point2, target: Point2) -> bool:

@@ -15,10 +15,10 @@ cutting as a cheap guard against stale flags on degenerate rings.
 
 Rings produced by bridging holes repeat vertices, and exact coincidences
 can starve the literal ear test even though the limit geometry still has
-ears. When no ear is found the engine escalates through two fallbacks
-before giving up: clip an exactly-collinear tip as a zero-area triangle
-(flagged degenerate, excluded from quality stats), then rescan ignoring
-reflex blockers that sit exactly on a corner of the candidate triangle.
+ears. When no ear is found the engine rescans once for the smallest-angle
+tip that is an ear when reflex blockers on a corner of the candidate
+triangle are exempted, and raises EarSearchFailed if there is none; an
+exactly collinear tip is never clipped as a zero-area triangle mid-run.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
-from .geom import DEFAULT_EPS, Epsilon, GeometryError, Point2, point_in_triangle_closure
+from .geom import DEFAULT_EPS, Epsilon, GeometryError, Point2
 from .polygon import VertexNode, VertexRing, refresh_node, remove_vertex
 
 __all__ = [
@@ -70,9 +70,9 @@ class Triangle:
     """Output triangle: three indices into the vertex table, CCW.
 
     ``nodes`` keeps the originating ring nodes so adjacency stays exact on
-    rings with duplicated vertices. ``degenerate`` marks zero-area slivers
-    emitted while collapsing bridge slits; they are excluded from quality
-    statistics.
+    rings with duplicated vertices. ``degenerate`` marks a zero-area last
+    triangle, left over when a bridge slit collapses; it is excluded from
+    quality statistics.
     """
 
     __slots__ = ("a", "b", "c", "nodes", "degenerate", "id")
@@ -116,7 +116,6 @@ class Triangulation:
         self.vertex_table = vertex_table
         self.triangles: list[Triangle] = []
         self.edge_map: dict[tuple[VertexNode, VertexNode], list[int]] = {}
-        self.boundary_edges: set[tuple[VertexNode, VertexNode]] = set()
         self.swap_count = 0
 
     def add_triangle(
@@ -135,9 +134,6 @@ class Triangulation:
     def degenerate_count(self) -> int:
         return sum(1 for t in self.triangles if t.degenerate)
 
-    def triangle_points(self, tid: int) -> tuple[Point2, Point2, Point2]:
-        return self.triangles[tid].points()
-
     def __len__(self) -> int:
         return len(self.triangles)
 
@@ -148,12 +144,18 @@ class Triangulation:
         )
 
 
-def is_ear(ring: VertexRing, v: VertexNode, eps: Epsilon = DEFAULT_EPS) -> bool:
+def is_ear(
+    ring: VertexRing, v: VertexNode, eps: Epsilon = DEFAULT_EPS, corner_twins: bool = False
+) -> bool:
     """Ear test for tip ``v`` against the current ring state.
 
     True iff ``v`` is convex and no reflex vertex of the ring, other than
     ``v.prev`` and ``v.next``, lies in the closure of the tip triangle. The
     reflex set is scanned live at call time.
+
+    With ``corner_twins`` a reflex vertex within eps_len of a triangle corner
+    does not block: the bridge duplicate of a corner lies on the closure even
+    when the limit geometry keeps it outside. Only the fallback uses this.
     """
     if not v.is_convex:
         return False
@@ -189,33 +191,13 @@ def is_ear(ring: VertexRing, v: VertexNode, eps: Epsilon = DEFAULT_EPS) -> bool:
             continue
         if cax * (py - cy) - cay * (px - cx) < neg:
             continue
-        return False
-    return True
-
-
-def _is_ear_skip_corner_twins(ring: VertexRing, v: VertexNode, eps: Epsilon) -> bool:
-    """Relaxed ear test: ignore reflex blockers sitting exactly on a corner.
-
-    Used only by the last-resort fallback. A bridged ring duplicates
-    vertices, and the duplicate of a corner lies on the candidate closure
-    even when the limit geometry keeps it strictly outside; exempting
-    coincident-with-corner blockers recovers those ears.
-    """
-    if not v.is_convex:
-        return False
-    p, n = v.prev, v.next
-    tol = eps.eps_len
-    for r in ring.reflex:
-        if r is p or r is n:
-            continue
-        if (
-            math.hypot(r.x - p.x, r.y - p.y) <= tol
-            or math.hypot(r.x - v.x, r.y - v.y) <= tol
-            or math.hypot(r.x - n.x, r.y - n.y) <= tol
+        if corner_twins and (
+            math.hypot(px - ax, py - ay) <= eps.eps_len
+            or math.hypot(px - bx, py - by) <= eps.eps_len
+            or math.hypot(px - cx, py - cy) <= eps.eps_len
         ):
             continue
-        if point_in_triangle_closure(r.point, p.point, v.point, n.point, eps):
-            return False
+        return False
     return True
 
 
@@ -272,37 +254,24 @@ def _select_next_sequential(
     return None
 
 
-def _select_fallback(ring: VertexRing, eps: Epsilon) -> tuple[VertexNode, bool]:
-    """Escalation when no literal ear exists; returns (tip, degenerate_flag).
+def _select_fallback(ring: VertexRing, eps: Epsilon) -> VertexNode:
+    """Last resort when no literal ear exists.
 
-    First clip an exactly-collinear tip as a flagged zero-area triangle
-    (this is how collapsed bridge slits drain away), then retry the ear
-    scan with coincident-corner reflex twins exempted. Raises
-    EarSearchFailed when neither applies.
+    Returns the smallest-angle tip, with the same tie-breaks as the normal
+    selection, that is an ear once reflex blockers on a corner of its
+    triangle are exempted. Raises EarSearchFailed when there is none.
     """
     best: Optional[VertexNode] = None
-    best_key = (0, 0)
+    best_key = (math.inf, 0, 0)
     for node in ring:
-        if not node.is_convex and (
-            node.interior_angle == 180.0 or node.interior_angle == 360.0
-        ):
-            key = (node.original_index, node.seq)
-            if best is None or key < best_key:
+        if node.is_convex and is_ear(ring, node, eps, corner_twins=True):
+            key = (node.interior_angle, node.original_index, node.seq)
+            if key < best_key:
                 best = node
                 best_key = key
-    if best is not None:
-        return best, True
-    best = None
-    angle_key = (math.inf, 0, 0)
-    for node in ring:
-        if node.is_convex and _is_ear_skip_corner_twins(ring, node, eps):
-            key = (node.interior_angle, node.original_index, node.seq)
-            if key < angle_key:
-                best = node
-                angle_key = key
-    if best is not None:
-        return best, False
-    raise EarSearchFailed(ring)
+    if best is None:
+        raise EarSearchFailed(ring)
+    return best
 
 
 def _clip(
@@ -314,20 +283,17 @@ def _clip(
     """Shared clipping loop; emits n-2 triangles and returns the result."""
     tri = Triangulation(ring.table)
     for node in ring:
-        tri.boundary_edges.add(edge_key(node, node.next))
-    for node in ring:
         node.is_ear = is_ear(ring, node, eps) if node.is_convex else False
     cursor = ring.head
     while ring.count > 3:
-        degenerate = False
         if smallest_angle:
             v = _select_smallest_angle(ring, eps)
         else:
             v = _select_next_sequential(ring, cursor, eps)
         if v is None:
-            v, degenerate = _select_fallback(ring, eps)
+            v = _select_fallback(ring, eps)
         left, right = v.prev, v.next
-        tid = tri.add_triangle(left, v, right, degenerate=degenerate)
+        tid = tri.add_triangle(left, v, right)
         remove_vertex(ring, v)
         update_after_cut(ring, left, right, eps)
         cursor = right

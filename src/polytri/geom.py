@@ -27,7 +27,6 @@ __all__ = [
     "cross2",
     "orientation",
     "signed_area",
-    "distance",
     "points_close",
     "interior_angle",
     "point_in_triangle_closure",
@@ -121,10 +120,6 @@ def signed_area(ring: Sequence[Point2]) -> float:
         x1, y1 = ring[(i + 1) % n]
         terms.append(x0 * y1 - x1 * y0)
     return 0.5 * math.fsum(terms)
-
-
-def distance(a: Point2, b: Point2) -> float:
-    return math.hypot(b[0] - a[0], b[1] - a[1])
 
 
 def points_close(a: Point2, b: Point2, eps: Epsilon = DEFAULT_EPS) -> bool:

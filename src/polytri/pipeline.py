@@ -8,30 +8,15 @@ hole's, in normalized order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .geom import DEFAULT_EPS, Epsilon, InvalidRing
-from .polygon import PolygonWithHoles, build_ring, normalize, validate_polygon
+from .geom import DEFAULT_EPS, Epsilon
+from .polygon import PolygonWithHoles, build_ring, normalize
 from .bridge import DegenerateRing, eliminate_holes
 from .earclip import Triangulation, triangulate_basic, triangulate_traditional
 from .swap import AngleBound, triangulate_improved
-from .quality import QualityReport, report
 
-__all__ = ["ALGORITHMS", "RunConfig", "triangulate_polygon", "run"]
+__all__ = ["ALGORITHMS", "triangulate_polygon"]
 
 ALGORITHMS = ("traditional", "basic", "improved")
-
-
-@dataclass
-class RunConfig:
-    """Options for one triangulation run."""
-
-    algorithm: str = "basic"
-    bound: float = 30.0
-    validate: bool = False
-    seed: int = 42
-    emit: str = "json"
-    eps: Epsilon = DEFAULT_EPS
 
 
 def triangulate_polygon(
@@ -58,12 +43,3 @@ def triangulate_polygon(
         tri = triangulate_improved(ring, bound, eps)
     return tri, degen
 
-
-def run(config: RunConfig, poly: PolygonWithHoles) -> tuple[Triangulation, QualityReport]:
-    """Config-driven entry point: validate (optional), triangulate, measure."""
-    if config.validate:
-        problems = validate_polygon(normalize(poly, config.eps), config.eps)
-        if problems:
-            raise InvalidRing("; ".join(problems))
-    tri, _ = triangulate_polygon(poly, config.algorithm, config.bound, config.eps)
-    return tri, report(tri, config.eps)

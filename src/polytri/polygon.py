@@ -237,8 +237,8 @@ def refresh_node(
 
     With ``strict`` a coincident neighbour raises DegenerateVertex (build
     time, where it means broken input). Without it the node is marked
-    reflex with a 360 degree angle so the clipping fallbacks can clean up a
-    collapsed edge mid-run.
+    reflex with a 360 degree angle so a collapsed edge mid-run is never
+    clipped as an ear.
     """
     p, n = node.prev, node.next
     ux, uy = p.x - node.x, p.y - node.y
@@ -316,6 +316,11 @@ def remove_vertex(ring: VertexRing, v: VertexNode) -> VertexRing:
     return ring
 
 
+def _ring_edges(ring: Ring) -> list[tuple[Point2, Point2]]:
+    pts = ring.points
+    return [(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))]
+
+
 def validate_polygon(poly: PolygonWithHoles, eps: Epsilon = DEFAULT_EPS) -> list[str]:
     """Opt-in O(n^2) structural check; returns a list of problems (empty = ok).
 
@@ -323,13 +328,8 @@ def validate_polygon(poly: PolygonWithHoles, eps: Epsilon = DEFAULT_EPS) -> list
     two rings touch or cross. Assumes a normalized polygon.
     """
     problems: list[str] = []
-
-    def edges(r: Ring):
-        pts = r.points
-        return [(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))]
-
-    outer_edges = edges(poly.outer)
-    hole_edges = [edges(h) for h in poly.holes]
+    outer_edges = _ring_edges(poly.outer)
+    hole_edges = [_ring_edges(h) for h in poly.holes]
     for i, h in enumerate(poly.holes):
         for p in h.points:
             if not point_in_ring(p, poly.outer.points):

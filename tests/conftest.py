@@ -12,6 +12,7 @@ import random
 import pytest
 
 from polytri import Point2, Ring, PolygonWithHoles, generate_corpus
+from polytri.earclip import edge_key
 from polytri.geom import point_in_triangle_closure, DEFAULT_EPS
 
 
@@ -180,10 +181,11 @@ def tri_angles_oracle(a, b, c):
     return ang(la, lb, lc), ang(lb, lc, la), ang(lc, la, lb)
 
 
-def brute_force_is_ear(ring, v, eps=DEFAULT_EPS) -> bool:
+def brute_force_is_ear(ring, v, eps=DEFAULT_EPS, corner_twins=False) -> bool:
     """Condition check from scratch: convexity by cross sign, then every
     reflex vertex (recomputed here, not trusting cached flags) tested
-    against the triangle closure, exempting only the tip's neighbours."""
+    against the triangle closure, exempting only the tip's neighbours and,
+    with ``corner_twins``, reflex vertices within eps_len of a corner."""
     nodes = ring.nodes()
 
     def convex(n):
@@ -196,9 +198,28 @@ def brute_force_is_ear(ring, v, eps=DEFAULT_EPS) -> bool:
     for r in nodes:
         if r is v or r is v.prev or r is v.next or convex(r):
             continue
+        if corner_twins and min(math.dist(r.point, q) for q in (a, b, c)) <= eps.eps_len:
+            continue
         if point_in_triangle_closure(r.point, a, b, c, eps):
             return False
     return True
+
+
+def ring_adjacent_edges(tri) -> set:
+    """Boundary edges of a ring triangulation, re-derived from ring order.
+
+    Every triangle edge whose two nodes are ring-adjacent by ``seq``, modulo
+    the ring length N = triangles + 2. Checks that there are exactly N.
+    """
+    n = len(tri.triangles) + 2
+    found = set()
+    for t in tri.triangles:
+        na, nb, nc = t.nodes
+        for u, w in ((na, nb), (nb, nc), (nc, na)):
+            if (u.seq - w.seq) % n in (1, n - 1):
+                found.add(edge_key(u, w))
+    assert len(found) == n, (len(found), n)
+    return found
 
 
 def quad_pair_min6(p0, p1, p2, p3):
