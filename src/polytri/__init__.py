@@ -9,15 +9,12 @@ histogram of per-triangle minimum angles plus their mean.
 """
 
 from .geom import (
-    DEFAULT_EPS,
     DegenerateTriangle,
     DegenerateVertex,
-    Epsilon,
     GeometryError,
     InvalidRing,
     Orientation,
     Point2,
-    interior_angle,
     orientation,
     point_in_ring,
     point_in_triangle_closure,
@@ -58,13 +55,11 @@ __all__ = [
     "ALGORITHMS",
     "AngleBound",
     "BridgeEdge",
-    "DEFAULT_EPS",
     "DegenerateRing",
     "DegenerateTriangle",
     "DegenerateVertex",
     "EarSearchFailed",
     "EmptyInput",
-    "Epsilon",
     "GenerationFailed",
     "GeometryError",
     "InvalidRing",
@@ -86,7 +81,6 @@ __all__ = [
     "find_neighbor_across_longest_edge",
     "generate_corpus",
     "generate_polygon",
-    "interior_angle",
     "is_ear",
     "merge_hole",
     "min_angles",

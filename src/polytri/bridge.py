@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geom import DEFAULT_EPS, Epsilon, GeometryError, Point2, segments_properly_cross
+from .geom import EPS_LEN, GeometryError, Point2, segments_properly_cross
 from .polygon import PolygonWithHoles, Ring, _ring_edges
 
 __all__ = ["NoValidBridge", "BridgeEdge", "DegenerateRing", "find_bridge", "merge_hole", "eliminate_holes"]
@@ -88,7 +88,6 @@ def find_bridge(
     current: Ring,
     hole: Ring,
     obstacles: Sequence[Ring] = (),
-    eps: Epsilon = DEFAULT_EPS,
     hole_id: int = 1,
 ) -> BridgeEdge:
     """Shortest unobstructed segment joining ``current`` to ``hole``.
@@ -113,7 +112,7 @@ def find_bridge(
     for obstacle in obstacles:
         edges.extend(_ring_edges(obstacle))
     for length, i, j in candidates:
-        if length <= eps.eps_len:
+        if length <= EPS_LEN:
             continue
         a, b = cpts[i], hpts[j]
         # Out of the ring vertex between its incident edges (the ring is
@@ -123,7 +122,7 @@ def find_bridge(
             continue
         if not _in_wedge(b, hpts[(j + 1) % k], hpts[j - 1], a):
             continue
-        if any(segments_properly_cross(a, b, e1, e2, eps) for e1, e2 in edges):
+        if any(segments_properly_cross(a, b, e1, e2) for e1, e2 in edges):
             continue
         return BridgeEdge((0, i), (hole_id, j), length)
     raise NoValidBridge(
@@ -153,7 +152,7 @@ def merge_hole(current: Ring, hole: Ring, b: BridgeEdge) -> Ring:
     return Ring(_splice(current.points, hole.points, b.outer_vertex[1], b.hole_vertex[1]))
 
 
-def eliminate_holes(poly: PolygonWithHoles, eps: Epsilon = DEFAULT_EPS) -> DegenerateRing:
+def eliminate_holes(poly: PolygonWithHoles) -> DegenerateRing:
     """Merge every hole into the outer ring, one bridge at a time.
 
     Holes are processed in input order; each bridge search treats the holes
@@ -170,7 +169,7 @@ def eliminate_holes(poly: PolygonWithHoles, eps: Epsilon = DEFAULT_EPS) -> Degen
         off += len(h)
     bridges = []
     for h, hole in enumerate(poly.holes):
-        b = find_bridge(Ring(cur_pts), hole, poly.holes[h + 1 :], eps, hole_id=h + 1)
+        b = find_bridge(Ring(cur_pts), hole, poly.holes[h + 1 :], hole_id=h + 1)
         i, j = b.outer_vertex[1], b.hole_vertex[1]
         hole_idx = tuple(range(offsets[h], offsets[h] + len(hole)))
         cur_pts = _splice(cur_pts, hole.points, i, j)

@@ -17,15 +17,14 @@ import logging
 import sys
 from pathlib import Path
 
-from .geom import DEFAULT_EPS, GeometryError
-from .polygon import normalize, validate_polygon
+from .geom import GeometryError
+from .polygon import PolygonWithHoles, normalize, validate_polygon
 from .earclip import EarSearchFailed
 from .pipeline import ALGORITHMS, triangulate_polygon
 from .quality import compare, pooled, report
 from .corpus import generate_corpus
 from .formats import (
     ParseError,
-    degenerate_ring_to_text,
     parse_polygon,
     serialize_polygon,
     triangulation_to_json,
@@ -116,7 +115,7 @@ def _cmd_triangulate(args) -> int:
         return EXIT_PARSE
     poly = parse_polygon(text, fmt=args.format)
     if args.validate:
-        problems = validate_polygon(normalize(poly), DEFAULT_EPS)
+        problems = validate_polygon(normalize(poly))
         if problems:
             for problem in problems:
                 print(f"polytri: invalid polygon: {problem}", file=sys.stderr)
@@ -125,7 +124,8 @@ def _cmd_triangulate(args) -> int:
         log.warning("--bound has no effect with --algorithm %s", args.algorithm)
     tri, degen = triangulate_polygon(poly, args.algorithm, args.bound)
     if args.emit_degenerate:
-        Path(args.emit_degenerate).write_text(degenerate_ring_to_text(degen), encoding="utf-8")
+        dump = serialize_polygon(PolygonWithHoles(degen.ring))
+        Path(args.emit_degenerate).write_text(dump, encoding="utf-8")
     stats = report(tri)
     if args.emit == "json":
         _write_output(triangulation_to_json(tri, stats), args.output)
@@ -189,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gen-corpus":
             return _cmd_gen_corpus(args)
         return _cmd_bench(args)
-    except ParseError as e:
+    except (ParseError, UnicodeDecodeError) as e:
         print(f"polytri: parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except EarSearchFailed as e:
@@ -200,6 +200,9 @@ def main(argv: list[str] | None = None) -> int:
     except GeometryError as e:
         print(f"polytri: geometry error: {e}", file=sys.stderr)
         return EXIT_GEOMETRY
+    except ValueError as e:
+        print(f"polytri: error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

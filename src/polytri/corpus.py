@@ -15,7 +15,7 @@ import math
 import random
 from typing import Sequence
 
-from .geom import GeometryError, Point2, point_in_ring, segments_properly_cross, DEFAULT_EPS
+from .geom import GeometryError, Point2, point_in_ring, segments_properly_cross
 from .polygon import PolygonWithHoles, Ring, normalize
 
 __all__ = ["GenerationFailed", "star_ring", "generate_polygon", "generate_corpus"]
@@ -73,7 +73,7 @@ def _hole_fits(hole: Ring, outer: Ring, placed: list[Ring]) -> bool:
     for i in range(k):
         a, b = hpts[i], hpts[(i + 1) % k]
         for j in range(m):
-            if segments_properly_cross(a, b, opts[j], opts[(j + 1) % m], DEFAULT_EPS):
+            if segments_properly_cross(a, b, opts[j], opts[(j + 1) % m]):
                 return False
     return True
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
-from .geom import DEFAULT_EPS, Epsilon, GeometryError, Point2
+from .geom import EPS_AREA, EPS_LEN, GeometryError, Point2
 from .polygon import VertexNode, VertexRing, refresh_node, remove_vertex
 
 __all__ = [
@@ -44,15 +44,17 @@ __all__ = [
 class EarSearchFailed(GeometryError):
     """No clippable ear exists although more than 3 vertices remain.
 
-    Signals self-intersecting input or a tolerance failure. Carries the
-    surviving ring coordinates for debugging.
+    Signals self-intersecting input, or features too small for the fixed
+    EPS_AREA tolerance. Carries the surviving ring coordinates for
+    debugging.
     """
 
     def __init__(self, ring: VertexRing):
         self.points: list[Point2] = [n.point for n in ring]
         super().__init__(
-            f"no ear found with {ring.count} vertices remaining; "
-            "input is likely self-intersecting"
+            f"no ear found with {ring.count} vertices remaining; input is likely "
+            "self-intersecting, or its features are below the area tolerance "
+            f"EPS_AREA={EPS_AREA:g} (rescale it to roughly unit size)"
         )
 
 
@@ -145,7 +147,7 @@ class Triangulation:
 
 
 def is_ear(
-    ring: VertexRing, v: VertexNode, eps: Epsilon = DEFAULT_EPS, corner_twins: bool = False
+    ring: VertexRing, v: VertexNode, corner_twins: bool = False
 ) -> bool:
     """Ear test for tip ``v`` against the current ring state.
 
@@ -153,7 +155,7 @@ def is_ear(
     ``v.prev`` and ``v.next``, lies in the closure of the tip triangle. The
     reflex set is scanned live at call time.
 
-    With ``corner_twins`` a reflex vertex within eps_len of a triangle corner
+    With ``corner_twins`` a reflex vertex within EPS_LEN of a triangle corner
     does not block: the bridge duplicate of a corner lies on the closure even
     when the limit geometry keeps it outside. Only the fallback uses this.
     """
@@ -167,11 +169,11 @@ def is_ear(
     abx, aby = bx - ax, by - ay
     bcx, bcy = cx - bx, cy - by
     cax, cay = ax - cx, ay - cy
-    neg = -eps.eps_area
-    # A point passing all three closure tests lies within eps_area/min_side
+    neg = -EPS_AREA
+    # A point passing all three closure tests lies within EPS_AREA/min_side
     # of the triangle, so the bounding box can be padded by that margin and
     # stay conservative.
-    margin = eps.eps_area / math.sqrt(
+    margin = EPS_AREA / math.sqrt(
         min(abx * abx + aby * aby, bcx * bcx + bcy * bcy, cax * cax + cay * cay)
     )
     minx = min(ax, bx, cx) - margin
@@ -192,9 +194,9 @@ def is_ear(
         if cax * (py - cy) - cay * (px - cx) < neg:
             continue
         if corner_twins and (
-            math.hypot(px - ax, py - ay) <= eps.eps_len
-            or math.hypot(px - bx, py - by) <= eps.eps_len
-            or math.hypot(px - cx, py - cy) <= eps.eps_len
+            math.hypot(px - ax, py - ay) <= EPS_LEN
+            or math.hypot(px - bx, py - by) <= EPS_LEN
+            or math.hypot(px - cx, py - cy) <= EPS_LEN
         ):
             continue
         return False
@@ -202,20 +204,20 @@ def is_ear(
 
 
 def update_after_cut(
-    ring: VertexRing, left: VertexNode, right: VertexNode, eps: Epsilon = DEFAULT_EPS
+    ring: VertexRing, left: VertexNode, right: VertexNode
 ) -> None:
     """Refresh the two neighbours of a cut: angle, convexity, ear status.
 
     Geometry first for both nodes, then ear tests, so each neighbour's ear
     test sees the other's updated reflex status. No other node is touched.
     """
-    refresh_node(ring, left, eps)
-    refresh_node(ring, right, eps)
-    left.is_ear = is_ear(ring, left, eps) if left.is_convex else False
-    right.is_ear = is_ear(ring, right, eps) if right.is_convex else False
+    refresh_node(ring, left)
+    refresh_node(ring, right)
+    left.is_ear = is_ear(ring, left) if left.is_convex else False
+    right.is_ear = is_ear(ring, right) if right.is_convex else False
 
 
-def _select_smallest_angle(ring: VertexRing, eps: Epsilon) -> Optional[VertexNode]:
+def _select_smallest_angle(ring: VertexRing) -> Optional[VertexNode]:
     """Ear tip with the minimal interior angle, re-verified before use.
 
     Ties break on the smallest original index, then earliest ring position,
@@ -235,26 +237,26 @@ def _select_smallest_angle(ring: VertexRing, eps: Epsilon) -> Optional[VertexNod
             node = node.next
         if best is None:
             return None
-        if is_ear(ring, best, eps):
+        if is_ear(ring, best):
             return best
         best.is_ear = False
 
 
 def _select_next_sequential(
-    ring: VertexRing, start: VertexNode, eps: Epsilon
+    ring: VertexRing, start: VertexNode
 ) -> Optional[VertexNode]:
     """First flagged-and-verified ear at or after ``start`` in ring order."""
     node = start
     for _ in range(ring.count):
         if node.is_ear:
-            if is_ear(ring, node, eps):
+            if is_ear(ring, node):
                 return node
             node.is_ear = False
         node = node.next
     return None
 
 
-def _select_fallback(ring: VertexRing, eps: Epsilon) -> VertexNode:
+def _select_fallback(ring: VertexRing) -> VertexNode:
     """Last resort when no literal ear exists.
 
     Returns the smallest-angle tip, with the same tie-breaks as the normal
@@ -264,7 +266,7 @@ def _select_fallback(ring: VertexRing, eps: Epsilon) -> VertexNode:
     best: Optional[VertexNode] = None
     best_key = (math.inf, 0, 0)
     for node in ring:
-        if node.is_convex and is_ear(ring, node, eps, corner_twins=True):
+        if node.is_convex and is_ear(ring, node, corner_twins=True):
             key = (node.interior_angle, node.original_index, node.seq)
             if key < best_key:
                 best = node
@@ -276,48 +278,48 @@ def _select_fallback(ring: VertexRing, eps: Epsilon) -> VertexNode:
 
 def _clip(
     ring: VertexRing,
-    eps: Epsilon,
     smallest_angle: bool,
+    *,
     post_emit: Optional[Callable[[Triangulation, int], None]] = None,
 ) -> Triangulation:
     """Shared clipping loop; emits n-2 triangles and returns the result."""
     tri = Triangulation(ring.table)
     for node in ring:
-        node.is_ear = is_ear(ring, node, eps) if node.is_convex else False
+        node.is_ear = is_ear(ring, node) if node.is_convex else False
     cursor = ring.head
     while ring.count > 3:
         if smallest_angle:
-            v = _select_smallest_angle(ring, eps)
+            v = _select_smallest_angle(ring)
         else:
-            v = _select_next_sequential(ring, cursor, eps)
+            v = _select_next_sequential(ring, cursor)
         if v is None:
-            v = _select_fallback(ring, eps)
+            v = _select_fallback(ring)
         left, right = v.prev, v.next
         tid = tri.add_triangle(left, v, right)
         remove_vertex(ring, v)
-        update_after_cut(ring, left, right, eps)
+        update_after_cut(ring, left, right)
         cursor = right
         if post_emit is not None:
             post_emit(tri, tid)
     h = ring.head
     a, b, c = h, h.next, h.next.next
     z = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-    tid = tri.add_triangle(a, b, c, degenerate=0.5 * abs(z) <= eps.eps_area)
+    tid = tri.add_triangle(a, b, c, degenerate=0.5 * abs(z) <= EPS_AREA)
     if post_emit is not None:
         post_emit(tri, tid)
     return tri
 
 
-def triangulate_basic(ring: VertexRing, eps: Epsilon = DEFAULT_EPS) -> Triangulation:
+def triangulate_basic(ring: VertexRing) -> Triangulation:
     """Triangulate by always clipping the ear with the smallest interior angle."""
-    return _clip(ring, eps, smallest_angle=True)
+    return _clip(ring, smallest_angle=True)
 
 
-def triangulate_traditional(ring: VertexRing, eps: Epsilon = DEFAULT_EPS) -> Triangulation:
+def triangulate_traditional(ring: VertexRing) -> Triangulation:
     """Triangulate by clipping the first ear found in ring order.
 
     Scanning resumes at the successor of the last clipped tip, which is the
     classic sequential behaviour this library's angle-aware variants are
     measured against.
     """
-    return _clip(ring, eps, smallest_angle=False)
+    return _clip(ring, smallest_angle=False)

@@ -29,7 +29,6 @@ import math
 
 from .geom import InvalidRing, Point2
 from .polygon import PolygonWithHoles, Ring, normalize
-from .bridge import DegenerateRing
 from .earclip import Triangulation
 from .quality import QualityReport
 
@@ -39,7 +38,6 @@ __all__ = [
     "serialize_polygon",
     "triangulation_to_json",
     "triangulation_to_obj",
-    "degenerate_ring_to_text",
 ]
 
 log = logging.getLogger("polytri")
@@ -156,9 +154,3 @@ def triangulation_to_obj(tri: Triangulation) -> str:
     lines = [f"v {p.x!r} {p.y!r} 0.0" for p in tri.vertex_table]
     lines.extend(f"f {t.a + 1} {t.b + 1} {t.c + 1}" for t in tri.triangles)
     return "\n".join(lines) + "\n"
-
-
-def degenerate_ring_to_text(degen: DegenerateRing) -> str:
-    """Dump a hole-eliminated ring in the native text format (single ring)."""
-    pts = degen.ring.points
-    return "ring " + " ".join(f"{p.x!r},{p.y!r}" for p in pts) + "\n"

@@ -1,9 +1,9 @@
 """Low-level 2D predicates and measurements.
 
-Everything here is scalar float math over immutable points. Predicates take
-an explicit tolerance policy so the rest of the library never compares raw
-floats: cross products are tested against an absolute area tolerance
-(``eps_area``), point coincidence against a length tolerance (``eps_len``).
+Everything here is scalar float math over immutable points. One fixed
+tolerance policy serves the whole library, so nothing else compares raw
+floats: cross products are tested against the absolute area tolerance
+``EPS_AREA``, point coincidence against the length tolerance ``EPS_LEN``.
 The absolute tolerances suit coordinates in roughly the unit-to-thousands
 range; rescale wilder inputs before use.
 """
@@ -11,7 +11,6 @@ range; rescale wilder inputs before use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -21,14 +20,13 @@ __all__ = [
     "DegenerateVertex",
     "DegenerateTriangle",
     "Point2",
-    "Epsilon",
-    "DEFAULT_EPS",
+    "EPS_AREA",
+    "EPS_LEN",
     "Orientation",
     "cross2",
     "orientation",
     "signed_area",
     "points_close",
-    "interior_angle",
     "point_in_triangle_closure",
     "point_on_segment",
     "segments_properly_cross",
@@ -60,24 +58,10 @@ class Point2(NamedTuple):
     y: float
 
 
-@dataclass(frozen=True)
-class Epsilon:
-    """Tolerance policy shared by every predicate.
-
-    ``eps_area`` is the absolute bound on |cross product| below which three
-    points count as collinear; ``eps_len`` is the distance below which two
-    points count as coincident.
-    """
-
-    eps_area: float = 1e-12
-    eps_len: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.eps_area <= 0.0 or self.eps_len <= 0.0:
-            raise ValueError("tolerances must be strictly positive")
-
-
-DEFAULT_EPS = Epsilon()
+# Bound on |cross product| below which three points count as collinear.
+EPS_AREA = 1e-12
+# Distance below which two points count as coincident.
+EPS_LEN = 1e-9
 
 
 class Orientation(Enum):
@@ -91,16 +75,16 @@ def cross2(a: Point2, b: Point2, c: Point2) -> float:
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def orientation(a: Point2, b: Point2, c: Point2, eps: Epsilon = DEFAULT_EPS) -> Orientation:
+def orientation(a: Point2, b: Point2, c: Point2) -> Orientation:
     """Turn direction of the path a -> b -> c.
 
     LEFT for a counter-clockwise turn, RIGHT for clockwise, COLLINEAR when
-    |cross product| <= eps_area.
+    |cross product| <= EPS_AREA.
     """
     z = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    if z > eps.eps_area:
+    if z > EPS_AREA:
         return Orientation.LEFT
-    if z < -eps.eps_area:
+    if z < -EPS_AREA:
         return Orientation.RIGHT
     return Orientation.COLLINEAR
 
@@ -122,37 +106,19 @@ def signed_area(ring: Sequence[Point2]) -> float:
     return 0.5 * math.fsum(terms)
 
 
-def points_close(a: Point2, b: Point2, eps: Epsilon = DEFAULT_EPS) -> bool:
-    return math.hypot(b[0] - a[0], b[1] - a[1]) <= eps.eps_len
-
-
-def interior_angle(prev: Point2, v: Point2, nxt: Point2, eps: Epsilon = DEFAULT_EPS) -> float:
-    """Interior angle at ``v`` in degrees, for a counter-clockwise ring.
-
-    Lies in (0, 360): below 180 the vertex is convex, exactly straight
-    triples return 180, and a zero-width spike returns 360 (both of the
-    latter are treated as reflex by callers). Raises DegenerateVertex when a
-    neighbour coincides with ``v`` within eps_len.
-    """
-    ux, uy = prev[0] - v[0], prev[1] - v[1]
-    wx, wy = nxt[0] - v[0], nxt[1] - v[1]
-    if math.hypot(ux, uy) <= eps.eps_len or math.hypot(wx, wy) <= eps.eps_len:
-        raise DegenerateVertex(f"neighbour coincides with vertex {v}")
-    z = wx * uy - wy * ux  # cross of (v->nxt, v->prev); positive for convex CCW turns
-    if -eps.eps_area <= z <= eps.eps_area:
-        return 180.0 if ux * wx + uy * wy < 0.0 else 360.0
-    return math.degrees(math.atan2(uy, ux) - math.atan2(wy, wx)) % 360.0
+def points_close(a: Point2, b: Point2) -> bool:
+    return math.hypot(b[0] - a[0], b[1] - a[1]) <= EPS_LEN
 
 
 def point_in_triangle_closure(
-    p: Point2, a: Point2, b: Point2, c: Point2, eps: Epsilon = DEFAULT_EPS
+    p: Point2, a: Point2, b: Point2, c: Point2
 ) -> bool:
     """True iff ``p`` lies inside triangle abc or on its boundary.
 
     Three orientation tests; a collinear verdict counts as on-boundary and
     therefore inside the closure. Works for either winding of abc.
     """
-    e = eps.eps_area
+    e = EPS_AREA
     z1 = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
     z2 = (c[0] - b[0]) * (p[1] - b[1]) - (c[1] - b[1]) * (p[0] - b[0])
     z3 = (a[0] - c[0]) * (p[1] - c[1]) - (a[1] - c[1]) * (p[0] - c[0])
@@ -161,11 +127,11 @@ def point_in_triangle_closure(
     return z1 <= e and z2 <= e and z3 <= e
 
 
-def point_on_segment(a: Point2, b: Point2, p: Point2, eps: Epsilon = DEFAULT_EPS) -> bool:
+def point_on_segment(a: Point2, b: Point2, p: Point2) -> bool:
     """True iff ``p`` lies on segment ab (endpoints included)."""
-    if orientation(a, b, p, eps) is not Orientation.COLLINEAR:
+    if orientation(a, b, p) is not Orientation.COLLINEAR:
         return False
-    t = eps.eps_len
+    t = EPS_LEN
     return (
         min(a[0], b[0]) - t <= p[0] <= max(a[0], b[0]) + t
         and min(a[1], b[1]) - t <= p[1] <= max(a[1], b[1]) + t
@@ -173,7 +139,7 @@ def point_on_segment(a: Point2, b: Point2, p: Point2, eps: Epsilon = DEFAULT_EPS
 
 
 def segments_properly_cross(
-    p1: Point2, p2: Point2, q1: Point2, q2: Point2, eps: Epsilon = DEFAULT_EPS
+    p1: Point2, p2: Point2, q1: Point2, q2: Point2
 ) -> bool:
     """True iff segments p1p2 and q1q2 share a point beyond a common endpoint.
 
@@ -182,10 +148,10 @@ def segments_properly_cross(
     endpoint of one lies inside the other, collinear overlaps, and identical
     segments.
     """
-    s11 = points_close(p1, q1, eps)
-    s12 = points_close(p1, q2, eps)
-    s21 = points_close(p2, q1, eps)
-    s22 = points_close(p2, q2, eps)
+    s11 = points_close(p1, q1)
+    s12 = points_close(p1, q2)
+    s21 = points_close(p2, q1)
+    s22 = points_close(p2, q2)
     shared = s11 + s12 + s21 + s22
     if shared >= 2:
         return True  # same segment (possibly reversed)
@@ -193,40 +159,40 @@ def segments_properly_cross(
         # One common endpoint: a further shared point exists only when the
         # segments overlap collinearly past it.
         if s11:
-            return point_on_segment(q1, q2, p2, eps) or point_on_segment(p1, p2, q2, eps)
+            return point_on_segment(q1, q2, p2) or point_on_segment(p1, p2, q2)
         if s12:
-            return point_on_segment(q1, q2, p2, eps) or point_on_segment(p1, p2, q1, eps)
+            return point_on_segment(q1, q2, p2) or point_on_segment(p1, p2, q1)
         if s21:
-            return point_on_segment(q1, q2, p1, eps) or point_on_segment(p1, p2, q2, eps)
-        return point_on_segment(q1, q2, p1, eps) or point_on_segment(p1, p2, q1, eps)
-    o1 = orientation(p1, p2, q1, eps)
-    o2 = orientation(p1, p2, q2, eps)
-    o3 = orientation(q1, q2, p1, eps)
-    o4 = orientation(q1, q2, p2, eps)
+            return point_on_segment(q1, q2, p1) or point_on_segment(p1, p2, q2)
+        return point_on_segment(q1, q2, p1) or point_on_segment(p1, p2, q1)
+    o1 = orientation(p1, p2, q1)
+    o2 = orientation(p1, p2, q2)
+    o3 = orientation(q1, q2, p1)
+    o4 = orientation(q1, q2, p2)
     col = Orientation.COLLINEAR
     if o1 is not col and o2 is not col and o3 is not col and o4 is not col:
         return o1 is not o2 and o3 is not o4
     # Some endpoint is collinear with the other segment: shared points exist
     # iff an endpoint actually lies on the other segment.
     return (
-        point_on_segment(p1, p2, q1, eps)
-        or point_on_segment(p1, p2, q2, eps)
-        or point_on_segment(q1, q2, p1, eps)
-        or point_on_segment(q1, q2, p2, eps)
+        point_on_segment(p1, p2, q1)
+        or point_on_segment(p1, p2, q2)
+        or point_on_segment(q1, q2, p1)
+        or point_on_segment(q1, q2, p2)
     )
 
 
 def triangle_angles(
-    a: Point2, b: Point2, c: Point2, eps: Epsilon = DEFAULT_EPS
+    a: Point2, b: Point2, c: Point2
 ) -> tuple[float, float, float]:
     """The three interior angles of triangle abc in degrees, at a, b, c.
 
     Uses atan2 of (|cross|, dot) at each corner, which stays accurate for
     sliver triangles where acos-based formulas lose digits. Raises
-    DegenerateTriangle when the area is not above eps_area.
+    DegenerateTriangle when the area is not above EPS_AREA.
     """
     z = cross2(a, b, c)
-    if 0.5 * abs(z) <= eps.eps_area:
+    if 0.5 * abs(z) <= EPS_AREA:
         raise DegenerateTriangle(f"triangle {a}, {b}, {c} has (near-)zero area")
 
     def corner(v: Point2, p: Point2, q: Point2) -> float:

@@ -8,7 +8,6 @@ hole's, in normalized order).
 
 from __future__ import annotations
 
-from .geom import DEFAULT_EPS, Epsilon
 from .polygon import PolygonWithHoles, build_ring, normalize
 from .bridge import DegenerateRing, eliminate_holes
 from .earclip import Triangulation, triangulate_basic, triangulate_traditional
@@ -23,7 +22,6 @@ def triangulate_polygon(
     poly: PolygonWithHoles,
     algorithm: str = "basic",
     bound: float | AngleBound = 30.0,
-    eps: Epsilon = DEFAULT_EPS,
 ) -> tuple[Triangulation, DegenerateRing]:
     """Normalize, bridge out the holes, and triangulate.
 
@@ -32,14 +30,14 @@ def triangulate_polygon(
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    poly = normalize(poly, eps)
-    degen = eliminate_holes(poly, eps)
-    ring = build_ring(degen.ring, eps, indices=degen.indices, table=poly.vertex_table())
+    poly = normalize(poly)
+    degen = eliminate_holes(poly)
+    ring = build_ring(degen.ring, indices=degen.indices, table=poly.vertex_table())
     if algorithm == "basic":
-        tri = triangulate_basic(ring, eps)
+        tri = triangulate_basic(ring)
     elif algorithm == "traditional":
-        tri = triangulate_traditional(ring, eps)
+        tri = triangulate_traditional(ring)
     else:
-        tri = triangulate_improved(ring, bound, eps)
+        tri = triangulate_improved(ring, bound)
     return tri, degen
 

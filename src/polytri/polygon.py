@@ -14,9 +14,9 @@ import math
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .geom import (
-    DEFAULT_EPS,
+    EPS_AREA,
+    EPS_LEN,
     DegenerateVertex,
-    Epsilon,
     InvalidRing,
     Point2,
     point_in_ring,
@@ -113,26 +113,26 @@ class PolygonWithHoles:
         return f"PolygonWithHoles(outer={len(self.outer)} pts, holes={len(self.holes)})"
 
 
-def _dedupe(points: Sequence[Point2], eps: Epsilon) -> tuple[Point2, ...]:
-    """Drop consecutive (and wrap-around) points closer than eps_len."""
+def _dedupe(points: Sequence[Point2]) -> tuple[Point2, ...]:
+    """Drop consecutive (and wrap-around) points closer than EPS_LEN."""
     kept: list[Point2] = []
     for p in points:
-        if kept and math.hypot(p.x - kept[-1].x, p.y - kept[-1].y) <= eps.eps_len:
+        if kept and math.hypot(p.x - kept[-1].x, p.y - kept[-1].y) <= EPS_LEN:
             continue
         kept.append(p)
     while len(kept) > 1 and math.hypot(
         kept[0].x - kept[-1].x, kept[0].y - kept[-1].y
-    ) <= eps.eps_len:
+    ) <= EPS_LEN:
         kept.pop()
     return tuple(kept)
 
 
-def _normalize_ring(ring: Ring, want_ccw: bool, label: str, eps: Epsilon) -> Ring:
-    pts = _dedupe(ring.points, eps)
+def _normalize_ring(ring: Ring, want_ccw: bool, label: str) -> Ring:
+    pts = _dedupe(ring.points)
     if len(pts) < 3:
         raise InvalidRing(f"{label} collapses below 3 points after removing duplicates")
     area = signed_area(pts)
-    if abs(area) <= eps.eps_area:
+    if abs(area) <= EPS_AREA:
         raise InvalidRing(f"{label} has (near-)zero area")
     if (area > 0.0) != want_ccw:
         pts = tuple(reversed(pts))
@@ -142,15 +142,15 @@ def _normalize_ring(ring: Ring, want_ccw: bool, label: str, eps: Epsilon) -> Rin
     return Ring(pts)
 
 
-def normalize(poly: PolygonWithHoles, eps: Epsilon = DEFAULT_EPS) -> PolygonWithHoles:
+def normalize(poly: PolygonWithHoles) -> PolygonWithHoles:
     """Canonical form: outer CCW, holes CW, consecutive duplicates removed.
 
     Idempotent; point order is otherwise preserved. Raises InvalidRing when
     a ring collapses below 3 points or encloses no area.
     """
-    outer = _normalize_ring(poly.outer, True, "outer ring", eps)
+    outer = _normalize_ring(poly.outer, True, "outer ring")
     holes = tuple(
-        _normalize_ring(h, False, f"hole {i}", eps) for i, h in enumerate(poly.holes)
+        _normalize_ring(h, False, f"hole {i}") for i, h in enumerate(poly.holes)
     )
     if outer is poly.outer and all(a is b for a, b in zip(holes, poly.holes)):
         return poly
@@ -227,7 +227,7 @@ class VertexRing:
 
 
 def refresh_node(
-    ring: VertexRing, node: VertexNode, eps: Epsilon = DEFAULT_EPS, strict: bool = False
+    ring: VertexRing, node: VertexNode, strict: bool = False
 ) -> None:
     """Recompute angle and convexity of ``node`` from its current neighbours.
 
@@ -243,7 +243,7 @@ def refresh_node(
     p, n = node.prev, node.next
     ux, uy = p.x - node.x, p.y - node.y
     wx, wy = n.x - node.x, n.y - node.y
-    if math.hypot(ux, uy) <= eps.eps_len or math.hypot(wx, wy) <= eps.eps_len:
+    if math.hypot(ux, uy) <= EPS_LEN or math.hypot(wx, wy) <= EPS_LEN:
         if strict:
             raise DegenerateVertex(f"coincident neighbours at {node!r}")
         node.interior_angle = 360.0
@@ -252,12 +252,12 @@ def refresh_node(
         ring.reflex.add(node)
         return
     z = wx * uy - wy * ux  # positive iff convex on a CCW ring
-    if z > eps.eps_area:
+    if z > EPS_AREA:
         node.interior_angle = math.degrees(math.atan2(uy, ux) - math.atan2(wy, wx)) % 360.0
         node.is_convex = True
         ring.reflex.discard(node)
     else:
-        if z < -eps.eps_area:
+        if z < -EPS_AREA:
             node.interior_angle = (
                 math.degrees(math.atan2(uy, ux) - math.atan2(wy, wx)) % 360.0
             )
@@ -270,7 +270,6 @@ def refresh_node(
 
 def build_ring(
     ring: Ring,
-    eps: Epsilon = DEFAULT_EPS,
     indices: Optional[Sequence[int]] = None,
     table: Optional[tuple[Point2, ...]] = None,
 ) -> VertexRing:
@@ -294,7 +293,7 @@ def build_ring(
         node.next = nodes[(i + 1) % n]
     vring = VertexRing(nodes[0], n, table)
     for node in nodes:
-        refresh_node(vring, node, eps, strict=True)
+        refresh_node(vring, node, strict=True)
     return vring
 
 
@@ -321,7 +320,7 @@ def _ring_edges(ring: Ring) -> list[tuple[Point2, Point2]]:
     return [(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))]
 
 
-def validate_polygon(poly: PolygonWithHoles, eps: Epsilon = DEFAULT_EPS) -> list[str]:
+def validate_polygon(poly: PolygonWithHoles) -> list[str]:
     """Opt-in O(n^2) structural check; returns a list of problems (empty = ok).
 
     Verifies that every hole lies strictly inside the outer ring and that no
@@ -336,13 +335,13 @@ def validate_polygon(poly: PolygonWithHoles, eps: Epsilon = DEFAULT_EPS) -> list
                 problems.append(f"hole {i}: vertex {p} outside the outer ring")
                 break
         for a, b in hole_edges[i]:
-            if any(segments_properly_cross(a, b, c, d, eps) for c, d in outer_edges):
+            if any(segments_properly_cross(a, b, c, d) for c, d in outer_edges):
                 problems.append(f"hole {i}: crosses the outer ring")
                 break
     for i in range(len(poly.holes)):
         for j in range(i + 1, len(poly.holes)):
             crossing = any(
-                segments_properly_cross(a, b, c, d, eps)
+                segments_properly_cross(a, b, c, d)
                 for a, b in hole_edges[i]
                 for c, d in hole_edges[j]
             )

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geom import DEFAULT_EPS, Epsilon, GeometryError, triangle_angles
+from .geom import GeometryError, triangle_angles
 from .earclip import Triangulation
 
 __all__ = ["EmptyInput", "QualityReport", "BIN_LABELS", "min_angles", "report", "pooled", "compare"]
@@ -36,23 +36,23 @@ class QualityReport:
     excluded_degenerate: int = 0
 
 
-def min_angles(tri: Triangulation, eps: Epsilon = DEFAULT_EPS) -> list[float]:
+def min_angles(tri: Triangulation) -> list[float]:
     """Minimum interior angle of every non-degenerate triangle, in degrees."""
     out = []
     for t in tri.triangles:
         if t.degenerate:
             continue
         a, b, c = t.points()
-        out.append(min(triangle_angles(a, b, c, eps)))
+        out.append(min(triangle_angles(a, b, c)))
     return out
 
 
-def report(tri: Triangulation, eps: Epsilon = DEFAULT_EPS) -> QualityReport:
+def report(tri: Triangulation) -> QualityReport:
     """Histogram and average of per-triangle minimum angles.
 
     Raises EmptyInput when the triangulation has no measurable triangles.
     """
-    angles = min_angles(tri, eps)
+    angles = min_angles(tri)
     if not angles:
         raise EmptyInput("triangulation has no non-degenerate triangles")
     counts = [0, 0, 0, 0]

@@ -17,7 +17,7 @@ import logging
 from dataclasses import dataclass
 from typing import Optional
 
-from .geom import DEFAULT_EPS, DegenerateTriangle, Epsilon, cross2, triangle_angles
+from .geom import EPS_AREA, DegenerateTriangle, cross2, triangle_angles
 from .earclip import Triangle, Triangulation, _clip, edge_key
 from .polygon import VertexNode, VertexRing
 
@@ -38,7 +38,7 @@ class AngleBound:
     degrees: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.degrees < 0.0:
+        if not self.degrees >= 0.0:  # also rejects NaN
             raise ValueError(f"angle bound must be non-negative, got {self.degrees}")
         if self.degrees > 60.0:
             log.warning("angle bound %.6g clamped to 60", self.degrees)
@@ -81,7 +81,7 @@ def _replace_edge_owner(
 
 
 def try_swap(
-    t1: Triangle, t2: Triangle, tri: Triangulation, eps: Epsilon = DEFAULT_EPS
+    t1: Triangle, t2: Triangle, tri: Triangulation
 ) -> Optional[tuple[Triangle, Triangle]]:
     """Swap the shared diagonal of ``t1``/``t2`` when it improves the pair.
 
@@ -112,13 +112,13 @@ def try_swap(
     pu, pw = u.point, w.point
     # Both halves on the new diagonal must keep positive area, otherwise the
     # quad is non-convex and the swapped diagonal falls outside it.
-    if cross2(pa1, pw, pa2) <= eps.eps_area or cross2(pa2, pu, pa1) <= eps.eps_area:
+    if cross2(pa1, pw, pa2) <= EPS_AREA or cross2(pa2, pu, pa1) <= EPS_AREA:
         return None
     try:
         old_min = min(min(_node_angles(t1)), min(_node_angles(t2)))
         new_min = min(
-            min(triangle_angles(pa1, pw, pa2, eps)),
-            min(triangle_angles(pa2, pu, pa1, eps)),
+            min(triangle_angles(pa1, pw, pa2)),
+            min(triangle_angles(pa2, pu, pa1)),
         )
     except DegenerateTriangle:
         return None
@@ -140,7 +140,6 @@ def try_swap(
 def triangulate_improved(
     ring: VertexRing,
     bound: AngleBound | float = AngleBound(30.0),
-    eps: Epsilon = DEFAULT_EPS,
 ) -> Triangulation:
     """Smallest-angle ear clipping with one swap attempt per sharp triangle.
 
@@ -166,6 +165,6 @@ def triangulate_improved(
             return
         neighbor = find_neighbor_across_longest_edge(t, tri)
         if neighbor is not None:
-            try_swap(t, neighbor, tri, eps)
+            try_swap(t, neighbor, tri)
 
-    return _clip(ring, eps, smallest_angle=True, post_emit=post_emit)
+    return _clip(ring, smallest_angle=True, post_emit=post_emit)

@@ -13,7 +13,7 @@ import pytest
 
 from polytri import Point2, Ring, PolygonWithHoles, generate_corpus
 from polytri.earclip import edge_key
-from polytri.geom import point_in_triangle_closure, DEFAULT_EPS
+from polytri.geom import EPS_AREA, EPS_LEN, point_in_triangle_closure
 
 
 # ---------------------------------------------------------------------------
@@ -181,16 +181,16 @@ def tri_angles_oracle(a, b, c):
     return ang(la, lb, lc), ang(lb, lc, la), ang(lc, la, lb)
 
 
-def brute_force_is_ear(ring, v, eps=DEFAULT_EPS, corner_twins=False) -> bool:
+def brute_force_is_ear(ring, v, corner_twins=False) -> bool:
     """Condition check from scratch: convexity by cross sign, then every
     reflex vertex (recomputed here, not trusting cached flags) tested
     against the triangle closure, exempting only the tip's neighbours and,
-    with ``corner_twins``, reflex vertices within eps_len of a corner."""
+    with ``corner_twins``, reflex vertices within EPS_LEN of a corner."""
     nodes = ring.nodes()
 
     def convex(n):
         z = (n.x - n.prev.x) * (n.next.y - n.y) - (n.y - n.prev.y) * (n.next.x - n.x)
-        return z > eps.eps_area
+        return z > EPS_AREA
 
     if not convex(v):
         return False
@@ -198,9 +198,9 @@ def brute_force_is_ear(ring, v, eps=DEFAULT_EPS, corner_twins=False) -> bool:
     for r in nodes:
         if r is v or r is v.prev or r is v.next or convex(r):
             continue
-        if corner_twins and min(math.dist(r.point, q) for q in (a, b, c)) <= eps.eps_len:
+        if corner_twins and min(math.dist(r.point, q) for q in (a, b, c)) <= EPS_LEN:
             continue
-        if point_in_triangle_closure(r.point, a, b, c, eps):
+        if point_in_triangle_closure(r.point, a, b, c):
             return False
     return True
 

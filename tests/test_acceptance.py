@@ -158,9 +158,9 @@ def test_c05_swap_verdict_oracle(quality_corpus, monkeypatch):
     observed = []
     original = swap_mod.try_swap
 
-    def recording(t1, t2, tri, eps=None):
+    def recording(t1, t2, tri):
         before = min(min(swap_mod._node_angles(t1)), min(swap_mod._node_angles(t2)))
-        out = original(t1, t2, tri) if eps is None else original(t1, t2, tri, eps)
+        out = original(t1, t2, tri)
         if out is not None:
             after = min(min(swap_mod._node_angles(out[0])), min(swap_mod._node_angles(out[1])))
             observed.append((before, after))

@@ -140,6 +140,13 @@ class TestCliTriangulate:
         assert r.returncode == 2
         assert b"line 1" in r.stderr
 
+    def test_non_utf8_input_exit_2(self, tmp_path):
+        bad = tmp_path / "bad.poly"
+        bad.write_bytes(b"ring 0,0 1,0 \xff\xfe\n")
+        r = cli("triangulate", "--algorithm", "basic", "--input", str(bad))
+        assert r.returncode == 2
+        assert r.stderr.startswith(b"polytri: parse error: ")
+
     def test_missing_file_exit_2(self):
         r = cli("triangulate", "--algorithm", "basic", "--input", "no-such-file.poly")
         assert r.returncode == 2
@@ -155,6 +162,29 @@ class TestCliTriangulate:
     def test_usage_error_exit_4(self):
         r = cli("triangulate", "--algorithm", "nonsense", "--input", "x.poly")
         assert r.returncode == 4
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("triangulate", "--algorithm", "improved", "--bound", "-5", "--input", "{poly}"),
+            ("triangulate", "--algorithm", "improved", "--bound", "nan", "--input", "{poly}"),
+            ("bench", "--corpus", "{corpus}", "--bounds", "abc"),
+            ("bench", "--corpus", "{corpus}", "--bounds", "-1"),
+            ("bench", "--corpus", "{corpus}", "--algorithms", ","),
+            ("bench", "--corpus", "{corpus}", "--algorithms", "improved", "--bounds", ","),
+            ("gen-corpus", "--count", "0", "--out-dir", "{tmp}"),
+            ("gen-corpus", "--count", "1", "--vertices", "2..3", "--out-dir", "{tmp}"),
+            ("gen-corpus", "--count", "1", "--vertices", "10..5", "--out-dir", "{tmp}"),
+        ],
+    )
+    def test_out_of_range_value_exit_4(self, args, tmp_path):
+        paths = {"poly": FIXTURES / "square_hole.poly", "corpus": FIXTURES, "tmp": tmp_path}
+        r = cli(*(a.format(**paths) for a in args))
+        err = r.stderr.decode()
+        assert r.returncode == 4, err
+        assert "Traceback" not in err
+        assert err.startswith("polytri: error: ")
+        assert len(err.splitlines()) == 1
 
     def test_geojson_input(self, tmp_path):
         doc = {

@@ -5,16 +5,19 @@ import pytest
 from polytri import (
     EarSearchFailed,
     Point2,
+    PolygonWithHoles,
     Ring,
     build_ring,
+    generate_corpus,
     is_ear,
     remove_vertex,
     triangulate_basic,
+    triangulate_polygon,
     triangulate_traditional,
     update_after_cut,
 )
 from polytri.earclip import _select_smallest_angle, edge_key
-from polytri.geom import DEFAULT_EPS, cross2
+from polytri.geom import cross2
 from conftest import (
     brute_force_is_ear,
     inside_with_tolerance,
@@ -120,7 +123,7 @@ class TestTriangulateBasic:
             node.is_ear = is_ear(ring, node) if node.is_convex else False
         steps = 0
         while ring.count > 3 and steps < 12:
-            chosen = _select_smallest_angle(ring, DEFAULT_EPS)
+            chosen = _select_smallest_angle(ring)
             assert chosen is not None
             for node in ring:
                 if node is chosen:
@@ -139,6 +142,17 @@ class TestTriangulateBasic:
         with pytest.raises(EarSearchFailed) as exc:
             triangulate_basic(build_ring(cw_square))
         assert len(exc.value.points) >= 3
+
+    def test_tiny_simple_polygon_blames_tolerance(self):
+        # a simple star scaled by 1e-7: every cross product falls below the
+        # absolute EPS_AREA, so the message must name scale as a cause and
+        # not only self-intersection
+        poly = generate_corpus(5, 20, (4, 200), (0, 2))[11]
+        assert not poly.holes
+        triangulate_polygon(poly, "basic")
+        tiny = PolygonWithHoles(Ring([(x * 1e-7, y * 1e-7) for x, y in poly.outer]))
+        with pytest.raises(EarSearchFailed, match="tolerance"):
+            triangulate_polygon(tiny, "basic")
 
 
 class TestTriangulateTraditional:

@@ -5,14 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polytri.geom import (
-    DEFAULT_EPS,
+    EPS_AREA,
+    EPS_LEN,
     DegenerateTriangle,
     DegenerateVertex,
-    Epsilon,
     InvalidRing,
     Orientation,
     Point2,
-    interior_angle,
     orientation,
     point_in_ring,
     point_in_triangle_closure,
@@ -21,6 +20,7 @@ from polytri.geom import (
     signed_area,
     triangle_angles,
 )
+from polytri.polygon import VertexNode, VertexRing, refresh_node
 from conftest import oracle_segments_share_beyond_endpoint, tri_angles_oracle
 
 P = Point2
@@ -68,18 +68,26 @@ class TestSignedArea:
         assert signed_area(list(reversed(pts))) == pytest.approx(-signed_area(pts), abs=1e-6)
 
 
+def corner_angle(prev, v, nxt):
+    """Interior angle at ``v`` of the CCW corner prev -> v -> nxt."""
+    nodes = [VertexNode(p.x, p.y, i, i) for i, p in enumerate((prev, v, nxt))]
+    for i, node in enumerate(nodes):
+        node.prev = nodes[i - 1]
+        node.next = nodes[(i + 1) % 3]
+    ring = VertexRing(nodes[0], 3, (prev, v, nxt))
+    refresh_node(ring, nodes[1], strict=True)
+    return nodes[1].interior_angle
+
+
 class TestInteriorAngle:
     def test_square_corner(self):
-        assert interior_angle(P(0, 1), P(0, 0), P(1, 0)) == pytest.approx(90.0)
-
-    def test_straight(self):
-        assert interior_angle(P(0, 0), P(1, 0), P(2, 0)) == pytest.approx(180.0)
+        assert corner_angle(P(0, 1), P(0, 0), P(1, 0)) == pytest.approx(90.0)
 
     def test_l_shape_notch_is_reflex(self):
         # notch vertex of the CCW L-shape; cross-checked against an
         # unsigned-angle oracle plus the orientation sign
         prev, v, nxt = P(2, 1), P(1, 1), P(1, 2)
-        got = interior_angle(prev, v, nxt)
+        got = corner_angle(prev, v, nxt)
         assert got == pytest.approx(270.0)
         raw = tri_angles_oracle(v, prev, nxt)[0]
         assert orientation(prev, v, nxt) is Orientation.RIGHT
@@ -87,10 +95,7 @@ class TestInteriorAngle:
 
     def test_coincident_neighbour_raises(self):
         with pytest.raises(DegenerateVertex):
-            interior_angle(P(0, 0), P(0, 0), P(1, 0))
-
-    def test_spike_counts_as_full_turn(self):
-        assert interior_angle(P(2, 0), P(0, 0), P(1, 0)) == pytest.approx(360.0)
+            corner_angle(P(0, 0), P(0, 0), P(1, 0))
 
 
 class TestPointInTriangleClosure:
@@ -205,16 +210,10 @@ class TestTriangleAngles:
             assert got == pytest.approx(want, abs=1e-2)
 
 
-class TestEpsilon:
+class TestTolerances:
     def test_defaults(self):
-        assert DEFAULT_EPS.eps_area == 1e-12
-        assert DEFAULT_EPS.eps_len == 1e-9
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            Epsilon(eps_area=0.0)
-        with pytest.raises(ValueError):
-            Epsilon(eps_len=-1.0)
+        assert EPS_AREA == 1e-12
+        assert EPS_LEN == 1e-9
 
 
 class TestPointInRing:

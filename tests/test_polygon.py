@@ -130,6 +130,21 @@ class TestBuildRing:
         with pytest.raises(DegenerateVertex):
             build_ring(Ring([(0, 0), (0, 0), (1, 1), (0, 1)]))
 
+    def test_straight_vertex_is_reflex(self):
+        ring = build_ring(Ring([(0, 0), (1, 0), (2, 0), (2, 1), (0, 1)]))
+        mid = next(n for n in ring if n.point == P(1, 0))
+        assert mid.interior_angle == 180.0
+        assert not mid.is_convex
+        assert mid in ring.reflex
+
+    def test_spike_vertex_is_full_turn(self):
+        # both neighbours leave the tip along the same ray: zero-width spike
+        ring = build_ring(Ring([(2, 0), (0, 0), (1, 0), (1, 2)]))
+        tip = next(n for n in ring if n.point == P(0, 0))
+        assert tip.interior_angle == 360.0
+        assert not tip.is_convex
+        assert tip in ring.reflex
+
     def test_linkage(self, unit_square):
         ring = build_ring(unit_square)
         for n in ring:
