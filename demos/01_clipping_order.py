@@ -28,8 +28,7 @@ from polytri import (
     parse_polygon,
     render_svg,
     report,
-    triangulate_basic,
-    triangulate_traditional,
+    triangulate_ring,
 )
 
 HERE = Path(__file__).parent
@@ -38,11 +37,8 @@ OUT = HERE / "out"
 
 def quality_rows(poly, tag, svg=False):
     rows = []
-    for label, triangulate in (
-        ("traditional", triangulate_traditional),
-        ("smallest-angle", triangulate_basic),
-    ):
-        tri = triangulate(build_ring(poly.outer))
+    for label, algorithm in (("traditional", "traditional"), ("smallest-angle", "basic")):
+        tri = triangulate_ring(build_ring(poly.outer), algorithm)
         rows.append((label, report(tri)))
         if svg:
             path = OUT / f"{tag}_{label.replace('-', '_')}.svg"

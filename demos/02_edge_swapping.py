@@ -23,7 +23,7 @@ from polytri import (
     normalize,
     render_svg,
     report,
-    triangulate_improved,
+    triangulate_ring,
 )
 
 OUT = Path(__file__).parent / "out"
@@ -36,7 +36,7 @@ def main() -> None:
 
     rows = []
     for bound in (0.0, 15.0, 30.0, 45.0, 60.0):
-        tri = triangulate_improved(build_ring(poly.outer), bound=bound)
+        tri = triangulate_ring(build_ring(poly.outer), "improved", bound=bound)
         rows.append((f"bound {bound:g}", report(tri)))
         print(f"bound {bound:5.1f}: {tri.swap_count:3d} swaps executed")
         if bound in (0.0, 30.0):

@@ -24,7 +24,7 @@ from polytri import (
     normalize,
     render_svg,
     report,
-    triangulate_improved,
+    triangulate_ring,
 )
 
 OUT = Path(__file__).parent / "out"
@@ -65,7 +65,7 @@ def main() -> None:
     )
 
     ring = build_ring(degen.ring, indices=degen.indices, table=table)
-    tri = triangulate_improved(ring, bound=30.0)
+    tri = triangulate_ring(ring, "improved", bound=30.0)
     print(f"\ntriangulated: {len(tri.triangles)} triangles "
           f"(= {len(degen.ring)} - 2), {tri.swap_count} swaps")
     print(compare_line(report(tri)))

@@ -21,9 +21,7 @@ from polytri import (
     generate_corpus,
     pooled,
     report,
-    triangulate_basic,
-    triangulate_improved,
-    triangulate_traditional,
+    triangulate_ring,
 )
 
 
@@ -32,14 +30,14 @@ def main() -> None:
     print(f"corpus: 50 star polygons, 20..100 vertices, seed 1234\n")
 
     configs = [
-        ("traditional", lambda r: triangulate_traditional(r)),
-        ("basic", lambda r: triangulate_basic(r)),
-        ("improved(30)", lambda r: triangulate_improved(r, bound=30.0)),
-        ("improved(60)", lambda r: triangulate_improved(r, bound=60.0)),
+        ("traditional", "traditional", 30.0),
+        ("basic", "basic", 30.0),
+        ("improved(30)", "improved", 30.0),
+        ("improved(60)", "improved", 60.0),
     ]
     rows = []
-    for label, fn in configs:
-        reports = [report(fn(build_ring(p.outer))) for p in corpus]
+    for label, algorithm, bound in configs:
+        reports = [report(triangulate_ring(build_ring(p.outer), algorithm, bound)) for p in corpus]
         rows.append((label, pooled(reports)))
     print(compare(rows))
 
@@ -49,7 +47,7 @@ def main() -> None:
         poly = generate_corpus(seed=909, count=1, vertex_range=(n, n))[0]
         ring = build_ring(poly.outer)
         t0 = time.perf_counter()
-        triangulate_basic(ring)
+        triangulate_ring(ring, "basic")
         dt = time.perf_counter() - t0
         growth = f"  ({dt / prev:.1f}x over previous)" if prev else ""
         print(f"  n={n:5d}: {dt * 1e3:7.1f} ms{growth}")

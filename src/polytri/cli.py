@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .geom import GeometryError
-from .polygon import PolygonWithHoles, normalize, validate_polygon
+from .polygon import PolygonWithHoles, validate_polygon
 from .earclip import EarSearchFailed
 from .pipeline import ALGORITHMS, triangulate_polygon
 from .quality import compare, pooled, report
@@ -113,9 +113,9 @@ def _cmd_triangulate(args) -> int:
     except OSError as e:
         print(f"polytri: cannot read {args.input}: {e}", file=sys.stderr)
         return EXIT_PARSE
-    poly = parse_polygon(text, fmt=args.format)
+    poly = parse_polygon(text, fmt=args.format)  # already normalized
     if args.validate:
-        problems = validate_polygon(normalize(poly))
+        problems = validate_polygon(poly)
         if problems:
             for problem in problems:
                 print(f"polytri: invalid polygon: {problem}", file=sys.stderr)
@@ -132,7 +132,7 @@ def _cmd_triangulate(args) -> int:
     elif args.emit == "obj":
         _write_output(triangulation_to_obj(tri), args.output)
     elif args.emit == "svg":
-        _write_output(render_svg(normalize(poly), tri), args.output)
+        _write_output(render_svg(poly, tri), args.output)
     else:
         label = args.algorithm if args.algorithm != "improved" else f"improved({args.bound:g})"
         _write_output(compare([(label, stats)], fmt="text"), args.output)
@@ -156,11 +156,15 @@ def _cmd_bench(args) -> int:
         print(f"polytri: no .poly files in {corpus_dir}", file=sys.stderr)
         return EXIT_PARSE
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+    if not algorithms:
+        raise ValueError(f"--algorithms lists no algorithm: {args.algorithms!r}")
     for a in algorithms:
         if a not in ALGORITHMS:
             print(f"polytri: unknown algorithm {a!r}", file=sys.stderr)
             return EXIT_USAGE
     bounds = [float(b) for b in args.bounds.split(",") if b.strip()]
+    if not bounds and "improved" in algorithms:
+        raise ValueError(f"--bounds lists no bound for 'improved': {args.bounds!r}")
     polys = [parse_polygon(f.read_text(encoding="utf-8")) for f in files]
     configs: list[tuple[str, str, float]] = []
     for a in algorithms:

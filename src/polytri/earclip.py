@@ -1,6 +1,7 @@
 """Ear clipping triangulation.
 
-Two selection policies drive one clipping engine. The traditional policy
+Two selection policies drive one clipping engine, ``_clip``, which
+:func:`polytri.pipeline.triangulate_ring` runs. The traditional policy
 walks the ring and clips the first ear it meets, which tends to shave off
 long fans of sliver triangles. The angle-aware policy always clips the ear
 whose tip has the smallest interior angle, removing the sharpest corner
@@ -36,8 +37,6 @@ __all__ = [
     "edge_key",
     "is_ear",
     "update_after_cut",
-    "triangulate_basic",
-    "triangulate_traditional",
 ]
 
 
@@ -309,17 +308,3 @@ def _clip(
         post_emit(tri, tid)
     return tri
 
-
-def triangulate_basic(ring: VertexRing) -> Triangulation:
-    """Triangulate by always clipping the ear with the smallest interior angle."""
-    return _clip(ring, smallest_angle=True)
-
-
-def triangulate_traditional(ring: VertexRing) -> Triangulation:
-    """Triangulate by clipping the first ear found in ring order.
-
-    Scanning resumes at the successor of the last clipped tip, which is the
-    classic sequential behaviour this library's angle-aware variants are
-    measured against.
-    """
-    return _clip(ring, smallest_angle=False)

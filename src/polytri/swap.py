@@ -1,11 +1,12 @@
 """Inline edge swapping for sharp triangles.
 
-The improved triangulator runs the smallest-angle clipping loop and, every
-time a new triangle comes out sharper than a configurable bound, tries one
-diagonal swap with the neighbour across its longest edge. The swap is kept
-only when it strictly raises the minimum angle over the pair, and it only
-touches the stored triangles and edge map, never the live clipping ring, so
-subsequent cuts proceed as if nothing happened.
+The improved triangulator runs the smallest-angle clipping loop with the
+hook from :func:`sharp_swapper`: every time a new triangle comes out
+sharper than a bound, it tries one diagonal swap with the neighbour across
+its longest edge. The swap is kept only when it strictly raises the minimum
+angle over the pair, and it only touches the stored triangles and edge map,
+never the live clipping ring, so subsequent cuts proceed as if nothing
+happened.
 
 Each new triangle gets exactly one swap attempt; swapped-in triangles are
 not re-tested and no flip cascades are chased.
@@ -14,35 +15,15 @@ not re-tested and no flip cascades are chased.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .geom import EPS_AREA, DegenerateTriangle, cross2, triangle_angles
-from .earclip import Triangle, Triangulation, _clip, edge_key
-from .polygon import VertexNode, VertexRing
+from .earclip import Triangle, Triangulation, edge_key
+from .polygon import VertexNode
 
-__all__ = ["AngleBound", "triangulate_improved", "find_neighbor_across_longest_edge", "try_swap"]
+__all__ = ["sharp_swapper", "find_neighbor_across_longest_edge", "try_swap"]
 
 log = logging.getLogger("polytri")
-
-
-@dataclass(frozen=True)
-class AngleBound:
-    """Sharpness threshold in degrees, within [0, 60].
-
-    A triangle's minimum angle never exceeds 60, so larger bounds are
-    clamped (with a warning); 0 disables swapping entirely because the
-    sharpness test is strict.
-    """
-
-    degrees: float = 30.0
-
-    def __post_init__(self) -> None:
-        if not self.degrees >= 0.0:  # also rejects NaN
-            raise ValueError(f"angle bound must be non-negative, got {self.degrees}")
-        if self.degrees > 60.0:
-            log.warning("angle bound %.6g clamped to 60", self.degrees)
-            object.__setattr__(self, "degrees", 60.0)
 
 
 def _node_angles(t: Triangle) -> tuple[float, float, float]:
@@ -137,21 +118,22 @@ def try_swap(
     return (t1, t2)
 
 
-def triangulate_improved(
-    ring: VertexRing,
-    bound: AngleBound | float = AngleBound(30.0),
-) -> Triangulation:
-    """Smallest-angle ear clipping with one swap attempt per sharp triangle.
+def sharp_swapper(bound: float) -> Callable[[Triangulation, int], None]:
+    """Post-emit hook giving each new triangle sharper than ``bound`` one swap.
 
-    A freshly emitted triangle whose minimum angle falls strictly below the
-    bound is paired with the neighbour across its longest edge (when that
+    The bound is in degrees. A triangle whose minimum angle falls strictly
+    below it is paired with the neighbour across its longest edge (when that
     neighbour exists) and the diagonal is swapped if that strictly raises
-    the pair minimum. With bound 0 the output is identical to
-    :func:`polytri.earclip.triangulate_basic`.
+    the pair minimum. A minimum angle never exceeds 60, so a larger bound is
+    clamped to 60 with a warning; 0 disables swapping because the test is
+    strict. Raises ValueError for a negative or NaN bound.
     """
-    if not isinstance(bound, AngleBound):
-        bound = AngleBound(float(bound))
-    limit = bound.degrees
+    limit = float(bound)
+    if not limit >= 0.0:  # also rejects NaN
+        raise ValueError(f"angle bound must be non-negative, got {limit}")
+    if limit > 60.0:
+        log.warning("angle bound %.6g clamped to 60", limit)
+        limit = 60.0
 
     def post_emit(tri: Triangulation, tid: int) -> None:
         t = tri.triangles[tid]
@@ -167,4 +149,4 @@ def triangulate_improved(
         if neighbor is not None:
             try_swap(t, neighbor, tri)
 
-    return _clip(ring, smallest_angle=True, post_emit=post_emit)
+    return post_emit

@@ -11,9 +11,9 @@ import random
 
 import pytest
 
-from polytri import Point2, Ring, PolygonWithHoles, generate_corpus
+from polytri import Ring, PolygonWithHoles, generate_corpus
 from polytri.earclip import edge_key
-from polytri.geom import EPS_AREA, EPS_LEN, point_in_triangle_closure
+from polytri.geom import EPS_AREA, EPS_LEN, Point2, point_in_triangle_closure
 
 
 # ---------------------------------------------------------------------------

@@ -19,17 +19,18 @@ import pytest
 
 import polytri.swap as swap_mod
 from polytri import (
-    Point2,
     build_ring,
     eliminate_holes,
+    find_bridge,
     generate_corpus,
-    is_ear,
     report,
-    triangulate_basic,
-    triangulate_improved,
     triangulate_polygon,
-    try_swap,
+    triangulate_ring,
 )
+from polytri.bridge import merge_hole
+from polytri.earclip import is_ear
+from polytri.geom import Point2
+from polytri.swap import try_swap
 from polytri.formats import serialize_polygon, triangulation_to_json
 from conftest import (
     brute_force_is_ear,
@@ -168,7 +169,7 @@ def test_c05_swap_verdict_oracle(quality_corpus, monkeypatch):
 
     monkeypatch.setattr(swap_mod, "try_swap", recording)
     for poly in quality_corpus:
-        triangulate_improved(build_ring(poly.outer), bound=30.0)
+        triangulate_ring(build_ring(poly.outer), "improved", bound=30.0)
     assert observed, "corpus runs executed no swaps"
     violations = [pair for pair in observed if not pair[1] > pair[0]]
     assert not violations
@@ -182,11 +183,9 @@ def test_c06_quality_direction_basic_vs_traditional(quality_corpus):
     t0 = time.perf_counter()
     basic, traditional = [], []
     for poly in quality_corpus:
-        from polytri import triangulate_traditional
-
-        basic.append(report(triangulate_basic(build_ring(poly.outer))).average_min_angle)
+        basic.append(report(triangulate_ring(build_ring(poly.outer), "basic")).average_min_angle)
         traditional.append(
-            report(triangulate_traditional(build_ring(poly.outer))).average_min_angle
+            report(triangulate_ring(build_ring(poly.outer), "traditional")).average_min_angle
         )
     elapsed = time.perf_counter() - t0
     mean_b = sum(basic) / len(basic)
@@ -205,9 +204,9 @@ def test_c07_quality_direction_swapping(quality_corpus):
     avg0, avg30 = [], []
     byte_equal = 0
     for poly in quality_corpus:
-        t_basic = triangulate_basic(build_ring(poly.outer))
-        t0 = triangulate_improved(build_ring(poly.outer), bound=0.0)
-        t30 = triangulate_improved(build_ring(poly.outer), bound=30.0)
+        t_basic = triangulate_ring(build_ring(poly.outer), "basic")
+        t0 = triangulate_ring(build_ring(poly.outer), "improved", bound=0.0)
+        t30 = triangulate_ring(build_ring(poly.outer), "improved", bound=30.0)
         r_basic, r0, r30 = report(t_basic), report(t0), report(t30)
         if triangulation_to_json(t0, r0) == triangulation_to_json(t_basic, r_basic):
             byte_equal += 1
@@ -242,7 +241,6 @@ def test_c08_bridge_laws(corpus200, corpus_results):
         # selection minimality against the exhaustive oracle, re-running the
         # merge sequence step by step
         current = poly.outer
-        from polytri import find_bridge, merge_hole
 
         for h, hole in enumerate(poly.holes):
             b = find_bridge(current, hole, poly.holes[h + 1 :], hole_id=h + 1)
@@ -270,7 +268,7 @@ def test_c09_quadratic_scaling():
         for _ in range(2 if n <= 1000 else 1):
             ring = build_ring(poly.outer)
             t0 = time.perf_counter()
-            tri = triangulate_basic(ring)
+            tri = triangulate_ring(ring, "basic")
             best = min(best, time.perf_counter() - t0)
             assert len(tri.triangles) == n - 2
         times[n] = best

@@ -4,17 +4,16 @@ import pytest
 
 from polytri import (
     NoValidBridge,
-    Point2,
     PolygonWithHoles,
     Ring,
     build_ring,
     eliminate_holes,
     find_bridge,
-    merge_hole,
     normalize,
-    triangulate_basic,
+    triangulate_ring,
 )
-from polytri.bridge import _in_wedge
+from polytri.bridge import _in_wedge, merge_hole
+from polytri.geom import Point2
 from conftest import oracle_segments_share_beyond_endpoint, triangulation_area
 
 P = Point2
@@ -116,9 +115,8 @@ class TestEliminateHoles:
         degen = eliminate_holes(poly)
         assert len(degen.ring) == 10
         assert len(degen.indices) == 10
-        tri = triangulate_basic(
-            build_ring(degen.ring, indices=degen.indices, table=poly.vertex_table())
-        )
+        ring = build_ring(degen.ring, indices=degen.indices, table=poly.vertex_table())
+        tri = triangulate_ring(ring, "basic")
         assert len(tri.triangles) == 8
         assert triangulation_area(tri) == pytest.approx(12.0)
 

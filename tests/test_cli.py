@@ -11,6 +11,8 @@ from polytri import (
     PolygonWithHoles,
     Ring,
     generate_corpus,
+    parse_polygon,
+    render_svg,
     report,
     serialize_polygon,
 )
@@ -67,7 +69,7 @@ class TestGenerateCorpus:
         assert serialize_polygon(a[0]) != serialize_polygon(b[0])
 
     def test_generated_polygons_validate(self, small_corpus):
-        from polytri import validate_polygon
+        from polytri.polygon import validate_polygon
 
         for poly in small_corpus:
             assert validate_polygon(poly) == []
@@ -185,6 +187,34 @@ class TestCliTriangulate:
         assert "Traceback" not in err
         assert err.startswith("polytri: error: ")
         assert len(err.splitlines()) == 1
+        if "," in args:  # an empty list: the message names its option
+            assert err.startswith(f"polytri: error: {args[args.index(',') - 1]} ")
+
+    def test_validate_and_svg_do_not_renormalize(self, monkeypatch, tmp_path):
+        import polytri.cli
+        import polytri.polygon
+
+        calls = []
+        original = polytri.polygon.normalize
+
+        def counting(poly):
+            calls.append(poly)
+            return original(poly)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("polytri") and getattr(module, "normalize", None) is original:
+                monkeypatch.setattr(module, "normalize", counting)
+        src = FIXTURES / "square_hole.poly"
+        base = ["triangulate", "--algorithm", "basic", "--input", str(src)]
+        assert polytri.cli.main([*base, "--output", str(tmp_path / "o.json")]) == 0
+        plain = len(calls)
+        calls.clear()
+        svg = tmp_path / "o.svg"
+        assert polytri.cli.main([*base, "--validate", "--emit", "svg", "--output", str(svg)]) == 0
+        assert len(calls) <= plain
+        poly = parse_polygon(src.read_text())
+        tri, _ = triangulate_polygon(poly, "basic")
+        assert svg.read_bytes() == render_svg(original(poly), tri)
 
     def test_geojson_input(self, tmp_path):
         doc = {

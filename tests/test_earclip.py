@@ -4,20 +4,16 @@ import pytest
 
 from polytri import (
     EarSearchFailed,
-    Point2,
     PolygonWithHoles,
     Ring,
     build_ring,
     generate_corpus,
-    is_ear,
-    remove_vertex,
-    triangulate_basic,
     triangulate_polygon,
-    triangulate_traditional,
-    update_after_cut,
+    triangulate_ring,
 )
-from polytri.earclip import _select_smallest_angle, edge_key
-from polytri.geom import cross2
+from polytri.earclip import _select_smallest_angle, edge_key, is_ear, update_after_cut
+from polytri.geom import Point2, cross2
+from polytri.polygon import remove_vertex
 from conftest import (
     brute_force_is_ear,
     inside_with_tolerance,
@@ -70,7 +66,7 @@ class TestIsEar:
 
 class TestTriangulateBasic:
     def test_unit_square(self, unit_square):
-        tri = triangulate_basic(build_ring(unit_square))
+        tri = triangulate_ring(build_ring(unit_square), "basic")
         assert [(t.a, t.b, t.c) for t in tri.triangles] == [(3, 0, 1), (1, 2, 3)]
         areas = [0.5 * cross2(*t.points()) for t in tri.triangles]
         assert areas == pytest.approx([0.5, 0.5])
@@ -79,32 +75,32 @@ class TestTriangulateBasic:
     def test_triangle_count_law(self, small_corpus):
         for poly in small_corpus:
             ring = build_ring(poly.outer)
-            tri = triangulate_basic(ring)
+            tri = triangulate_ring(ring, "basic")
             assert len(tri.triangles) == len(poly.outer) - 2
 
     def test_area_conservation_random_20gon(self):
         from polytri import generate_corpus
 
         poly = generate_corpus(seed=3, count=1, vertex_range=(20, 20))[0]
-        tri = triangulate_basic(build_ring(poly.outer))
+        tri = triangulate_ring(build_ring(poly.outer), "basic")
         want = poly.outer.signed_area()
         assert abs(triangulation_area(tri) - want) <= 1e-9 * abs(want)
 
     def test_all_triangles_ccw(self, small_corpus):
         for poly in small_corpus[:10]:
-            tri = triangulate_basic(build_ring(poly.outer))
+            tri = triangulate_ring(build_ring(poly.outer), "basic")
             for t in tri.triangles:
                 assert cross2(*t.points()) > 0
 
     def test_centroids_inside(self, small_corpus):
         for poly in small_corpus[:10]:
-            tri = triangulate_basic(build_ring(poly.outer))
+            tri = triangulate_ring(build_ring(poly.outer), "basic")
             for t in tri.triangles:
                 assert inside_with_tolerance(centroid(*t.points()), poly.outer.points)
 
     def test_edge_balance(self, small_corpus):
         for poly in small_corpus[:10]:
-            tri = triangulate_basic(build_ring(poly.outer))
+            tri = triangulate_ring(build_ring(poly.outer), "basic")
             boundary = ring_adjacent_edges(tri)
             for key, owners in tri.edge_map.items():
                 if key in boundary:
@@ -140,7 +136,7 @@ class TestTriangulateBasic:
         # ear or fallback ever applies
         cw_square = Ring([(0, 0), (0, 1), (1, 1), (1, 0)])
         with pytest.raises(EarSearchFailed) as exc:
-            triangulate_basic(build_ring(cw_square))
+            triangulate_ring(build_ring(cw_square), "basic")
         assert len(exc.value.points) >= 3
 
     def test_tiny_simple_polygon_blames_tolerance(self):
@@ -157,7 +153,7 @@ class TestTriangulateBasic:
 
 class TestTriangulateTraditional:
     def test_unit_square(self, unit_square):
-        tri = triangulate_traditional(build_ring(unit_square))
+        tri = triangulate_ring(build_ring(unit_square), "traditional")
         assert len(tri.triangles) == 2
         assert triangulation_area(tri) == pytest.approx(1.0)
 
@@ -166,7 +162,7 @@ class TestTriangulateTraditional:
         hexagon = Ring(
             [P(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)]
         )
-        tri = triangulate_traditional(build_ring(hexagon))
+        tri = triangulate_ring(build_ring(hexagon), "traditional")
         assert [(t.a, t.b, t.c) for t in tri.triangles] == [
             (5, 0, 1),
             (5, 1, 2),
@@ -176,8 +172,8 @@ class TestTriangulateTraditional:
 
     def test_same_count_and_area_as_basic(self, small_corpus):
         for poly in small_corpus:
-            t1 = triangulate_basic(build_ring(poly.outer))
-            t2 = triangulate_traditional(build_ring(poly.outer))
+            t1 = triangulate_ring(build_ring(poly.outer), "basic")
+            t2 = triangulate_ring(build_ring(poly.outer), "traditional")
             assert len(t1.triangles) == len(t2.triangles)
             assert triangulation_area(t1) == pytest.approx(
                 triangulation_area(t2), rel=1e-9
@@ -192,11 +188,11 @@ class TestTriangulateTraditional:
         for name in ("spiral.poly", "comb.poly"):
             poly = parse_polygon((here / name).read_text())
             n = len(poly.outer)
-            for fn in (triangulate_basic, triangulate_traditional):
-                tri = fn(build_ring(poly.outer))
+            for algorithm in ("basic", "traditional", "improved"):
+                tri = triangulate_ring(build_ring(poly.outer), algorithm)
                 assert len(tri.triangles) == n - 2
                 for t in tri.triangles:
-                    assert oracle_inside(centroid(*t.points()), poly.outer.points) or True
+                    assert oracle_inside(centroid(*t.points()), poly.outer.points)
                 want = poly.outer.signed_area()
                 assert abs(triangulation_area(tri) - want) <= 1e-9 * abs(want)
 

@@ -6,16 +6,13 @@ from hypothesis import strategies as st
 
 from polytri import (
     InvalidRing,
-    Point2,
     PolygonWithHoles,
     Ring,
     build_ring,
     normalize,
-    remove_vertex,
-    validate_polygon,
 )
-from polytri.geom import DegenerateVertex
-from polytri.polygon import refresh_node
+from polytri.geom import DegenerateVertex, Point2
+from polytri.polygon import refresh_node, remove_vertex, validate_polygon
 from conftest import tri_angles_oracle
 
 P = Point2
@@ -272,7 +269,7 @@ class TestValidatePolygon:
 def test_normalize_idempotent_on_random_stars(seed, n):
     import random
 
-    from polytri import star_ring
+    from polytri.corpus import star_ring
 
     ring = star_ring(random.Random(seed), n)
     poly = normalize(PolygonWithHoles(ring))

@@ -4,17 +4,16 @@ import pytest
 
 from polytri import (
     EmptyInput,
-    Point2,
     build_ring,
     compare,
-    min_angles,
     pooled,
     report,
-    triangulate_basic,
+    triangulate_ring,
 )
 from polytri.earclip import Triangulation
+from polytri.geom import Point2
 from polytri.polygon import VertexNode
-from polytri.quality import QualityReport
+from polytri.quality import QualityReport, min_angles
 
 P = Point2
 
@@ -83,7 +82,7 @@ class TestReport:
 
     def test_average_matches_independent_mean(self, small_corpus):
         for poly in small_corpus[:10]:
-            tri = triangulate_basic(build_ring(poly.outer))
+            tri = triangulate_ring(build_ring(poly.outer), "basic")
             rep = report(tri)
             angles = min_angles(tri)
             assert all(0.0 < a <= 60.0 + 1e-9 for a in angles)
@@ -121,7 +120,7 @@ class TestCompare:
         assert "first" in text and "second" in text
 
     def test_percentages_sum_to_100(self, small_corpus):
-        tri = triangulate_basic(build_ring(small_corpus[0].outer))
+        tri = triangulate_ring(build_ring(small_corpus[0].outer), "basic")
         rep = report(tri)
         text = compare([("x", rep)])
         row = text.splitlines()[1]

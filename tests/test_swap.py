@@ -1,20 +1,14 @@
 import logging
+import math
 import random
 
 import pytest
 
-from polytri import (
-    AngleBound,
-    Point2,
-    build_ring,
-    find_neighbor_across_longest_edge,
-    triangulate_basic,
-    triangulate_improved,
-    try_swap,
-)
+from polytri import build_ring, triangulate_ring
 from polytri.earclip import Triangulation, edge_key
 from polytri.polygon import VertexNode
-from polytri.geom import cross2
+from polytri.geom import Point2, cross2
+from polytri.swap import find_neighbor_across_longest_edge, try_swap
 from conftest import quad_pair_min6, ring_adjacent_edges, triangulation_area
 
 P = Point2
@@ -30,15 +24,25 @@ def quad_triangulation(p0, p1, p2, p3):
 
 
 class TestAngleBound:
-    def test_clamps_above_60(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="polytri"):
-            b = AngleBound(75.0)
-        assert b.degrees == 60.0
-        assert any("clamp" in r.message for r in caplog.records)
+    """The ``bound`` of ``triangulate_ring(ring, "improved", bound)``."""
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            AngleBound(-1.0)
+    def test_clamps_above_60(self, small_corpus, caplog):
+        for poly in small_corpus[:12]:
+            with caplog.at_level(logging.WARNING, logger="polytri"):
+                t75 = triangulate_ring(build_ring(poly.outer), "improved", bound=75.0)
+            t60 = triangulate_ring(build_ring(poly.outer), "improved", bound=60.0)
+            assert [t.indices() for t in t75.triangles] == [t.indices() for t in t60.triangles]
+        assert any("clamped to 60" in r.message for r in caplog.records)
+
+    def test_rejects_negative(self, unit_square):
+        for bound in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                triangulate_ring(build_ring(unit_square), "improved", bound=bound)
+
+    def test_ignored_by_other_algorithms(self, unit_square):
+        for algorithm in ("basic", "traditional"):
+            tri = triangulate_ring(build_ring(unit_square), algorithm, bound=-1.0)
+            assert len(tri.triangles) == 2
 
 
 class TestFindNeighbor:
@@ -128,8 +132,8 @@ class TestTrySwap:
 class TestTriangulateImproved:
     def test_bound_zero_identical_to_basic(self, small_corpus):
         for poly in small_corpus[:12]:
-            t_basic = triangulate_basic(build_ring(poly.outer))
-            t_imp = triangulate_improved(build_ring(poly.outer), bound=0.0)
+            t_basic = triangulate_ring(build_ring(poly.outer), "basic")
+            t_imp = triangulate_ring(build_ring(poly.outer), "improved", bound=0.0)
             assert [(t.a, t.b, t.c) for t in t_basic.triangles] == [
                 (t.a, t.b, t.c) for t in t_imp.triangles
             ]
@@ -137,14 +141,14 @@ class TestTriangulateImproved:
 
     def test_square_any_bound(self, unit_square):
         for bound in (0.0, 30.0, 60.0):
-            tri = triangulate_improved(build_ring(unit_square), bound=bound)
+            tri = triangulate_ring(build_ring(unit_square), "improved", bound=bound)
             assert len(tri.triangles) == 2
             assert triangulation_area(tri) == pytest.approx(1.0)
 
     def test_count_and_area_preserved_under_swaps(self, small_corpus):
         for poly in small_corpus:
             n = len(poly.outer)
-            tri = triangulate_improved(build_ring(poly.outer), bound=30.0)
+            tri = triangulate_ring(build_ring(poly.outer), "improved", bound=30.0)
             assert len(tri.triangles) == n - 2
             want = poly.outer.signed_area()
             assert abs(triangulation_area(tri) - want) <= 1e-9 * abs(want)
@@ -155,7 +159,7 @@ class TestTriangulateImproved:
     def test_edge_balance_after_swaps(self, small_corpus):
         swaps_seen = 0
         for poly in small_corpus:
-            tri = triangulate_improved(build_ring(poly.outer), bound=30.0)
+            tri = triangulate_ring(build_ring(poly.outer), "improved", bound=30.0)
             swaps_seen += tri.swap_count
             boundary = ring_adjacent_edges(tri)
             for key, owners in tri.edge_map.items():
@@ -167,5 +171,5 @@ class TestTriangulateImproved:
         assert swaps_seen > 0  # the corpus must actually exercise swapping
 
     def test_accepts_plain_float_bound(self, unit_square):
-        tri = triangulate_improved(build_ring(unit_square), bound=30)
+        tri = triangulate_ring(build_ring(unit_square), "improved", bound=30)
         assert len(tri.triangles) == 2
