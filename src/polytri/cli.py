@@ -160,8 +160,7 @@ def _cmd_bench(args) -> int:
         raise ValueError(f"--algorithms lists no algorithm: {args.algorithms!r}")
     for a in algorithms:
         if a not in ALGORITHMS:
-            print(f"polytri: unknown algorithm {a!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"unknown algorithm {a!r}")
     bounds = [float(b) for b in args.bounds.split(",") if b.strip()]
     if not bounds and "improved" in algorithms:
         raise ValueError(f"--bounds lists no bound for 'improved': {args.bounds!r}")

@@ -10,9 +10,14 @@ triangles for an n-vertex ring.
 
 An ear is three consecutive vertices whose tip is convex and whose triangle
 closure contains no reflex vertex of the current ring other than the tip's
-own neighbours. Ear status is cached per vertex and refreshed only for the
-two neighbours of each cut; the selected candidate is re-verified before
-cutting as a cheap guard against stale flags on degenerate rings.
+own neighbours. The ear test asks the ring's reflex grid for the reflex
+vertices near the triangle instead of visiting all of them. Ear status is
+cached per vertex and refreshed only for the two neighbours of each cut;
+the angle-aware policy keeps the flagged ears in a heap with lazily skipped
+stale entries, so a cut costs no ring scan. The selected candidate is
+re-verified before cutting as a cheap guard against stale flags on
+degenerate rings. Worst-case time stays quadratic: a triangle whose box
+holds most reflex vertices still visits them all.
 
 Rings produced by bridging holes repeat vertices, and exact coincidences
 can starve the literal ear test even though the limit geometry still has
@@ -24,6 +29,7 @@ exactly collinear tip is never clipped as a zero-area triangle mid-run.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Callable, Optional
 
@@ -151,8 +157,9 @@ def is_ear(
     """Ear test for tip ``v`` against the current ring state.
 
     True iff ``v`` is convex and no reflex vertex of the ring, other than
-    ``v.prev`` and ``v.next``, lies in the closure of the tip triangle. The
-    reflex set is scanned live at call time.
+    ``v.prev`` and ``v.next``, lies in the closure of the tip triangle. Only
+    the reflex vertices that ``ring.reflex`` returns for the triangle's
+    padded bounding box are tested, against the live ring state.
 
     With ``corner_twins`` a reflex vertex within EPS_LEN of a triangle corner
     does not block: the bridge duplicate of a corner lies on the closure even
@@ -179,7 +186,7 @@ def is_ear(
     maxx = max(ax, bx, cx) + margin
     miny = min(ay, by, cy) - margin
     maxy = max(ay, by, cy) + margin
-    for r in ring.reflex:
+    for r in ring.reflex.query(minx, miny, maxx, maxy):
         if r is p or r is n:
             continue
         px = r.x
@@ -208,37 +215,51 @@ def update_after_cut(
     """Refresh the two neighbours of a cut: angle, convexity, ear status.
 
     Geometry first for both nodes, then ear tests, so each neighbour's ear
-    test sees the other's updated reflex status. No other node is touched.
+    test sees the other's updated reflex status. A neighbour flagged as an
+    ear is pushed onto the ear heap once that exists. No other node is
+    touched.
     """
     refresh_node(ring, left)
     refresh_node(ring, right)
     left.is_ear = is_ear(ring, left) if left.is_convex else False
     right.is_ear = is_ear(ring, right) if right.is_convex else False
+    if ring.ears is not None:
+        for node in (left, right):
+            if node.is_ear:
+                heapq.heappush(ring.ears, (*_ear_key(node), next(ring.stamps), node))
+
+
+def _ear_key(node: VertexNode) -> tuple[float, int, int]:
+    """Selection order: smallest interior angle, then smallest original
+    index, then earliest ring position, so runs are reproducible."""
+    return (node.interior_angle, node.original_index, node.seq)
 
 
 def _select_smallest_angle(ring: VertexRing) -> Optional[VertexNode]:
-    """Ear tip with the minimal interior angle, re-verified before use.
+    """Flagged ear with the minimal :func:`_ear_key`, re-verified before use.
 
-    Ties break on the smallest original index, then earliest ring position,
-    so runs are reproducible. Returns None when no flagged ear survives
-    re-verification.
+    Reads the top of ``ring.ears``, a heap of ``(*key, stamp, node)``
+    entries built from the ear flags on the first call and fed by
+    :func:`update_after_cut`, popping stale entries: those whose node lost
+    the flag, changed angle or left the ring. Every live flagged node has a
+    current entry, so the first live entry is the minimum a full ring scan
+    would find. The stamp keeps two entries of one node from comparing
+    nodes. Returns None when no flagged ear survives re-verification.
     """
-    while True:
-        best: Optional[VertexNode] = None
-        best_key = (math.inf, 0, 0)
-        node = ring.head
-        for _ in range(ring.count):
-            if node.is_ear:
-                key = (node.interior_angle, node.original_index, node.seq)
-                if key < best_key:
-                    best = node
-                    best_key = key
-            node = node.next
-        if best is None:
-            return None
-        if is_ear(ring, best):
-            return best
-        best.is_ear = False
+    ears = ring.ears
+    if ears is None:
+        ears = ring.ears = [
+            (*_ear_key(node), next(ring.stamps), node) for node in ring if node.is_ear
+        ]
+        heapq.heapify(ears)
+    while ears:
+        angle, _, _, _, node = ears[0]
+        if node.is_ear and node.interior_angle == angle and node.prev.next is node:
+            if is_ear(ring, node):
+                return node
+            node.is_ear = False
+        heapq.heappop(ears)
+    return None
 
 
 def _select_next_sequential(
@@ -266,7 +287,7 @@ def _select_fallback(ring: VertexRing) -> VertexNode:
     best_key = (math.inf, 0, 0)
     for node in ring:
         if node.is_convex and is_ear(ring, node, corner_twins=True):
-            key = (node.interior_angle, node.original_index, node.seq)
+            key = _ear_key(node)
             if key < best_key:
                 best = node
                 best_key = key

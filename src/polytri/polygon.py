@@ -9,6 +9,7 @@ clockwise.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from typing import Iterable, Iterator, Optional, Sequence
@@ -27,6 +28,7 @@ from .geom import (
 __all__ = [
     "Ring",
     "PolygonWithHoles",
+    "ReflexGrid",
     "VertexNode",
     "VertexRing",
     "normalize",
@@ -199,22 +201,121 @@ class VertexNode:
         )
 
 
+def _cell(v: float, v0: float, inv: float, last: int) -> int:
+    """Grid cell of coordinate ``v``: floor((v - v0) * inv) clamped to
+    [0, last]. Monotone in ``v``, so a member inside a query box always
+    lies in a cell the box covers."""
+    c = int((v - v0) * inv)  # truncation agrees with floor once clamped
+    return 0 if c < 0 else last if c > last else c
+
+
+class ReflexGrid:
+    """The live reflex nodes of a ring, bucketed in a uniform grid.
+
+    The grid covers the bounding box of the nodes it is built from, with
+    about sqrt(n) cells along the longer side (the uniform-grid acceleration
+    of Held's FIST). ``add`` and ``query`` place coordinates with one
+    monotone cell function, :func:`_cell`, so :meth:`query` never misses a
+    member inside the box. Supports ``in``, iteration, ``len`` and
+    truthiness over the members.
+    """
+
+    __slots__ = ("members", "cells", "x0", "y0", "inv", "cols", "rows")
+
+    def __init__(self, nodes: Iterable[VertexNode]):
+        xs: list[float] = []
+        ys: list[float] = []
+        for node in nodes:
+            xs.append(node.x)
+            ys.append(node.y)
+        self.x0 = min(xs)
+        self.y0 = min(ys)
+        spanx = max(xs) - self.x0
+        spany = max(ys) - self.y0
+        span = max(spanx, spany)
+        self.inv = math.ceil(math.sqrt(len(xs))) / span if span > 0.0 else 0.0
+        self.cols = int(spanx * self.inv) + 1
+        self.rows = int(spany * self.inv) + 1
+        self.cells: list[Optional[set[VertexNode]]] = [None] * (self.cols * self.rows)
+        # member -> its cell, so a discard never depends on the node's
+        # coordinates at discard time
+        self.members: dict[VertexNode, int] = {}
+
+    def add(self, node: VertexNode) -> None:
+        if node in self.members:
+            return
+        col = _cell(node.x, self.x0, self.inv, self.cols - 1)
+        row = _cell(node.y, self.y0, self.inv, self.rows - 1)
+        cell = row * self.cols + col
+        self.members[node] = cell
+        bucket = self.cells[cell]
+        if bucket is None:
+            self.cells[cell] = {node}
+        else:
+            bucket.add(node)
+
+    def discard(self, node: VertexNode) -> None:
+        cell = self.members.pop(node, None)
+        if cell is not None:
+            self.cells[cell].discard(node)
+
+    def query(
+        self, minx: float, miny: float, maxx: float, maxy: float
+    ) -> Iterable[VertexNode]:
+        """Every member with coordinates inside the box, and possibly others.
+
+        A box covering at least as many cells as there are members returns
+        the members themselves: visiting the cells would cost more.
+        """
+        x0, y0, inv = self.x0, self.y0, self.inv
+        last_col, last_row = self.cols - 1, self.rows - 1
+        c0 = _cell(minx, x0, inv, last_col)
+        c1 = _cell(maxx, x0, inv, last_col)
+        r0 = _cell(miny, y0, inv, last_row)
+        r1 = _cell(maxy, y0, inv, last_row)
+        members = self.members
+        if (c1 - c0 + 1) * (r1 - r0 + 1) >= len(members):
+            return members
+        cols = last_col + 1
+        cells = self.cells
+        found: list[VertexNode] = []
+        for base in range(r0 * cols, r1 * cols + 1, cols):
+            for bucket in cells[base + c0 : base + c1 + 1]:
+                if bucket:
+                    found.extend(bucket)
+        return found
+
+    def __contains__(self, node: object) -> bool:
+        return node in self.members
+
+    def __iter__(self) -> Iterator[VertexNode]:
+        return iter(self.members)
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+
 class VertexRing:
     """Circular doubly linked ring of vertices, consumed by ear clipping.
 
-    ``reflex`` is the live set of non-convex nodes; ear tests scan it
-    instead of the whole ring. It is maintained by :func:`refresh_node` and
-    :func:`remove_vertex`. Single-threaded mutable state: one triangulation
-    run owns one ring.
+    ``reflex`` holds the live non-convex nodes in a :class:`ReflexGrid` over
+    the ring's starting bounding box, so an ear test visits only the reflex
+    nodes near its triangle. It is maintained by :func:`refresh_node` and
+    :func:`remove_vertex`. ``ears`` is the clipping loop's heap of ear
+    candidates, built on first use (see :mod:`polytri.earclip`), and
+    ``stamps`` numbers its entries. Single-threaded mutable state: one
+    triangulation run owns one ring.
     """
 
-    __slots__ = ("head", "count", "table", "reflex")
+    __slots__ = ("head", "count", "table", "reflex", "ears", "stamps")
 
     def __init__(self, head: VertexNode, count: int, table: tuple[Point2, ...]):
         self.head = head
         self.count = count
         self.table = table
-        self.reflex: set[VertexNode] = set()
+        self.reflex = ReflexGrid(self)
+        self.ears: Optional[list] = None
+        self.stamps = itertools.count()
 
     def __iter__(self) -> Iterator[VertexNode]:
         node = self.head

@@ -290,3 +290,4 @@ class TestCliCorpusAndBench:
             "--out-dir", str(corpus_dir))
         r = cli("bench", "--corpus", str(corpus_dir), "--algorithms", "voronoi")
         assert r.returncode == 4
+        assert r.stderr.decode().startswith("polytri: error:")

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import pytest
 
@@ -7,11 +8,21 @@ from polytri import (
     PolygonWithHoles,
     Ring,
     build_ring,
+    eliminate_holes,
     generate_corpus,
+    normalize,
+    parse_polygon,
     triangulate_polygon,
     triangulate_ring,
 )
-from polytri.earclip import _select_smallest_angle, edge_key, is_ear, update_after_cut
+from polytri.earclip import (
+    _ear_key,
+    _select_fallback,
+    _select_smallest_angle,
+    edge_key,
+    is_ear,
+    update_after_cut,
+)
 from polytri.geom import Point2, cross2
 from polytri.polygon import remove_vertex
 from conftest import (
@@ -23,6 +34,7 @@ from conftest import (
 )
 
 P = Point2
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def centroid(a, b, c):
@@ -130,6 +142,48 @@ class TestTriangulateBasic:
             remove_vertex(ring, chosen)
             update_after_cut(ring, left, right)
             steps += 1
+
+    @pytest.mark.parametrize("name", ["spiral", "comb", "star2000", "two_holes"])
+    def test_selection_matches_brute_force_oracle(self, name):
+        # a full basic clip, cut by cut: every selected tip is the live node
+        # with the smallest selection key among those the from-scratch ear
+        # oracle accepts, and the fallback fires only when it accepts none.
+        # On a bridged ring a cut can turn convex the bridge twin of another
+        # tip's neighbour and so unblock that tip, whose cached ear flag
+        # stays false; there the oracle ranks flagged nodes only.
+        if name in ("spiral", "comb"):
+            poly = parse_polygon((FIXTURES / f"{name}.poly").read_text())
+        elif name == "star2000":
+            poly = generate_corpus(seed=909, count=1, vertex_range=(2000, 2000))[0]
+        else:
+            # the bridged ring of this seed needs the fallback twice
+            poly = generate_corpus(
+                seed=1, count=1, vertex_range=(60, 60), holes_range=(2, 2)
+            )[0]
+        poly = normalize(poly)
+        degen = eliminate_holes(poly)
+        ring = build_ring(degen.ring, indices=degen.indices, table=poly.vertex_table())
+        for node in ring:
+            node.is_ear = is_ear(ring, node) if node.is_convex else False
+        cuts = fallbacks = 0
+        while ring.count > 3:
+            ears = (v for v in sorted(ring, key=_ear_key) if brute_force_is_ear(ring, v))
+            best = next(ears, None)
+            while poly.holes and best is not None and not best.is_ear:
+                best = next(ears, None)
+            chosen = _select_smallest_angle(ring)
+            if chosen is None:
+                assert best is None, best
+                chosen = _select_fallback(ring)
+                fallbacks += 1
+            else:
+                assert chosen is best, (chosen, best)
+            left, right = chosen.prev, chosen.next
+            remove_vertex(ring, chosen)
+            update_after_cut(ring, left, right)
+            cuts += 1
+        assert cuts == len(degen.ring) - 3
+        assert (fallbacks > 0) == (name == "two_holes")
 
     def test_unnormalized_cw_ring_fails(self):
         # bypassing normalize: a clockwise ring reads as all-reflex, so no

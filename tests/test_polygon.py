@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -9,11 +10,13 @@ from polytri import (
     PolygonWithHoles,
     Ring,
     build_ring,
+    generate_corpus,
     normalize,
 )
+from polytri.earclip import _select_smallest_angle, is_ear, update_after_cut
 from polytri.geom import DegenerateVertex, Point2
 from polytri.polygon import refresh_node, remove_vertex, validate_polygon
-from conftest import tri_angles_oracle
+from conftest import brute_force_is_ear, tri_angles_oracle
 
 P = Point2
 
@@ -215,6 +218,77 @@ class TestRefreshNode:
         assert not nodes[1].is_convex
         assert nodes[1].interior_angle == 360.0
         assert nodes[1] in ring.reflex
+
+
+def clip_steps(ring):
+    """Run a basic clip cut by cut, yielding the ring after each cut."""
+    for node in ring:
+        node.is_ear = is_ear(ring, node) if node.is_convex else False
+    while ring.count > 3:
+        v = _select_smallest_angle(ring)
+        left, right = v.prev, v.next
+        remove_vertex(ring, v)
+        update_after_cut(ring, left, right)
+        yield ring
+
+
+class TestReflexGrid:
+    def test_index_invariants_through_a_full_clip(self):
+        # after every cut of a 2000-vertex star the grid holds exactly the
+        # live non-convex nodes, and a box query returns every member inside
+        # the box and nothing else than members: for random boxes that reach
+        # past the ring's bounding box, boxes with edges exactly on cell
+        # boundaries, and point boxes on a member
+        poly = generate_corpus(seed=909, count=1, vertex_range=(2000, 2000))[0]
+        ring = build_ring(poly.outer)
+        grid = ring.reflex
+        xs = [p.x for p in poly.outer]
+        ys = [p.y for p in poly.outer]
+        lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
+        pad = 0.2 * (hi_x - lo_x)
+        rng = random.Random(7)
+
+        def check(minx, miny, maxx, maxy):
+            found = list(grid.query(minx, miny, maxx, maxy))
+            assert len(found) == len(set(found))
+            assert set(found) <= set(grid)
+            for m in grid:
+                if minx <= m.x <= maxx and miny <= m.y <= maxy:
+                    assert m in found, (m, (minx, miny, maxx, maxy))
+
+        checked = 0
+        for ring in clip_steps(ring):
+            assert set(grid) == {n for n in ring if not n.is_convex}
+            assert len(grid) == sum(1 for n in ring if not n.is_convex)
+            if not grid:
+                continue
+            xa, xb = sorted(rng.uniform(lo_x - pad, hi_x + pad) for _ in range(2))
+            ya, yb = sorted(rng.uniform(lo_y - pad, hi_y + pad) for _ in range(2))
+            check(xa, ya, xb, yb)
+            i, j = rng.randrange(grid.cols), rng.randrange(grid.rows)
+            w = rng.randrange(1, 4)
+            check(
+                grid.x0 + i / grid.inv,
+                grid.y0 + j / grid.inv,
+                grid.x0 + (i + w) / grid.inv,
+                grid.y0 + (j + w) / grid.inv,
+            )
+            m = rng.choice(list(grid))
+            check(m.x, m.y, m.x, m.y)
+            checked += 1
+        assert checked > 1000
+
+    def test_is_ear_matches_brute_force_through_a_full_clip(self):
+        # a 400-vertex star is large enough that the grid prunes most reflex
+        # vertices; every convex node is tested after every cut
+        poly = generate_corpus(seed=404, count=1, vertex_range=(400, 400))[0]
+        compared = 0
+        for ring in clip_steps(build_ring(poly.outer)):
+            for node in ring:
+                if node.is_convex:
+                    assert is_ear(ring, node) == brute_force_is_ear(ring, node), node
+                    compared += 1
+        assert compared > 10000
 
 
 class TestValidatePolygon:
