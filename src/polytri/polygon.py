@@ -201,28 +201,23 @@ class VertexNode:
         )
 
 
-def _cell(v: float, v0: float, inv: float, last: int) -> int:
-    """Grid cell of coordinate ``v``: floor((v - v0) * inv) clamped to
-    [0, last]. Monotone in ``v``, so a member inside a query box always
-    lies in a cell the box covers."""
-    c = int((v - v0) * inv)  # truncation agrees with floor once clamped
-    return 0 if c < 0 else last if c > last else c
-
-
-class ReflexGrid:
-    """The live reflex nodes of a ring, bucketed in a uniform grid.
+class ReflexGrid(dict):
+    """The live reflex nodes of a ring, each mapped to its cell in a uniform grid.
 
     The grid covers the bounding box of the nodes it is built from, with
     about sqrt(n) cells along the longer side (the uniform-grid acceleration
-    of Held's FIST). ``add`` and ``query`` place coordinates with one
-    monotone cell function, :func:`_cell`, so :meth:`query` never misses a
-    member inside the box. Supports ``in``, iteration, ``len`` and
-    truthiness over the members.
+    of Held's FIST). Membership, iteration and ``len`` are the dict's; change
+    members only through :meth:`add` and :meth:`discard`, which keep the
+    cells in sync. :meth:`add` and :meth:`query` place a coordinate ``v`` by
+    one cell function, ``floor((v - v0) * inv)`` clamped to the grid; it is
+    monotone in ``v``, so a query never misses a member inside its box. Both
+    write it out inline because it runs once per ear test.
     """
 
-    __slots__ = ("members", "cells", "x0", "y0", "inv", "cols", "rows")
+    __slots__ = ("cells", "x0", "y0", "inv", "last_col", "last_row")
 
     def __init__(self, nodes: Iterable[VertexNode]):
+        super().__init__()
         xs: list[float] = []
         ys: list[float] = []
         for node in nodes:
@@ -234,20 +229,22 @@ class ReflexGrid:
         spany = max(ys) - self.y0
         span = max(spanx, spany)
         self.inv = math.ceil(math.sqrt(len(xs))) / span if span > 0.0 else 0.0
-        self.cols = int(spanx * self.inv) + 1
-        self.rows = int(spany * self.inv) + 1
-        self.cells: list[Optional[set[VertexNode]]] = [None] * (self.cols * self.rows)
-        # member -> its cell, so a discard never depends on the node's
-        # coordinates at discard time
-        self.members: dict[VertexNode, int] = {}
+        self.last_col = int(spanx * self.inv)
+        self.last_row = int(spany * self.inv)
+        self.cells: list[Optional[set[VertexNode]]] = [None] * (
+            (self.last_col + 1) * (self.last_row + 1)
+        )
 
     def add(self, node: VertexNode) -> None:
-        if node in self.members:
-            return
-        col = _cell(node.x, self.x0, self.inv, self.cols - 1)
-        row = _cell(node.y, self.y0, self.inv, self.rows - 1)
-        cell = row * self.cols + col
-        self.members[node] = cell
+        """Insert ``node``, which must not be a member yet."""
+        inv, last_col, last_row = self.inv, self.last_col, self.last_row
+        # int() truncates toward zero, which agrees with floor() once clamped
+        col = int((node.x - self.x0) * inv)
+        col = 0 if col < 0 else last_col if col > last_col else col
+        row = int((node.y - self.y0) * inv)
+        row = 0 if row < 0 else last_row if row > last_row else row
+        cell = row * (last_col + 1) + col
+        self[node] = cell
         bucket = self.cells[cell]
         if bucket is None:
             self.cells[cell] = {node}
@@ -255,7 +252,8 @@ class ReflexGrid:
             bucket.add(node)
 
     def discard(self, node: VertexNode) -> None:
-        cell = self.members.pop(node, None)
+        # the stored cell, not the node's coordinates, which a test may forge
+        cell = self.pop(node, None)
         if cell is not None:
             self.cells[cell].discard(node)
 
@@ -268,14 +266,18 @@ class ReflexGrid:
         the members themselves: visiting the cells would cost more.
         """
         x0, y0, inv = self.x0, self.y0, self.inv
-        last_col, last_row = self.cols - 1, self.rows - 1
-        c0 = _cell(minx, x0, inv, last_col)
-        c1 = _cell(maxx, x0, inv, last_col)
-        r0 = _cell(miny, y0, inv, last_row)
-        r1 = _cell(maxy, y0, inv, last_row)
-        members = self.members
-        if (c1 - c0 + 1) * (r1 - r0 + 1) >= len(members):
-            return members
+        last_col, last_row = self.last_col, self.last_row
+        # the cell function of add()
+        c0 = int((minx - x0) * inv)
+        c0 = 0 if c0 < 0 else last_col if c0 > last_col else c0
+        c1 = int((maxx - x0) * inv)
+        c1 = 0 if c1 < 0 else last_col if c1 > last_col else c1
+        r0 = int((miny - y0) * inv)
+        r0 = 0 if r0 < 0 else last_row if r0 > last_row else r0
+        r1 = int((maxy - y0) * inv)
+        r1 = 0 if r1 < 0 else last_row if r1 > last_row else r1
+        if (c1 - c0 + 1) * (r1 - r0 + 1) >= len(self):
+            return self
         cols = last_col + 1
         cells = self.cells
         found: list[VertexNode] = []
@@ -284,15 +286,6 @@ class ReflexGrid:
                 if bucket:
                     found.extend(bucket)
         return found
-
-    def __contains__(self, node: object) -> bool:
-        return node in self.members
-
-    def __iter__(self) -> Iterator[VertexNode]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 class VertexRing:
@@ -349,24 +342,24 @@ def refresh_node(
             raise DegenerateVertex(f"coincident neighbours at {node!r}")
         node.interior_angle = 360.0
         node.is_convex = False
-        node.is_ear = False
-        ring.reflex.add(node)
-        return
-    z = wx * uy - wy * ux  # positive iff convex on a CCW ring
-    if z > EPS_AREA:
-        node.interior_angle = math.degrees(math.atan2(uy, ux) - math.atan2(wy, wx)) % 360.0
-        node.is_convex = True
-        ring.reflex.discard(node)
     else:
-        if z < -EPS_AREA:
+        z = wx * uy - wy * ux  # positive iff convex on a CCW ring
+        if abs(z) > EPS_AREA:
             node.interior_angle = (
                 math.degrees(math.atan2(uy, ux) - math.atan2(wy, wx)) % 360.0
             )
         else:
             node.interior_angle = 180.0 if ux * wx + uy * wy < 0.0 else 360.0
-        node.is_convex = False
+        node.is_convex = z > EPS_AREA
+    # membership tests first: most refreshes leave it unchanged
+    reflex = ring.reflex
+    if node.is_convex:
+        if node in reflex:
+            reflex.discard(node)
+    else:
         node.is_ear = False
-        ring.reflex.add(node)
+        if node not in reflex:
+            reflex.add(node)
 
 
 def build_ring(
@@ -412,7 +405,8 @@ def remove_vertex(ring: VertexRing, v: VertexNode) -> VertexRing:
     if ring.head is v:
         ring.head = v.next
     ring.count -= 1
-    ring.reflex.discard(v)
+    if v in ring.reflex:
+        ring.reflex.discard(v)
     return ring
 
 

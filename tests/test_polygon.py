@@ -236,22 +236,25 @@ class TestReflexGrid:
     def test_index_invariants_through_a_full_clip(self):
         # after every cut of a 2000-vertex star the grid holds exactly the
         # live non-convex nodes, and a box query returns every member inside
-        # the box and nothing else than members: for random boxes that reach
-        # past the ring's bounding box, boxes with edges exactly on cell
-        # boundaries, and point boxes on a member
+        # the box and no non-member: for random boxes a few cells wide that
+        # may reach past the ring's bounding box, boxes with edges exactly
+        # on cell boundaries, and point boxes on a member
         poly = generate_corpus(seed=909, count=1, vertex_range=(2000, 2000))[0]
         ring = build_ring(poly.outer)
         grid = ring.reflex
         xs = [p.x for p in poly.outer]
         ys = [p.y for p in poly.outer]
         lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
-        pad = 0.2 * (hi_x - lo_x)
+        cell = 1.0 / grid.inv
         rng = random.Random(7)
+        pruned = 0
 
         def check(minx, miny, maxx, maxy):
+            nonlocal pruned
             found = list(grid.query(minx, miny, maxx, maxy))
             assert len(found) == len(set(found))
             assert set(found) <= set(grid)
+            pruned += len(found) < len(grid)
             for m in grid:
                 if minx <= m.x <= maxx and miny <= m.y <= maxy:
                     assert m in found, (m, (minx, miny, maxx, maxy))
@@ -262,21 +265,22 @@ class TestReflexGrid:
             assert len(grid) == sum(1 for n in ring if not n.is_convex)
             if not grid:
                 continue
-            xa, xb = sorted(rng.uniform(lo_x - pad, hi_x + pad) for _ in range(2))
-            ya, yb = sorted(rng.uniform(lo_y - pad, hi_y + pad) for _ in range(2))
-            check(xa, ya, xb, yb)
-            i, j = rng.randrange(grid.cols), rng.randrange(grid.rows)
+            x = rng.uniform(lo_x - 2 * cell, hi_x + 2 * cell)
+            y = rng.uniform(lo_y - 2 * cell, hi_y + 2 * cell)
+            check(x, y, x + rng.uniform(0, 3 * cell), y + rng.uniform(0, 3 * cell))
+            i, j = rng.randrange(grid.last_col + 1), rng.randrange(grid.last_row + 1)
             w = rng.randrange(1, 4)
             check(
-                grid.x0 + i / grid.inv,
-                grid.y0 + j / grid.inv,
-                grid.x0 + (i + w) / grid.inv,
-                grid.y0 + (j + w) / grid.inv,
+                grid.x0 + i * cell,
+                grid.y0 + j * cell,
+                grid.x0 + (i + w) * cell,
+                grid.y0 + (j + w) * cell,
             )
             m = rng.choice(list(grid))
             check(m.x, m.y, m.x, m.y)
             checked += 1
         assert checked > 1000
+        assert pruned > checked
 
     def test_is_ear_matches_brute_force_through_a_full_clip(self):
         # a 400-vertex star is large enough that the grid prunes most reflex
