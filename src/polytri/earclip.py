@@ -283,14 +283,11 @@ def _select_fallback(ring: VertexRing) -> VertexNode:
     selection, that is an ear once reflex blockers on a corner of its
     triangle are exempted. Raises EarSearchFailed when there is none.
     """
-    best: Optional[VertexNode] = None
-    best_key = (math.inf, 0, 0)
-    for node in ring:
-        if node.is_convex and is_ear(ring, node, corner_twins=True):
-            key = _ear_key(node)
-            if key < best_key:
-                best = node
-                best_key = key
+    best = min(
+        (v for v in ring if v.is_convex and is_ear(ring, v, corner_twins=True)),
+        key=_ear_key,
+        default=None,
+    )
     if best is None:
         raise EarSearchFailed(ring)
     return best
