@@ -159,19 +159,15 @@ def eliminate_holes(poly: PolygonWithHoles) -> DegenerateRing:
     still waiting as obstacles. A polygon without holes passes through
     unchanged. Expects a normalized polygon.
     """
-    m = len(poly.outer)
     cur_pts = poly.outer.points
-    cur_idx = tuple(range(m))
-    offsets = []
-    off = m
-    for h in poly.holes:
-        offsets.append(off)
-        off += len(h)
+    cur_idx = tuple(range(len(cur_pts)))
+    off = len(cur_pts)  # table index of the current hole's first vertex
     bridges = []
     for h, hole in enumerate(poly.holes):
         b = find_bridge(Ring(cur_pts), hole, poly.holes[h + 1 :], hole_id=h + 1)
         i, j = b.outer_vertex[1], b.hole_vertex[1]
-        hole_idx = tuple(range(offsets[h], offsets[h] + len(hole)))
+        hole_idx = tuple(range(off, off + len(hole)))
+        off += len(hole)
         cur_pts = _splice(cur_pts, hole.points, i, j)
         cur_idx = _splice(cur_idx, hole_idx, i, j)
         bridges.append(b)

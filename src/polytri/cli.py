@@ -6,8 +6,8 @@ reproducible set of random polygon files; ``bench`` triangulates a corpus
 directory with several algorithm configurations and prints a comparison
 table.
 
-Exit codes are stable for scripting: 0 success, 2 input/parse problem,
-3 geometry failure, 4 usage error.
+Exit codes are stable for scripting: 0 success, 2 input/parse problem
+or unwritable output, 3 geometry failure, 4 usage error.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 from .geom import GeometryError
 from .polygon import PolygonWithHoles, validate_polygon
 from .earclip import EarSearchFailed
-from .pipeline import ALGORITHMS, triangulate_polygon
+from .pipeline import ALGORITHMS, _check_algorithm, triangulate_polygon
 from .quality import compare, pooled, report
 from .corpus import generate_corpus
 from .formats import (
@@ -108,11 +108,7 @@ def _write_output(data: str | bytes, path: str | None) -> None:
 
 
 def _cmd_triangulate(args) -> int:
-    try:
-        text = Path(args.input).read_text(encoding="utf-8")
-    except OSError as e:
-        print(f"polytri: cannot read {args.input}: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    text = Path(args.input).read_text(encoding="utf-8")
     poly = parse_polygon(text, fmt=args.format)  # already normalized
     if args.validate:
         problems = validate_polygon(poly)
@@ -159,8 +155,7 @@ def _cmd_bench(args) -> int:
     if not algorithms:
         raise ValueError(f"--algorithms lists no algorithm: {args.algorithms!r}")
     for a in algorithms:
-        if a not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {a!r}")
+        _check_algorithm(a)
     bounds = [float(b) for b in args.bounds.split(",") if b.strip()]
     if not bounds and "improved" in algorithms:
         raise ValueError(f"--bounds lists no bound for 'improved': {args.bounds!r}")
@@ -194,6 +189,9 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_bench(args)
     except (ParseError, UnicodeDecodeError) as e:
         print(f"polytri: parse error: {e}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as e:  # an unreadable input or an unwritable output path
+        print(f"polytri: file error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except EarSearchFailed as e:
         print(f"polytri: geometry error: {e}", file=sys.stderr)

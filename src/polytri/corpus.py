@@ -118,13 +118,15 @@ def generate_corpus(
 
     The same seed and parameters always give the same polygons. Vertex
     counts are drawn uniformly from ``vertex_range`` (bounded to [4, 10000])
-    and hole counts from ``holes_range``.
+    and hole counts from ``holes_range`` (non-negative).
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     lo, hi = vertex_range
     if lo < 4 or hi > 10000 or lo > hi:
         raise ValueError(f"vertex_range must lie within [4, 10000], got {vertex_range}")
+    if not 0 <= holes_range[0] <= holes_range[1]:
+        raise ValueError(f"holes_range must satisfy 0 <= min <= max, got {holes_range}")
     rng = random.Random(seed)
     out = []
     for _ in range(count):

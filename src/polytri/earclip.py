@@ -226,7 +226,7 @@ def update_after_cut(
     if ring.ears is not None:
         for node in (left, right):
             if node.is_ear:
-                heapq.heappush(ring.ears, (*_ear_key(node), next(ring.stamps), node))
+                heapq.heappush(ring.ears, (*_ear_key(node), node))
 
 
 def _ear_key(node: VertexNode) -> tuple[float, int, int]:
@@ -238,22 +238,22 @@ def _ear_key(node: VertexNode) -> tuple[float, int, int]:
 def _select_smallest_angle(ring: VertexRing) -> Optional[VertexNode]:
     """Flagged ear with the minimal :func:`_ear_key`, re-verified before use.
 
-    Reads the top of ``ring.ears``, a heap of ``(*key, stamp, node)``
-    entries built from the ear flags on the first call and fed by
+    Reads the top of ``ring.ears``, a heap of ``(*key, node)`` entries
+    built from the ear flags on the first call and fed by
     :func:`update_after_cut`, popping stale entries: those whose node lost
     the flag, changed angle or left the ring. Every live flagged node has a
     current entry, so the first live entry is the minimum a full ring scan
-    would find. The stamp keeps two entries of one node from comparing
-    nodes. Returns None when no flagged ear survives re-verification.
+    would find. No tiebreaker is needed: ``seq`` is unique within a ring, so
+    entries of different nodes differ before the node, and equal entries of
+    one node compare equal by identity without ordering nodes. Returns None
+    when no flagged ear survives re-verification.
     """
     ears = ring.ears
     if ears is None:
-        ears = ring.ears = [
-            (*_ear_key(node), next(ring.stamps), node) for node in ring if node.is_ear
-        ]
+        ears = ring.ears = [(*_ear_key(node), node) for node in ring if node.is_ear]
         heapq.heapify(ears)
     while ears:
-        angle, _, _, _, node = ears[0]
+        angle, _, _, node = ears[0]
         if node.is_ear and node.interior_angle == angle and node.prev.next is node:
             if is_ear(ring, node):
                 return node

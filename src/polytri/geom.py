@@ -11,7 +11,6 @@ range; rescale wilder inputs before use.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import NamedTuple, Sequence
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "Point2",
     "EPS_AREA",
     "EPS_LEN",
-    "Orientation",
     "cross2",
     "orientation",
     "signed_area",
@@ -64,29 +62,23 @@ EPS_AREA = 1e-12
 EPS_LEN = 1e-9
 
 
-class Orientation(Enum):
-    RIGHT = -1
-    COLLINEAR = 0
-    LEFT = 1
-
-
 def cross2(a: Point2, b: Point2, c: Point2) -> float:
     """z component of (b - a) x (c - a); twice the signed area of abc."""
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def orientation(a: Point2, b: Point2, c: Point2) -> Orientation:
-    """Turn direction of the path a -> b -> c.
+def orientation(a: Point2, b: Point2, c: Point2) -> int:
+    """Turn direction of the path a -> b -> c, as the sign of its turn.
 
-    LEFT for a counter-clockwise turn, RIGHT for clockwise, COLLINEAR when
-    |cross product| <= EPS_AREA.
+    1 for a counter-clockwise (left) turn, -1 for clockwise (right), 0 for
+    collinear, meaning |cross product| <= EPS_AREA.
     """
     z = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
     if z > EPS_AREA:
-        return Orientation.LEFT
+        return 1
     if z < -EPS_AREA:
-        return Orientation.RIGHT
-    return Orientation.COLLINEAR
+        return -1
+    return 0
 
 
 def signed_area(ring: Sequence[Point2]) -> float:
@@ -129,7 +121,7 @@ def point_in_triangle_closure(
 
 def point_on_segment(a: Point2, b: Point2, p: Point2) -> bool:
     """True iff ``p`` lies on segment ab (endpoints included)."""
-    if orientation(a, b, p) is not Orientation.COLLINEAR:
+    if orientation(a, b, p) != 0:
         return False
     t = EPS_LEN
     return (
@@ -157,21 +149,17 @@ def segments_properly_cross(
         return True  # same segment (possibly reversed)
     if shared == 1:
         # One common endpoint: a further shared point exists only when the
-        # segments overlap collinearly past it.
-        if s11:
-            return point_on_segment(q1, q2, p2) or point_on_segment(p1, p2, q2)
-        if s12:
-            return point_on_segment(q1, q2, p2) or point_on_segment(p1, p2, q1)
-        if s21:
-            return point_on_segment(q1, q2, p1) or point_on_segment(p1, p2, q2)
-        return point_on_segment(q1, q2, p1) or point_on_segment(p1, p2, q1)
+        # segments overlap collinearly past it, that is when the unshared
+        # endpoint of one segment lies on the other.
+        p = p1 if s21 or s22 else p2
+        q = q1 if s12 or s22 else q2
+        return point_on_segment(q1, q2, p) or point_on_segment(p1, p2, q)
     o1 = orientation(p1, p2, q1)
     o2 = orientation(p1, p2, q2)
     o3 = orientation(q1, q2, p1)
     o4 = orientation(q1, q2, p2)
-    col = Orientation.COLLINEAR
-    if o1 is not col and o2 is not col and o3 is not col and o4 is not col:
-        return o1 is not o2 and o3 is not o4
+    if o1 and o2 and o3 and o4:
+        return o1 != o2 and o3 != o4
     # Some endpoint is collinear with the other segment: shared points exist
     # iff an endpoint actually lies on the other segment.
     return (

@@ -9,7 +9,6 @@ clockwise.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from typing import Iterable, Iterator, Optional, Sequence
@@ -66,9 +65,6 @@ class Ring:
 
     def __iter__(self) -> Iterator[Point2]:
         return iter(self.points)
-
-    def __getitem__(self, i):
-        return self.points[i]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Ring) and self.points == other.points
@@ -295,12 +291,11 @@ class VertexRing:
     the ring's starting bounding box, so an ear test visits only the reflex
     nodes near its triangle. It is maintained by :func:`refresh_node` and
     :func:`remove_vertex`. ``ears`` is the clipping loop's heap of ear
-    candidates, built on first use (see :mod:`polytri.earclip`), and
-    ``stamps`` numbers its entries. Single-threaded mutable state: one
-    triangulation run owns one ring.
+    candidates, built on first use (see :mod:`polytri.earclip`).
+    Single-threaded mutable state: one triangulation run owns one ring.
     """
 
-    __slots__ = ("head", "count", "table", "reflex", "ears", "stamps")
+    __slots__ = ("head", "count", "table", "reflex", "ears")
 
     def __init__(self, head: VertexNode, count: int, table: tuple[Point2, ...]):
         self.head = head
@@ -308,7 +303,6 @@ class VertexRing:
         self.table = table
         self.reflex = ReflexGrid(self)
         self.ears: Optional[list] = None
-        self.stamps = itertools.count()
 
     def __iter__(self) -> Iterator[VertexNode]:
         node = self.head
@@ -316,16 +310,13 @@ class VertexRing:
             yield node
             node = node.next
 
-    def nodes(self) -> list[VertexNode]:
-        return list(self)
-
 
 def refresh_node(
     ring: VertexRing, node: VertexNode, strict: bool = False
 ) -> None:
     """Recompute angle and convexity of ``node`` from its current neighbours.
 
-    Convexity comes from the orientation test (LEFT means convex on a CCW
+    Convexity comes from the turn direction (a left turn is convex on a CCW
     ring); exactly straight or spiked vertices are reflex. Keeps
     ``ring.reflex`` in sync and clears the ear flag on non-convex nodes.
 

@@ -24,11 +24,10 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _path(points, close: bool = True) -> str:
+def _path(points) -> str:
     cmds = [f"M {_fmt(points[0].x)} {_fmt(points[0].y)}"]
     cmds.extend(f"L {_fmt(p.x)} {_fmt(p.y)}" for p in points[1:])
-    if close:
-        cmds.append("Z")
+    cmds.append("Z")
     return " ".join(cmds)
 
 

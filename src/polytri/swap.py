@@ -79,16 +79,12 @@ def try_swap(
     if len(shared) != 2:
         raise ValueError(f"{t1!r} and {t2!r} do not share exactly one edge")
     a1 = next(n for n in t1.nodes if n not in shared)
-    a2 = next(n for n in t2.nodes if n not in shared)
+    k = next(k for k, n in enumerate(t2.nodes) if n not in shared)
+    a2 = t2.nodes[k]
     # Orient the shared edge u->w as it appears in t2, so the quad reads
     # (u, a1, w, a2) counter-clockwise.
-    u = w = None
-    for k in range(3):
-        n1, n2 = t2.nodes[k], t2.nodes[(k + 1) % 3]
-        if n1 in shared and n2 in shared:
-            u, w = n1, n2
-            break
-    assert u is not None and w is not None
+    u = t2.nodes[(k + 1) % 3]
+    w = t2.nodes[(k + 2) % 3]
     pa1, pa2 = a1.point, a2.point
     pu, pw = u.point, w.point
     # Both halves on the new diagonal must keep positive area, otherwise the

@@ -186,7 +186,7 @@ def brute_force_is_ear(ring, v, corner_twins=False) -> bool:
     reflex vertex (recomputed here, not trusting cached flags) tested
     against the triangle closure, exempting only the tip's neighbours and,
     with ``corner_twins``, reflex vertices within EPS_LEN of a corner."""
-    nodes = ring.nodes()
+    nodes = list(ring)
 
     def convex(n):
         z = (n.x - n.prev.x) * (n.next.y - n.y) - (n.y - n.prev.y) * (n.next.x - n.x)

@@ -124,7 +124,7 @@ def test_c04_ear_test_oracle_equivalence(corpus200):
     compared = exempted = 0
     while compared < 1000:
         ring = pool[rng.randrange(len(pool))]
-        nodes = ring.nodes()
+        nodes = list(ring)
         v = nodes[rng.randrange(len(nodes))]
         strict = is_ear(ring, v)
         relaxed = is_ear(ring, v, corner_twins=True)

@@ -153,6 +153,27 @@ class TestCliTriangulate:
         r = cli("triangulate", "--algorithm", "basic", "--input", "no-such-file.poly")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("triangulate", "--algorithm", "basic", "--input", "{poly}", "--output", "{bad}"),
+            ("triangulate", "--algorithm", "basic", "--input", "{poly}",
+             "--emit-degenerate", "{bad}", "--output", "{tmp}/o.json"),
+            ("gen-corpus", "--count", "1", "--out-dir", "{bad}"),
+        ],
+    )
+    def test_unwritable_output_exit_2(self, args, tmp_path):
+        # a path below a regular file can be neither created nor written
+        (tmp_path / "file").write_text("")
+        paths = {"poly": FIXTURES / "square_hole.poly", "tmp": tmp_path,
+                 "bad": tmp_path / "file" / "out"}
+        r = cli(*(a.format(**paths) for a in args))
+        err = r.stderr.decode()
+        assert r.returncode == 2, err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("polytri: ") and str(paths["bad"]) in err
+
     def test_geometry_error_exit_3(self, tmp_path):
         bad = tmp_path / "badgeom.poly"
         # valid syntax, invalid geometry: hole sticking out of the outer ring
@@ -177,6 +198,8 @@ class TestCliTriangulate:
             ("gen-corpus", "--count", "0", "--out-dir", "{tmp}"),
             ("gen-corpus", "--count", "1", "--vertices", "2..3", "--out-dir", "{tmp}"),
             ("gen-corpus", "--count", "1", "--vertices", "10..5", "--out-dir", "{tmp}"),
+            ("gen-corpus", "--count", "2", "--holes=-2..-1", "--out-dir", "{tmp}"),
+            ("gen-corpus", "--count", "2", "--holes", "2..1", "--out-dir", "{tmp}"),
         ],
     )
     def test_out_of_range_value_exit_4(self, args, tmp_path):
@@ -189,6 +212,8 @@ class TestCliTriangulate:
         assert len(err.splitlines()) == 1
         if "," in args:  # an empty list: the message names its option
             assert err.startswith(f"polytri: error: {args[args.index(',') - 1]} ")
+        if any(a.startswith("--holes") for a in args):
+            assert "holes_range" in err
 
     def test_validate_and_svg_do_not_renormalize(self, monkeypatch, tmp_path):
         import polytri.cli

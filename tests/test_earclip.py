@@ -1,3 +1,4 @@
+import heapq
 import math
 import pathlib
 
@@ -60,7 +61,7 @@ class TestIsEar:
         # reflex vertex (1,1); the closure oracle confirms both facts
         dart = Ring([(0, 0), (4, 0), (4, 4), (1, 1)])
         ring = build_ring(dart)
-        nodes = ring.nodes()
+        nodes = list(ring)
         tip = nodes[1]
         blocker = nodes[3]
         assert not blocker.is_convex
@@ -142,6 +143,24 @@ class TestTriangulateBasic:
             remove_vertex(ring, chosen)
             update_after_cut(ring, left, right)
             steps += 1
+
+    def test_duplicate_heap_entry_compares_no_nodes(self, small_corpus):
+        # heap entries end in the node itself, and VertexNode has no
+        # ordering: two equal entries of one node must tie without the heap
+        # ever asking which node is smaller, or it raises TypeError
+        ring = build_ring(small_corpus[0].outer)
+        for node in ring:
+            node.is_ear = is_ear(ring, node) if node.is_convex else False
+        first = _select_smallest_angle(ring)
+        entry = ring.ears[0]
+        copy = (*entry,)
+        assert copy == entry and copy is not entry
+        heapq.heappush(ring.ears, copy)
+        assert _select_smallest_angle(ring) is first
+        left, right = first.prev, first.next
+        remove_vertex(ring, first)
+        update_after_cut(ring, left, right)
+        assert _select_smallest_angle(ring) not in (None, first)
 
     @pytest.mark.parametrize("name", ["spiral", "comb", "star2000", "two_holes"])
     def test_selection_matches_brute_force_oracle(self, name):
@@ -308,7 +327,7 @@ class TestUpdateAfterCut:
 
     def test_cut_unreflexes_neighbour(self):
         ring = build_ring(Ring([(0, 0), (2, 0), (1.2, 0.4), (2, 2), (0, 1)]))
-        nodes = ring.nodes()
+        nodes = list(ring)
         b, c = nodes[1], nodes[2]
         assert not c.is_convex
         assert is_ear(ring, b)
@@ -320,7 +339,7 @@ class TestUpdateAfterCut:
 
     def test_far_vertex_untouched(self):
         ring = build_ring(Ring([(0, 0), (2, 0), (1.2, 0.4), (2, 2), (0, 1)]))
-        nodes = ring.nodes()
+        nodes = list(ring)
         far = nodes[4]
         before = (far.interior_angle, far.is_convex, far.is_ear)
         b = nodes[1]
@@ -344,7 +363,7 @@ class TestEdgeKey:
             indices=[0, 1, 0, 1],
             table=(P(0, 0), P(1, 0)),
         )
-        nodes = ring.nodes()
+        nodes = list(ring)
         k1 = edge_key(nodes[0], nodes[1])
         k2 = edge_key(nodes[2], nodes[1])
         assert k1 != k2

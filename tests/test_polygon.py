@@ -164,11 +164,11 @@ class TestRemoveVertex:
         ring = build_ring(unit_square)
         remove_vertex(ring, ring.head)
         assert ring.count == 3
-        assert len(ring.nodes()) == 3
+        assert len(list(ring)) == 3
 
     def test_pentagon_link_contract(self):
         ring = build_ring(Ring([(0, 0), (4, 0), (5, 3), (2, 5), (-1, 3)]))
-        nodes = ring.nodes()
+        nodes = list(ring)
         v1, v2, v3 = nodes[1], nodes[2], nodes[3]
         remove_vertex(ring, v2)
         assert v1.next is v3
@@ -179,7 +179,7 @@ class TestRemoveVertex:
         remove_vertex(ring, ring.head)
         remove_vertex(ring, ring.head)
         assert ring.count == 3
-        assert len(ring.nodes()) == 3
+        assert len(list(ring)) == 3
         for n in ring:
             assert n.prev.next is n
             assert n.next.prev is n
@@ -201,7 +201,7 @@ class TestRefreshNode:
     def test_unreflexing_cut(self):
         # clipping the ear at B turns its reflex neighbour C convex
         ring = build_ring(Ring([(0, 0), (2, 0), (1.2, 0.4), (2, 2), (0, 1)]))
-        nodes = ring.nodes()
+        nodes = list(ring)
         b, c = nodes[1], nodes[2]
         assert not c.is_convex
         remove_vertex(ring, b)
@@ -211,7 +211,7 @@ class TestRefreshNode:
 
     def test_collapsed_edge_marks_reflex_without_raising(self):
         ring = build_ring(Ring([(0, 0), (4, 0), (4, 4), (0, 4)]))
-        nodes = ring.nodes()
+        nodes = list(ring)
         # forge a collapsed edge: drag a node onto its neighbour
         nodes[1].x, nodes[1].y = nodes[2].x, nodes[2].y
         refresh_node(ring, nodes[1])
