@@ -8,11 +8,16 @@ cut into each hole. Merging a hole of n vertices into a ring of m vertices
 yields m + n + 2 vertices, and the enclosed area drops by the hole's area.
 
 Candidate bridges are every (ring vertex, hole vertex) pair, tried in order
-of increasing length. A candidate is valid when it does not share a point
-with any edge of the current ring, the hole, or any hole still waiting to
-be merged, beyond the candidate's own endpoints. Checking the pending holes
-goes beyond just the two rings being joined, but without it a bridge can
-slice through a later hole and corrupt the ring.
+of increasing length (ties: smaller ring position, then smaller hole
+position). The pairs are produced nearest first, one growing radius at a
+time, so a search that stops at a short bridge never builds or sorts the
+long pairs; one that finds every near candidate obstructed still orders
+them all, O(m*n log(m*n)) as with a single full sort. A candidate is valid
+when it does not share a point with any edge of the current ring, the hole,
+or any hole still waiting to be merged, beyond the candidate's own
+endpoints. Checking the pending holes goes beyond just the two rings being
+joined, but without it a bridge can slice through a later hole and corrupt
+the ring.
 
 A candidate must additionally leave each endpoint through the interior
 angular wedge there: out of the ring vertex between its two incident edges,
@@ -28,10 +33,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .geom import EPS_LEN, GeometryError, Point2, segments_properly_cross
-from .polygon import PolygonWithHoles, Ring, _ring_edges
+from .geom import EPS_LEN, GeometryError, Point2
+from .polygon import PolygonWithHoles, Ring, _boxed_edges, _crosses_any
 
 __all__ = ["NoValidBridge", "BridgeEdge", "DegenerateRing", "find_bridge", "merge_hole", "eliminate_holes"]
 
@@ -84,6 +89,67 @@ def _in_wedge(v: Point2, toward_next: Point2, toward_prev: Point2, target: Point
     return 0.0 < off < size
 
 
+def _pairs_by_length(
+    cpts: Sequence[Point2], hpts: Sequence[Point2]
+) -> Iterator[tuple[float, int, int]]:
+    """Every ``(length, i, j)`` of ring position i and hole position j, in
+    the order ``sorted()`` gives all of them, produced nearest first.
+
+    The ring's vertices are bucketed in a uniform grid with about sqrt(m)
+    cells along the longer side of their bounding box. Each round takes a
+    radius r, starting at one cell width and doubling: for every hole vertex
+    it visits the cells within r (plus one cell, so rounding in the cell
+    function cannot drop a vertex), keeps the pairs longer than the previous
+    radius and at most r, and yields them sorted. Once r spans the bounding
+    box of both rings, the last round yields every pair still left. Each
+    pair falls in exactly one round and rounds ascend, so the stream equals
+    the full sort, ties included.
+    """
+    xs = [c.x for c in cpts]
+    ys = [c.y for c in cpts]
+    x0, y0, x1, y1 = min(xs), min(ys), max(xs), max(ys)
+    spanx, spany = x1 - x0, y1 - y0
+    width = max(spanx, spany) / math.ceil(math.sqrt(len(cpts)))
+    inv = 1.0 / width if width > 0.0 else 0.0
+    last_col, last_row = int(spanx * inv), int(spany * inv)
+    cols = last_col + 1
+    cells: list[list[int]] = [[] for _ in range(cols * (last_row + 1))]
+    for i, c in enumerate(cpts):
+        cells[int((c.y - y0) * inv) * cols + int((c.x - x0) * inv)].append(i)
+    hxs = [h.x for h in hpts]
+    hys = [h.y for h in hpts]
+    reach = math.hypot(
+        max(x1, *hxs) - min(x0, *hxs), max(y1, *hys) - min(y0, *hys)
+    )
+    lo, r = -math.inf, width
+    while 0.0 < r < reach:
+        batch = []
+        for j, h in enumerate(hpts):
+            # int() truncates toward zero, which can only widen floor()'s range
+            c0 = max(int((h.x - r - x0) * inv) - 1, 0)
+            c1 = min(int((h.x + r - x0) * inv) + 1, last_col)
+            r0 = max(int((h.y - r - y0) * inv) - 1, 0)
+            r1 = min(int((h.y + r - y0) * inv) + 1, last_row)
+            if c1 < c0 or r1 < r0:
+                continue  # no ring vertex within r; keeps slice ends non-negative
+            for base in range(r0 * cols, r1 * cols + 1, cols):
+                for bucket in cells[base + c0 : base + c1 + 1]:
+                    for i in bucket:
+                        c = cpts[i]
+                        length = math.hypot(c.x - h.x, c.y - h.y)
+                        if lo < length <= r:
+                            batch.append((length, i, j))
+        batch.sort()
+        yield from batch
+        lo, r = r, 2.0 * r
+    yield from sorted(
+        (length, i, j)
+        for i, c in enumerate(cpts)
+        for j, h in enumerate(hpts)
+        if (length := math.hypot(c.x - h.x, c.y - h.y)) > lo
+    )
+
+
 def find_bridge(
     current: Ring,
     hole: Ring,
@@ -92,26 +158,23 @@ def find_bridge(
 ) -> BridgeEdge:
     """Shortest unobstructed segment joining ``current`` to ``hole``.
 
-    All m*n vertex pairs are sorted by length (ties: smaller ring position,
-    then smaller hole position) and scanned until one neither crosses nor
-    grazes any edge of the involved rings and enters the interior wedge at
-    both of its endpoints. Zero-length candidates, where a ring vertex
-    coincides with a hole vertex, are skipped: they would create a null
-    slit. Raises NoValidBridge if every candidate is obstructed.
+    The m*n vertex pairs are visited in order of length (ties: smaller ring
+    position, then smaller hole position), nearest first, until one neither
+    crosses nor grazes any edge of the involved rings and enters the
+    interior wedge at both of its endpoints. Only the pairs up to about
+    twice the winning length are ever built and sorted. Zero-length
+    candidates, where a ring vertex coincides with a hole vertex, are
+    skipped: they would create a null slit. Raises NoValidBridge if every
+    candidate is obstructed.
     """
     cpts = current.points
     hpts = hole.points
     m = len(cpts)
     k = len(hpts)
-    candidates = sorted(
-        (math.hypot(c.x - h.x, c.y - h.y), i, j)
-        for i, c in enumerate(cpts)
-        for j, h in enumerate(hpts)
-    )
-    edges = _ring_edges(current) + _ring_edges(hole)
+    edges = _boxed_edges(current) + _boxed_edges(hole)
     for obstacle in obstacles:
-        edges.extend(_ring_edges(obstacle))
-    for length, i, j in candidates:
+        edges.extend(_boxed_edges(obstacle))
+    for length, i, j in _pairs_by_length(cpts, hpts):
         if length <= EPS_LEN:
             continue
         a, b = cpts[i], hpts[j]
@@ -122,7 +185,7 @@ def find_bridge(
             continue
         if not _in_wedge(b, hpts[(j + 1) % k], hpts[j - 1], a):
             continue
-        if any(segments_properly_cross(a, b, e1, e2) for e1, e2 in edges):
+        if _crosses_any(a, b, edges):
             continue
         return BridgeEdge((0, i), (hole_id, j), length)
     raise NoValidBridge(

@@ -136,9 +136,9 @@ def _cmd_triangulate(args) -> int:
 
 
 def _cmd_gen_corpus(args) -> int:
+    polys = generate_corpus(args.seed, args.count, args.vertices, args.holes)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    polys = generate_corpus(args.seed, args.count, args.vertices, args.holes)
     for i, poly in enumerate(polys):
         (out_dir / f"poly_{i:04d}.poly").write_text(serialize_polygon(poly), encoding="utf-8")
     print(f"wrote {len(polys)} polygons to {out_dir}", file=sys.stderr)

@@ -15,8 +15,8 @@ import math
 import random
 from typing import Sequence
 
-from .geom import GeometryError, Point2, point_in_ring, segments_properly_cross
-from .polygon import PolygonWithHoles, Ring, normalize
+from .geom import GeometryError, Point2, point_in_ring
+from .polygon import PolygonWithHoles, Ring, _boxed_edges, _crosses_any, normalize
 
 __all__ = ["GenerationFailed", "star_ring", "generate_polygon", "generate_corpus"]
 
@@ -59,23 +59,18 @@ def _bboxes_disjoint(a, b, pad: float = 0.0) -> bool:
     return a[2] + pad < b[0] or b[2] + pad < a[0] or a[3] + pad < b[1] or b[3] + pad < a[1]
 
 
-def _hole_fits(hole: Ring, outer: Ring, placed: list[Ring]) -> bool:
+def _hole_fits(hole: Ring, outer: Ring, outer_edges: list, placed: list[Ring]) -> bool:
     if not all(point_in_ring(p, outer.points) for p in hole.points):
         return False
     hb = _bbox(hole.points)
     for other in placed:
         if not _bboxes_disjoint(hb, _bbox(other.points), pad=0.05):
             return False
-    opts = outer.points
-    m = len(opts)
+    # Outer edges whose padded box misses the hole's box cannot meet it.
+    near = [e for e in outer_edges if not _bboxes_disjoint(hb, e)]
     hpts = hole.points
     k = len(hpts)
-    for i in range(k):
-        a, b = hpts[i], hpts[(i + 1) % k]
-        for j in range(m):
-            if segments_properly_cross(a, b, opts[j], opts[(j + 1) % m]):
-                return False
-    return True
+    return not any(_crosses_any(hpts[i], hpts[(i + 1) % k], near) for i in range(k))
 
 
 def generate_polygon(
@@ -86,6 +81,7 @@ def generate_polygon(
 ) -> PolygonWithHoles:
     """One random star polygon with ``n_holes`` star-shaped holes inside."""
     outer = star_ring(rng, n_vertices)
+    outer_edges = _boxed_edges(outer) if n_holes else []
     holes: list[Ring] = []
     for _ in range(n_holes):
         placed = False
@@ -96,7 +92,7 @@ def generate_polygon(
             dist = rng.uniform(0.0, 5.5)
             center = (dist * math.cos(theta), dist * math.sin(theta))
             hole = star_ring(rng, hn, center, r_min=0.35 * rad, r_max=rad)
-            if _hole_fits(hole, outer, holes):
+            if _hole_fits(hole, outer, outer_edges, holes):
                 holes.append(hole.reversed())  # holes are stored clockwise
                 placed = True
                 break

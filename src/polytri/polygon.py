@@ -401,9 +401,40 @@ def remove_vertex(ring: VertexRing, v: VertexNode) -> VertexRing:
     return ring
 
 
-def _ring_edges(ring: Ring) -> list[tuple[Point2, Point2]]:
+def _boxed_edges(ring: Ring) -> list[tuple[float, float, float, float, Point2, Point2]]:
+    """Each edge ``(a, b)`` of ``ring`` as ``(minx, miny, maxx, maxy, a, b)``.
+
+    The box is the edge's bounding box padded by EPS_LEN: the coincidence
+    tests of ``segments_properly_cross`` accept points at most EPS_LEN
+    outside a segment's box, and a proper crossing lies inside both boxes,
+    so a segment whose box misses the padded box cannot meet the edge.
+    """
     pts = ring.points
-    return [(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))]
+    t = EPS_LEN
+    out = []
+    for i, a in enumerate(pts):
+        b = pts[(i + 1) % len(pts)]
+        minx, maxx = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
+        miny, maxy = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
+        out.append((minx - t, miny - t, maxx + t, maxy + t, a, b))
+    return out
+
+
+def _crosses_any(
+    a: Point2, b: Point2, edges: Sequence[tuple[float, float, float, float, Point2, Point2]]
+) -> bool:
+    """True iff segment ab properly crosses one of ``edges`` (see :func:`_boxed_edges`).
+
+    Only edges whose padded box meets the box of ab are tested.
+    """
+    minx, maxx = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
+    miny, maxy = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
+    for x0, y0, x1, y1, c, d in edges:
+        if x1 < minx or x0 > maxx or y1 < miny or y0 > maxy:
+            continue
+        if segments_properly_cross(a, b, c, d):
+            return True
+    return False
 
 
 def validate_polygon(poly: PolygonWithHoles) -> list[str]:
@@ -413,24 +444,20 @@ def validate_polygon(poly: PolygonWithHoles) -> list[str]:
     two rings touch or cross. Assumes a normalized polygon.
     """
     problems: list[str] = []
-    outer_edges = _ring_edges(poly.outer)
-    hole_edges = [_ring_edges(h) for h in poly.holes]
+    outer_edges = _boxed_edges(poly.outer)
+    hole_edges = [_boxed_edges(h) for h in poly.holes]
     for i, h in enumerate(poly.holes):
         for p in h.points:
             if not point_in_ring(p, poly.outer.points):
                 problems.append(f"hole {i}: vertex {p} outside the outer ring")
                 break
-        for a, b in hole_edges[i]:
-            if any(segments_properly_cross(a, b, c, d) for c, d in outer_edges):
+        for *_, a, b in hole_edges[i]:
+            if _crosses_any(a, b, outer_edges):
                 problems.append(f"hole {i}: crosses the outer ring")
                 break
     for i in range(len(poly.holes)):
         for j in range(i + 1, len(poly.holes)):
-            crossing = any(
-                segments_properly_cross(a, b, c, d)
-                for a, b in hole_edges[i]
-                for c, d in hole_edges[j]
-            )
+            crossing = any(_crosses_any(a, b, hole_edges[j]) for *_, a, b in hole_edges[i])
             nested = point_in_ring(
                 poly.holes[i].points[0], poly.holes[j].points
             ) or point_in_ring(poly.holes[j].points[0], poly.holes[i].points)

@@ -1,6 +1,9 @@
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polytri import (
     NoValidBridge,
@@ -12,7 +15,7 @@ from polytri import (
     normalize,
     triangulate_ring,
 )
-from polytri.bridge import _in_wedge, merge_hole
+from polytri.bridge import _in_wedge, _pairs_by_length, merge_hole
 from polytri.geom import Point2
 from conftest import oracle_segments_share_beyond_endpoint, triangulation_area
 
@@ -69,6 +72,90 @@ class TestFindBridge:
         # overlapping candidates
         with pytest.raises(NoValidBridge):
             find_bridge(OUTER, OUTER.reversed())
+
+
+def all_pairs_sorted(cpts, hpts):
+    return sorted(
+        (math.hypot(c.x - h.x, c.y - h.y), i, j)
+        for i, c in enumerate(cpts)
+        for j, h in enumerate(hpts)
+    )
+
+
+def grid_points(lo, hi):
+    return st.builds(P, st.integers(lo, hi).map(float), st.integers(lo, hi).map(float))
+
+
+# the integer points on the circle of radius 5 about the origin
+CIRCLE5 = [P(float(x), float(y)) for x in range(-5, 6) for y in range(-5, 6) if x * x + y * y == 25]
+
+
+class TestCandidateOrder:
+    """The nearest-first stream equals the full sort of all m*n pairs."""
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(grid_points(-6, 6), min_size=3, max_size=40),
+        st.lists(grid_points(-12, 12), min_size=3, max_size=10),
+    )
+    def test_integer_grid(self, cpts, hpts):
+        assert list(_pairs_by_length(cpts, hpts)) == all_pairs_sorted(cpts, hpts)
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.sampled_from(CIRCLE5), min_size=3, max_size=24),
+        st.integers(1, 40),
+        grid_points(-50, 50),
+        st.lists(grid_points(-30, 30), max_size=6),
+    )
+    def test_cocircular_ring_and_equidistant_hole_vertex(self, circle, scale, center, others):
+        # every ring vertex lies at one distance from the circle's center,
+        # which is a hole vertex, so its pairs all tie on length
+        cpts = [P(center.x + scale * p.x, center.y + scale * p.y) for p in circle]
+        hpts = [center, *others, center]
+        assert list(_pairs_by_length(cpts, hpts)) == all_pairs_sorted(cpts, hpts)
+
+    def test_degenerate_ring_of_one_point(self):
+        cpts = [P(1.0, 1.0)] * 3
+        hpts = [P(0.0, 0.0), P(1.0, 1.0), P(5.0, -2.0)]
+        assert list(_pairs_by_length(cpts, hpts)) == all_pairs_sorted(cpts, hpts)
+
+
+def grid_polygon_with_square_holes(seed, n_holes):
+    """Integer-grid square with a vertex at every unit step of its boundary
+    and ``n_holes`` clockwise unit or 2-unit square holes, none touching."""
+    rng = random.Random(seed)
+    w = rng.randint(8, 14)
+    outer = (
+        [(x, 0) for x in range(w)]
+        + [(w, y) for y in range(w)]
+        + [(x, w) for x in range(w, 0, -1)]
+        + [(0, y) for y in range(w, 0, -1)]
+    )
+    holes, taken = [], []
+    while len(holes) < n_holes:
+        s = rng.randint(1, 2)
+        x, y = rng.randint(1, w - 1 - s), rng.randint(1, w - 1 - s)
+        if any(x <= bx + bs and bx <= x + s and y <= by + bs and by <= y + s for bx, by, bs in taken):
+            continue
+        taken.append((x - 1, y - 1, s + 1))  # keep one unit of clearance
+        holes.append(Ring([(x, y), (x, y + s), (x + s, y + s), (x + s, y)]))
+    return normalize(PolygonWithHoles(Ring(outer), holes))
+
+
+class TestFindBridgeOnGridPolygons:
+    @pytest.mark.parametrize("n_holes", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_oracle_at_every_merge(self, seed, n_holes):
+        poly = grid_polygon_with_square_holes(seed, n_holes)
+        current = poly.outer
+        for h, hole in enumerate(poly.holes):
+            rest = poly.holes[h + 1 :]
+            b = find_bridge(current, hole, rest)
+            assert brute_force_bridge(current, hole, rest) == (
+                b.length, b.outer_vertex[1], b.hole_vertex[1]
+            )
+            current = merge_hole(current, hole, b)
 
 
 class TestMergeHole:

@@ -195,11 +195,11 @@ class TestCliTriangulate:
             ("bench", "--corpus", "{corpus}", "--bounds", "-1"),
             ("bench", "--corpus", "{corpus}", "--algorithms", ","),
             ("bench", "--corpus", "{corpus}", "--algorithms", "improved", "--bounds", ","),
-            ("gen-corpus", "--count", "0", "--out-dir", "{tmp}"),
-            ("gen-corpus", "--count", "1", "--vertices", "2..3", "--out-dir", "{tmp}"),
-            ("gen-corpus", "--count", "1", "--vertices", "10..5", "--out-dir", "{tmp}"),
-            ("gen-corpus", "--count", "2", "--holes=-2..-1", "--out-dir", "{tmp}"),
-            ("gen-corpus", "--count", "2", "--holes", "2..1", "--out-dir", "{tmp}"),
+            ("gen-corpus", "--count", "0", "--out-dir", "{tmp}/out/sub"),
+            ("gen-corpus", "--count", "1", "--vertices", "2..3", "--out-dir", "{tmp}/out/sub"),
+            ("gen-corpus", "--count", "1", "--vertices", "10..5", "--out-dir", "{tmp}/out/sub"),
+            ("gen-corpus", "--count", "2", "--holes=-2..-1", "--out-dir", "{tmp}/out/sub"),
+            ("gen-corpus", "--count", "2", "--holes", "2..1", "--out-dir", "{tmp}/out/sub"),
         ],
     )
     def test_out_of_range_value_exit_4(self, args, tmp_path):
@@ -214,6 +214,7 @@ class TestCliTriangulate:
             assert err.startswith(f"polytri: error: {args[args.index(',') - 1]} ")
         if any(a.startswith("--holes") for a in args):
             assert "holes_range" in err
+        assert not (tmp_path / "out").exists()  # a rejected gen-corpus creates no directory
 
     def test_validate_and_svg_do_not_renormalize(self, monkeypatch, tmp_path):
         import polytri.cli
