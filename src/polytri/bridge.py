@@ -17,7 +17,9 @@ when it does not share a point with any edge of the current ring, the hole,
 or any hole still waiting to be merged, beyond the candidate's own
 endpoints. Checking the pending holes goes beyond just the two rings being
 joined, but without it a bridge can slice through a later hole and corrupt
-the ring.
+the ring. Within one ``eliminate_holes`` call every ring's edges are boxed
+once for the crossing tests' bounding-box filter: each merge splices the
+hole's boxed edges and the two bridge edges into the merged ring's list.
 
 A candidate must additionally leave each endpoint through the interior
 angular wedge there: out of the ring vertex between its two incident edges,
@@ -33,10 +35,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .geom import EPS_LEN, GeometryError, Point2
-from .polygon import PolygonWithHoles, Ring, _boxed_edges, _crosses_any
+from .polygon import PolygonWithHoles, Ring, _boxed_edge, _boxed_edges, _crosses_any
 
 __all__ = ["NoValidBridge", "BridgeEdge", "DegenerateRing", "find_bridge", "merge_hole", "eliminate_holes"]
 
@@ -150,6 +152,21 @@ def _pairs_by_length(
     )
 
 
+class _Boxed(NamedTuple):
+    """A ring's points with its edges boxed once by ``polygon._boxed_edges``.
+
+    ``eliminate_holes`` hands these to :func:`find_bridge` in place of rings
+    and carries the boxes through every merge, so no ring is boxed twice.
+    """
+
+    points: tuple[Point2, ...]
+    edges: list
+
+
+def _edges(ring: Ring | _Boxed) -> list:
+    return ring.edges if isinstance(ring, _Boxed) else _boxed_edges(ring)
+
+
 def find_bridge(
     current: Ring,
     hole: Ring,
@@ -171,9 +188,9 @@ def find_bridge(
     hpts = hole.points
     m = len(cpts)
     k = len(hpts)
-    edges = _boxed_edges(current) + _boxed_edges(hole)
+    edges = _edges(current) + _edges(hole)
     for obstacle in obstacles:
-        edges.extend(_boxed_edges(obstacle))
+        edges.extend(_edges(obstacle))
     for length, i, j in _pairs_by_length(cpts, hpts):
         if length <= EPS_LEN:
             continue
@@ -221,17 +238,30 @@ def eliminate_holes(poly: PolygonWithHoles) -> DegenerateRing:
     Holes are processed in input order; each bridge search treats the holes
     still waiting as obstacles. A polygon without holes passes through
     unchanged. Expects a normalized polygon.
+
+    Every ring is boxed once: a merge splices the hole's boxed edges and the
+    two bridge edges into the merged ring's list in ring order, which gives
+    the same list as boxing the merged ring afresh.
     """
-    cur_pts = poly.outer.points
-    cur_idx = tuple(range(len(cur_pts)))
-    off = len(cur_pts)  # table index of the current hole's first vertex
+    outer = poly.outer
+    cur_idx = tuple(range(len(outer)))
+    if not poly.holes:
+        return DegenerateRing(outer, cur_idx, ())
+    cur = _Boxed(outer.points, _boxed_edges(outer))
+    holes = [_Boxed(h.points, _boxed_edges(h)) for h in poly.holes]
+    off = len(outer)  # table index of the current hole's first vertex
     bridges = []
-    for h, hole in enumerate(poly.holes):
-        b = find_bridge(Ring(cur_pts), hole, poly.holes[h + 1 :], hole_id=h + 1)
+    for h, hole in enumerate(holes):
+        b = find_bridge(cur, hole, holes[h + 1 :], hole_id=h + 1)
         i, j = b.outer_vertex[1], b.hole_vertex[1]
-        hole_idx = tuple(range(off, off + len(hole)))
-        off += len(hole)
-        cur_pts = _splice(cur_pts, hole.points, i, j)
+        a, c = cur.points[i], hole.points[j]
+        ce, he = cur.edges, hole.edges
+        cur = _Boxed(
+            _splice(cur.points, hole.points, i, j),
+            [*ce[:i], _boxed_edge(a, c), *he[j:], *he[:j], _boxed_edge(c, a), *ce[i:]],
+        )
+        hole_idx = tuple(range(off, off + len(hole.points)))
+        off += len(hole.points)
         cur_idx = _splice(cur_idx, hole_idx, i, j)
         bridges.append(b)
-    return DegenerateRing(Ring(cur_pts), cur_idx, tuple(bridges))
+    return DegenerateRing(Ring(cur.points), cur_idx, tuple(bridges))

@@ -8,11 +8,16 @@ table.
 
 Exit codes are stable for scripting: 0 success, 2 input/parse problem
 or unwritable output, 3 geometry failure, 4 usage error.
+
+``main`` may be called repeatedly in one process; every call reuses one
+parser, built on the first call (each ``parse_args`` returns a fresh
+namespace, so nothing carries over from one call to the next).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 from pathlib import Path
@@ -60,6 +65,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected MIN..MAX, got {text!r}") from None
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="polytri", description="Polygon triangulation by ear clipping.")
     sub = p.add_subparsers(dest="command", required=True)

@@ -60,8 +60,8 @@ def _bboxes_disjoint(a, b, pad: float = 0.0) -> bool:
 
 
 def _hole_fits(hole: Ring, outer: Ring, outer_edges: list, placed: list[Ring]) -> bool:
-    if not all(point_in_ring(p, outer.points) for p in hole.points):
-        return False
+    # Cheapest rejection first; the O(m) containment test of every hole
+    # vertex runs only for a hole that passed the other two.
     hb = _bbox(hole.points)
     for other in placed:
         if not _bboxes_disjoint(hb, _bbox(other.points), pad=0.05):
@@ -70,7 +70,9 @@ def _hole_fits(hole: Ring, outer: Ring, outer_edges: list, placed: list[Ring]) -
     near = [e for e in outer_edges if not _bboxes_disjoint(hb, e)]
     hpts = hole.points
     k = len(hpts)
-    return not any(_crosses_any(hpts[i], hpts[(i + 1) % k], near) for i in range(k))
+    if any(_crosses_any(hpts[i], hpts[(i + 1) % k], near) for i in range(k)):
+        return False
+    return all(point_in_ring(p, outer.points) for p in hpts)
 
 
 def generate_polygon(

@@ -29,6 +29,7 @@ __all__ = [
     "point_on_segment",
     "segments_properly_cross",
     "triangle_angles",
+    "triangle_angles_xy",
     "point_in_ring",
 ]
 
@@ -175,20 +176,36 @@ def triangle_angles(
 ) -> tuple[float, float, float]:
     """The three interior angles of triangle abc in degrees, at a, b, c.
 
+    See :func:`triangle_angles_xy`, which takes the six coordinates.
+    """
+    return triangle_angles_xy(a[0], a[1], b[0], b[1], c[0], c[1])
+
+
+def triangle_angles_xy(
+    ax: float, ay: float, bx: float, by: float, cx: float, cy: float
+) -> tuple[float, float, float]:
+    """The interior angles in degrees at (ax, ay), (bx, by) and (cx, cy).
+
     Uses atan2 of (|cross|, dot) at each corner, which stays accurate for
     sliver triangles where acos-based formulas lose digits. Raises
-    DegenerateTriangle when the area is not above EPS_AREA.
+    DegenerateTriangle when the area is not above EPS_AREA. Hot loops pass
+    vertex coordinates here directly rather than building points.
     """
-    z = cross2(a, b, c)
+    z = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     if 0.5 * abs(z) <= EPS_AREA:
-        raise DegenerateTriangle(f"triangle {a}, {b}, {c} has (near-)zero area")
-
-    def corner(v: Point2, p: Point2, q: Point2) -> float:
-        ux, uy = p[0] - v[0], p[1] - v[1]
-        wx, wy = q[0] - v[0], q[1] - v[1]
-        return math.degrees(math.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy))
-
-    return corner(a, b, c), corner(b, c, a), corner(c, a, b)
+        raise DegenerateTriangle(
+            f"triangle {Point2(ax, ay)}, {Point2(bx, by)}, {Point2(cx, cy)} has (near-)zero area"
+        )
+    degrees, atan2 = math.degrees, math.atan2
+    # At each corner v with neighbours p, q (in the order a-b-c, b-c-a, c-a-b):
+    # u = p - v, w = q - v, angle = atan2(|u x w|, u . w).
+    ux, uy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay
+    at_a = degrees(atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy))
+    ux, uy, wx, wy = cx - bx, cy - by, ax - bx, ay - by
+    at_b = degrees(atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy))
+    ux, uy, wx, wy = ax - cx, ay - cy, bx - cx, by - cy
+    at_c = degrees(atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy))
+    return at_a, at_b, at_c
 
 
 def point_in_ring(p: Point2, ring: Sequence[Point2]) -> bool:

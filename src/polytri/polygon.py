@@ -401,23 +401,24 @@ def remove_vertex(ring: VertexRing, v: VertexNode) -> VertexRing:
     return ring
 
 
-def _boxed_edges(ring: Ring) -> list[tuple[float, float, float, float, Point2, Point2]]:
-    """Each edge ``(a, b)`` of ``ring`` as ``(minx, miny, maxx, maxy, a, b)``.
+def _boxed_edge(a: Point2, b: Point2) -> tuple[float, float, float, float, Point2, Point2]:
+    """Edge ``(a, b)`` as ``(minx, miny, maxx, maxy, a, b)``.
 
     The box is the edge's bounding box padded by EPS_LEN: the coincidence
     tests of ``segments_properly_cross`` accept points at most EPS_LEN
     outside a segment's box, and a proper crossing lies inside both boxes,
     so a segment whose box misses the padded box cannot meet the edge.
     """
-    pts = ring.points
     t = EPS_LEN
-    out = []
-    for i, a in enumerate(pts):
-        b = pts[(i + 1) % len(pts)]
-        minx, maxx = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
-        miny, maxy = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
-        out.append((minx - t, miny - t, maxx + t, maxy + t, a, b))
-    return out
+    minx, maxx = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
+    miny, maxy = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
+    return (minx - t, miny - t, maxx + t, maxy + t, a, b)
+
+
+def _boxed_edges(ring: Ring) -> list[tuple[float, float, float, float, Point2, Point2]]:
+    """Each edge of ``ring``, in ring order, boxed by :func:`_boxed_edge`."""
+    pts = ring.points
+    return [_boxed_edge(a, b) for a, b in zip(pts, pts[1:] + pts[:1])]
 
 
 def _crosses_any(

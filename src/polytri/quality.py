@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geom import GeometryError, triangle_angles
+from .geom import GeometryError, triangle_angles_xy
 from .earclip import Triangulation
 
 __all__ = ["EmptyInput", "QualityReport", "BIN_LABELS", "min_angles", "report", "pooled", "compare"]
@@ -42,8 +42,8 @@ def min_angles(tri: Triangulation) -> list[float]:
     for t in tri.triangles:
         if t.degenerate:
             continue
-        a, b, c = t.points()
-        out.append(min(triangle_angles(a, b, c)))
+        a, b, c = t.nodes
+        out.append(min(triangle_angles_xy(a.x, a.y, b.x, b.y, c.x, c.y)))
     return out
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 from typing import Callable, Optional
 
-from .geom import EPS_AREA, DegenerateTriangle, cross2, triangle_angles
+from .geom import EPS_AREA, DegenerateTriangle, triangle_angles_xy
 from .earclip import Triangle, Triangulation, edge_key
 from .polygon import VertexNode
 
@@ -27,8 +27,8 @@ log = logging.getLogger("polytri")
 
 
 def _node_angles(t: Triangle) -> tuple[float, float, float]:
-    na, nb, nc = t.nodes
-    return triangle_angles(na.point, nb.point, nc.point)
+    a, b, c = t.nodes
+    return triangle_angles_xy(a.x, a.y, b.x, b.y, c.x, c.y)
 
 
 def find_neighbor_across_longest_edge(t: Triangle, tri: Triangulation) -> Optional[Triangle]:
@@ -85,17 +85,21 @@ def try_swap(
     # (u, a1, w, a2) counter-clockwise.
     u = t2.nodes[(k + 1) % 3]
     w = t2.nodes[(k + 2) % 3]
-    pa1, pa2 = a1.point, a2.point
-    pu, pw = u.point, w.point
-    # Both halves on the new diagonal must keep positive area, otherwise the
-    # quad is non-convex and the swapped diagonal falls outside it.
-    if cross2(pa1, pw, pa2) <= EPS_AREA or cross2(pa2, pu, pa1) <= EPS_AREA:
+    x1, y1, x2, y2 = a1.x, a1.y, a2.x, a2.y
+    ux, uy, wx, wy = u.x, u.y, w.x, w.y
+    # Both halves on the new diagonal must keep positive area (the cross
+    # products of (a1, w, a2) and (a2, u, a1)), otherwise the quad is
+    # non-convex and the swapped diagonal falls outside it.
+    if (
+        (wx - x1) * (y2 - y1) - (wy - y1) * (x2 - x1) <= EPS_AREA
+        or (ux - x2) * (y1 - y2) - (uy - y2) * (x1 - x2) <= EPS_AREA
+    ):
         return None
     try:
         old_min = min(min(_node_angles(t1)), min(_node_angles(t2)))
         new_min = min(
-            min(triangle_angles(pa1, pw, pa2)),
-            min(triangle_angles(pa2, pu, pa1)),
+            min(triangle_angles_xy(x1, y1, wx, wy, x2, y2)),
+            min(triangle_angles_xy(x2, y2, ux, uy, x1, y1)),
         )
     except DegenerateTriangle:
         return None

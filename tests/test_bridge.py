@@ -12,10 +12,13 @@ from polytri import (
     build_ring,
     eliminate_holes,
     find_bridge,
+    generate_corpus,
     normalize,
     triangulate_ring,
 )
+from polytri import bridge as bridge_mod
 from polytri.bridge import _in_wedge, _pairs_by_length, merge_hole
+from polytri.polygon import _boxed_edges
 from polytri.geom import Point2
 from conftest import oracle_segments_share_beyond_endpoint, triangulation_area
 
@@ -143,19 +146,33 @@ def grid_polygon_with_square_holes(seed, n_holes):
     return normalize(PolygonWithHoles(Ring(outer), holes))
 
 
+def assert_eliminate_holes_matches(poly, merged, bridges):
+    """``eliminate_holes(poly)`` gives the ring ``merged`` and ``bridges`` that
+    chained public ``find_bridge`` + ``merge_hole`` calls gave, and indexes
+    each position by its vertex (the polygon's vertices must be distinct)."""
+    where = {p: i for i, p in enumerate(poly.vertex_table())}
+    assert len(where) == len(poly.vertex_table())
+    degen = eliminate_holes(poly)
+    assert degen.ring == merged
+    assert degen.indices == tuple(where[p] for p in merged.points)
+    assert degen.bridges == tuple(bridges)
+
+
 class TestFindBridgeOnGridPolygons:
     @pytest.mark.parametrize("n_holes", [1, 2, 3, 4])
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_oracle_at_every_merge(self, seed, n_holes):
         poly = grid_polygon_with_square_holes(seed, n_holes)
-        current = poly.outer
+        current, bridges = poly.outer, []
         for h, hole in enumerate(poly.holes):
             rest = poly.holes[h + 1 :]
-            b = find_bridge(current, hole, rest)
+            b = find_bridge(current, hole, rest, hole_id=h + 1)
             assert brute_force_bridge(current, hole, rest) == (
                 b.length, b.outer_vertex[1], b.hole_vertex[1]
             )
+            bridges.append(b)
             current = merge_hole(current, hole, b)
+        assert_eliminate_holes_matches(poly, current, bridges)
 
 
 class TestMergeHole:
@@ -222,6 +239,32 @@ class TestEliminateHoles:
         assert len(degen.ring) == n_total + 2 * 2
         assert len(degen.bridges) == 2
         assert degen.ring.signed_area() == pytest.approx(100.0 - 1.0 - 4.0)
+
+    def test_matches_public_step_by_step_path(self):
+        for poly in generate_corpus(7, 40, (4, 120), (1, 3)):
+            current, bridges = poly.outer, []
+            for h, hole in enumerate(poly.holes):
+                b = find_bridge(current, hole, poly.holes[h + 1 :], hole_id=h + 1)
+                bridges.append(b)
+                current = merge_hole(current, hole, b)
+            assert_eliminate_holes_matches(poly, current, bridges)
+
+    def test_carried_edge_boxes_equal_fresh_boxing(self, monkeypatch):
+        # Every ring reaches find_bridge with the boxes, in ring order, that
+        # boxing it afresh gives, so the crossing tests run in the same order.
+        real = bridge_mod.find_bridge
+        rings = []
+
+        def checking(current, hole, obstacles=(), hole_id=1):
+            for ring in (current, hole, *obstacles):
+                rings.append(ring)
+                assert bridge_mod._edges(ring) == _boxed_edges(Ring(ring.points))
+            return real(current, hole, obstacles, hole_id)
+
+        monkeypatch.setattr(bridge_mod, "find_bridge", checking)
+        for poly in generate_corpus(7, 40, (4, 120), (1, 3)):
+            eliminate_holes(poly)
+        assert len(rings) > 40
 
     def test_duplicates_share_original_index(self):
         poly = normalize(PolygonWithHoles(OUTER, [HOLE]))

@@ -242,6 +242,27 @@ class TestCliTriangulate:
         tri, _ = triangulate_polygon(poly, "basic")
         assert svg.read_bytes() == render_svg(original(poly), tri)
 
+    def test_repeated_in_process_calls_share_no_state(self, tmp_path):
+        import polytri.cli
+
+        src = str(FIXTURES / "comb.poly")
+        with pytest.raises(SystemExit) as exc:
+            polytri.cli.main(
+                ["triangulate", "--algorithm", "nonsense", "--bound", "5", "--input", src]
+            )
+        assert exc.value.code == 4
+        runs = [
+            ("triangulate", "--algorithm", "improved", "--bound", "10", "--input", src),
+            ("triangulate", "--algorithm", "improved", "--input", src),
+        ]
+        outputs = []
+        for k, args in enumerate(runs):
+            out = tmp_path / f"{k}.json"
+            assert polytri.cli.main([*args, "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] != outputs[1]  # the bound changes this mesh, so a leaked --bound shows
+        assert outputs == [cli(*args).stdout for args in runs]
+
     def test_geojson_input(self, tmp_path):
         doc = {
             "type": "Polygon",

@@ -3,17 +3,20 @@ import math
 import pytest
 
 from polytri import (
+    DegenerateTriangle,
     EmptyInput,
     build_ring,
     compare,
     pooled,
     report,
+    triangulate_polygon,
     triangulate_ring,
 )
 from polytri.earclip import Triangulation
-from polytri.geom import Point2
+from polytri.geom import EPS_AREA, Point2, triangle_angles, triangle_angles_xy
 from polytri.polygon import VertexNode
 from polytri.quality import QualityReport, min_angles
+from polytri.swap import _node_angles, try_swap
 
 P = Point2
 
@@ -90,6 +93,54 @@ class TestReport:
                 sum(angles) / len(angles), abs=1e-9
             )
             assert math.fsum(rep.bin_fractions) == pytest.approx(1.0, abs=1e-12)
+
+
+def corner_angles_reference(a, b, c):
+    """The angle formula as written before the six-float form: one corner
+    closure over points, applied at a, b and c."""
+
+    def corner(v, p, q):
+        ux, uy = p[0] - v[0], p[1] - v[1]
+        wx, wy = q[0] - v[0], q[1] - v[1]
+        return math.degrees(math.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy))
+
+    return corner(a, b, c), corner(b, c, a), corner(c, a, b)
+
+
+class TestExactAngles:
+    """Node coordinates and points give bit-identical angles (``==``, not approx)."""
+
+    @pytest.mark.parametrize("algorithm", ["traditional", "basic", "improved"])
+    def test_every_corpus_triangle(self, small_corpus, algorithm):
+        for poly in small_corpus:
+            tri, _ = triangulate_polygon(poly, algorithm)
+            want = []
+            for t in tri.triangles:
+                if t.degenerate:
+                    continue
+                pts = t.points()
+                a, b, c = t.nodes
+                angles = triangle_angles_xy(a.x, a.y, b.x, b.y, c.x, c.y)
+                assert angles == triangle_angles(*pts) == corner_angles_reference(*pts)
+                assert _node_angles(t) == angles
+                want.append(min(angles))
+            assert min_angles(tri) == want
+
+    def test_sliver_at_the_area_tolerance_is_still_degenerate(self):
+        # twice the area is exactly EPS_AREA: not flagged degenerate, but
+        # not above the tolerance either
+        p0, p1, p2, p3 = P(0, 0), P(0.5, -EPS_AREA), P(1, 0), P(0.5, 1)
+        nodes = [VertexNode(p.x, p.y, i, i) for i, p in enumerate((p0, p1, p2, p3))]
+        tri = Triangulation((p0, p1, p2, p3))
+        tri.add_triangle(nodes[0], nodes[1], nodes[2])
+        tri.add_triangle(nodes[0], nodes[2], nodes[3])
+        sliver, other = tri.triangles
+        assert not sliver.degenerate
+        with pytest.raises(DegenerateTriangle):
+            report(tri)
+        # the quad is strictly convex, so only the angle test can refuse
+        assert try_swap(sliver, other, tri) is None
+        assert (sliver.indices(), other.indices()) == ((0, 1, 2), (0, 2, 3))
 
 
 class TestPooled:
