@@ -40,7 +40,6 @@ __all__ = [
     "EarSearchFailed",
     "Triangle",
     "Triangulation",
-    "edge_key",
     "is_ear",
     "update_after_cut",
 ]
@@ -63,40 +62,25 @@ class EarSearchFailed(GeometryError):
         )
 
 
-def edge_key(a: VertexNode, b: VertexNode) -> tuple[VertexNode, VertexNode]:
-    """Canonical undirected edge key by node identity.
-
-    Bridged rings give two distinct nodes the same original index, so keys
-    use the node objects themselves; identity keeps edge multiplicities
-    honest across a duplicated vertex.
-    """
-    return (a, b) if id(a) <= id(b) else (b, a)
-
-
 class Triangle:
     """Output triangle: three indices into the vertex table, CCW.
 
-    ``nodes`` keeps the originating ring nodes so adjacency stays exact on
-    rings with duplicated vertices. ``degenerate`` marks a zero-area last
-    triangle, left over when a bridge slit collapses; it is excluded from
-    quality statistics.
+    ``nodes`` keeps the originating ring nodes, which tell apart the two
+    copies of a vertex on a bridged ring; the improved pass keys its
+    adjacency by them. ``degenerate`` marks a zero-area last triangle, left
+    over when a bridge slit collapses; it is excluded from quality
+    statistics.
     """
 
-    __slots__ = ("a", "b", "c", "nodes", "degenerate", "id")
+    __slots__ = ("a", "b", "c", "nodes", "degenerate")
 
     def __init__(
-        self,
-        na: VertexNode,
-        nb: VertexNode,
-        nc: VertexNode,
-        tid: int,
-        degenerate: bool = False,
+        self, na: VertexNode, nb: VertexNode, nc: VertexNode, degenerate: bool = False
     ):
         self.nodes = (na, nb, nc)
         self.a = na.original_index
         self.b = nb.original_index
         self.c = nc.original_index
-        self.id = tid
         self.degenerate = degenerate
 
     def indices(self) -> tuple[int, int, int]:
@@ -112,30 +96,23 @@ class Triangle:
 
 
 class Triangulation:
-    """Triangles over an immutable vertex table, with edge adjacency.
+    """Triangles over an immutable vertex table, in emission order.
 
-    ``edge_map`` maps every undirected edge (keyed by node identity) to the
-    ids of the one or two triangles using it: boundary edges of the input
-    ring end up with one triangle, interior diagonals with two.
+    No adjacency is kept here; ``swap_count`` counts the diagonal swaps the
+    improved pass made on the stored triangles.
     """
 
     def __init__(self, vertex_table: tuple[Point2, ...]):
         self.vertex_table = vertex_table
         self.triangles: list[Triangle] = []
-        self.edge_map: dict[tuple[VertexNode, VertexNode], list[int]] = {}
         self.swap_count = 0
 
     def add_triangle(
         self, na: VertexNode, nb: VertexNode, nc: VertexNode, degenerate: bool = False
     ) -> int:
-        tid = len(self.triangles)
-        tri = Triangle(na, nb, nc, tid, degenerate)
-        self.triangles.append(tri)
-        for u, v in ((na, nb), (nb, nc), (nc, na)):
-            owners = self.edge_map.setdefault(edge_key(u, v), [])
-            owners.append(tid)
-            assert len(owners) <= 2, "edge shared by more than two triangles"
-        return tid
+        """Append the triangle and return its position in ``triangles``."""
+        self.triangles.append(Triangle(na, nb, nc, degenerate))
+        return len(self.triangles) - 1
 
     @property
     def degenerate_count(self) -> int:

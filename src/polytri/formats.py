@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 
-from .geom import InvalidRing, Point2
+from .geom import InvalidRing
 from .polygon import PolygonWithHoles, Ring, normalize
 from .earclip import Triangulation
 from .quality import QualityReport
@@ -51,17 +50,14 @@ class ParseError(Exception):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-def _parse_point(token: str, lineno: int) -> Point2:
+def _parse_point(token: str, lineno: int) -> tuple[float, float]:
     parts = token.split(",")
     if len(parts) != 2:
         raise ParseError(f"expected 'x,y', got {token!r}", lineno)
     try:
-        x, y = float(parts[0]), float(parts[1])
+        return float(parts[0]), float(parts[1])
     except ValueError:
         raise ParseError(f"bad coordinate in {token!r}", lineno) from None
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ParseError(f"non-finite coordinate in {token!r}", lineno)
-    return Point2(x, y)
 
 
 def _parse_text(text: str) -> PolygonWithHoles:
@@ -76,7 +72,10 @@ def _parse_text(text: str) -> PolygonWithHoles:
         pts = [_parse_point(tok, lineno) for tok in tokens[1:]]
         if len(pts) < 3:
             raise ParseError(f"ring needs at least 3 vertices, got {len(pts)}", lineno)
-        rings.append(Ring(pts))
+        try:
+            rings.append(Ring(pts))
+        except InvalidRing as e:
+            raise ParseError(str(e), lineno) from None
     if not rings:
         raise ParseError("no rings found")
     return PolygonWithHoles(rings[0], rings[1:])
@@ -97,17 +96,17 @@ def _parse_geojson(text: str) -> PolygonWithHoles:
     rings = []
     for k, ring in enumerate(coords):
         try:
-            pts = [Point2(float(p[0]), float(p[1])) for p in ring]
+            pts = [(float(p[0]), float(p[1])) for p in ring]
         except (TypeError, ValueError, IndexError):
             raise ParseError(f"ring {k}: malformed coordinates") from None
-        for p in pts:
-            if not (math.isfinite(p.x) and math.isfinite(p.y)):
-                raise ParseError(f"ring {k}: non-finite coordinate {p}")
         if len(pts) > 1 and pts[0] == pts[-1]:
             pts = pts[:-1]  # GeoJSON rings close explicitly
         if len(pts) < 3:
             raise ParseError(f"ring {k}: needs at least 3 distinct vertices")
-        rings.append(Ring(pts))
+        try:
+            rings.append(Ring(pts))
+        except InvalidRing as e:
+            raise ParseError(f"ring {k}: {e}") from None
     return PolygonWithHoles(rings[0], rings[1:])
 
 

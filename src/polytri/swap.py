@@ -4,9 +4,9 @@ The improved triangulator runs the smallest-angle clipping loop with the
 hook from :func:`sharp_swapper`: every time a new triangle comes out
 sharper than a bound, it tries one diagonal swap with the neighbour across
 its longest edge. The swap is kept only when it strictly raises the minimum
-angle over the pair, and it only touches the stored triangles and edge map,
-never the live clipping ring, so subsequent cuts proceed as if nothing
-happened.
+angle over the pair, and it only rewrites the two stored triangles (and the
+hook's own adjacency), never the live clipping ring, so subsequent cuts
+proceed as if nothing happened.
 
 Each new triangle gets exactly one swap attempt; swapped-in triangles are
 not re-tested and no flip cascades are chased.
@@ -18,10 +18,10 @@ import logging
 from typing import Callable, Optional
 
 from .geom import EPS_AREA, DegenerateTriangle, triangle_angles_xy
-from .earclip import Triangle, Triangulation, edge_key
+from .earclip import Triangle, Triangulation
 from .polygon import VertexNode
 
-__all__ = ["sharp_swapper", "find_neighbor_across_longest_edge", "try_swap"]
+__all__ = ["sharp_swapper", "try_swap"]
 
 log = logging.getLogger("polytri")
 
@@ -29,36 +29,6 @@ log = logging.getLogger("polytri")
 def _node_angles(t: Triangle) -> tuple[float, float, float]:
     a, b, c = t.nodes
     return triangle_angles_xy(a.x, a.y, b.x, b.y, c.x, c.y)
-
-
-def find_neighbor_across_longest_edge(t: Triangle, tri: Triangulation) -> Optional[Triangle]:
-    """The other triangle sharing ``t``'s longest edge, if one exists yet.
-
-    The longest edge is the one opposite the largest interior angle (ties
-    resolved toward the earliest corner). Absence is normal: the edge may be
-    an input boundary edge, or the neighbour may simply not have been
-    created yet.
-    """
-    angles = _node_angles(t)
-    k = 0
-    if angles[1] > angles[k]:
-        k = 1
-    if angles[2] > angles[k]:
-        k = 2
-    u = t.nodes[(k + 1) % 3]
-    w = t.nodes[(k + 2) % 3]
-    owners = tri.edge_map.get(edge_key(u, w))
-    if not owners or len(owners) < 2:
-        return None
-    other = owners[0] if owners[1] == t.id else owners[1]
-    return tri.triangles[other]
-
-
-def _replace_edge_owner(
-    tri: Triangulation, u: VertexNode, w: VertexNode, old_id: int, new_id: int
-) -> None:
-    owners = tri.edge_map[edge_key(u, w)]
-    owners[owners.index(old_id)] = new_id
 
 
 def try_swap(
@@ -70,8 +40,7 @@ def try_swap(
     convex the other diagonal would leave it, so nothing happens. Otherwise
     the pair minimum over six angles decides: swap only on strict
     improvement. Returns the re-diagonalized pair (the same Triangle objects
-    rewritten in place) or None when unchanged. The edge map is updated in
-    the same step.
+    rewritten in place) or None when unchanged.
     """
     if t1.degenerate or t2.degenerate:
         return None
@@ -105,11 +74,6 @@ def try_swap(
         return None
     if not new_min > old_min:
         return None
-    i1, i2 = t1.id, t2.id
-    _replace_edge_owner(tri, u, a1, i1, i2)
-    _replace_edge_owner(tri, w, a2, i2, i1)
-    del tri.edge_map[edge_key(u, w)]
-    tri.edge_map[edge_key(a1, a2)] = [i1, i2]
     t1.nodes = (a1, w, a2)
     t1.a, t1.b, t1.c = a1.original_index, w.original_index, a2.original_index
     t2.nodes = (a2, u, a1)
@@ -122,11 +86,19 @@ def sharp_swapper(bound: float) -> Callable[[Triangulation, int], None]:
     """Post-emit hook giving each new triangle sharper than ``bound`` one swap.
 
     The bound is in degrees. A triangle whose minimum angle falls strictly
-    below it is paired with the neighbour across its longest edge (when that
-    neighbour exists) and the diagonal is swapped if that strictly raises
-    the pair minimum. A minimum angle never exceeds 60, so a larger bound is
-    clamped to 60 with a warning; 0 disables swapping because the test is
-    strict. Raises ValueError for a negative or NaN bound.
+    below it is paired with the neighbour across its longest edge (the edge
+    opposite its largest angle, ties going to the earliest corner), when
+    that neighbour has been emitted already, and the diagonal is swapped if
+    that strictly raises the pair minimum. A minimum angle never exceeds 60,
+    so a larger bound is clamped to 60 with a warning; 0 disables swapping
+    because the test is strict. Raises ValueError for a negative or NaN
+    bound.
+
+    The hook keeps the only adjacency of the run: every emitted triangle
+    owns its three directed edges ``(a, b), (b, c), (c, a)``, keyed by node
+    identity so the twin nodes of a bridged ring stay distinct. Triangles
+    are counter-clockwise, so the neighbour across ``u -> w`` owns
+    ``(w, u)``.
     """
     limit = float(bound)
     if not limit >= 0.0:  # also rejects NaN
@@ -134,19 +106,34 @@ def sharp_swapper(bound: float) -> Callable[[Triangulation, int], None]:
     if limit > 60.0:
         log.warning("angle bound %.6g clamped to 60", limit)
         limit = 60.0
+    half: dict[tuple[VertexNode, VertexNode], Triangle] = {}
+
+    def own(t: Triangle) -> None:
+        a, b, c = t.nodes
+        half[a, b] = half[b, c] = half[c, a] = t
 
     def post_emit(tri: Triangulation, tid: int) -> None:
         t = tri.triangles[tid]
+        own(t)
         if t.degenerate:
             return
         try:
-            sharp = min(_node_angles(t)) < limit
+            angles = _node_angles(t)
         except DegenerateTriangle:
             return
-        if not sharp:
+        if not min(angles) < limit:
             return
-        neighbor = find_neighbor_across_longest_edge(t, tri)
-        if neighbor is not None:
-            try_swap(t, neighbor, tri)
+        k = 0
+        if angles[1] > angles[k]:
+            k = 1
+        if angles[2] > angles[k]:
+            k = 2
+        u = t.nodes[(k + 1) % 3]
+        w = t.nodes[(k + 2) % 3]
+        neighbor = half.get((w, u))
+        if neighbor is not None and try_swap(t, neighbor, tri) is not None:
+            del half[u, w], half[w, u]
+            own(t)
+            own(neighbor)
 
     return post_emit

@@ -8,11 +8,11 @@ meaningful.
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from polytri import Ring, PolygonWithHoles, generate_corpus
-from polytri.earclip import edge_key
 from polytri.geom import EPS_AREA, EPS_LEN, Point2, point_in_triangle_closure
 
 
@@ -217,9 +217,24 @@ def ring_adjacent_edges(tri) -> set:
         na, nb, nc = t.nodes
         for u, w in ((na, nb), (nb, nc), (nc, na)):
             if (u.seq - w.seq) % n in (1, n - 1):
-                found.add(edge_key(u, w))
+                found.add(frozenset((u, w)))
     assert len(found) == n, (len(found), n)
     return found
+
+
+def edge_counts(tri) -> Counter:
+    """How many triangles use each undirected edge, keyed by node identity.
+
+    Keys are ``frozenset((u, w))`` of ring nodes, the form
+    ``ring_adjacent_edges`` returns, so the two copies of a bridged vertex
+    give distinct edges.
+    """
+    counts = Counter()
+    for t in tri.triangles:
+        na, nb, nc = t.nodes
+        for u, w in ((na, nb), (nb, nc), (nc, na)):
+            counts[frozenset((u, w))] += 1
+    return counts
 
 
 def quad_pair_min6(p0, p1, p2, p3):

@@ -34,6 +34,7 @@ from polytri.swap import try_swap
 from polytri.formats import serialize_polygon, triangulation_to_json
 from conftest import (
     brute_force_is_ear,
+    edge_counts,
     inside_with_tolerance,
     oracle_find_bridge,
     outside_with_tolerance,
@@ -92,10 +93,11 @@ def test_c03_mesh_validity(corpus200, corpus_results):
     for alg in ALGORITHMS:
         for poly, (tri, _) in zip(corpus200, results[alg]):
             # edge balance by node identity, on every polygon
-            singles = {k for k, v in tri.edge_map.items() if len(v) == 1}
-            doubles = {k for k, v in tri.edge_map.items() if len(v) == 2}
+            counts = edge_counts(tri)
+            singles = {k for k, v in counts.items() if v == 1}
+            doubles = {k for k, v in counts.items() if v == 2}
             assert singles == ring_adjacent_edges(tri)
-            assert len(singles) + len(doubles) == len(tri.edge_map)
+            assert len(singles) + len(doubles) == len(counts)
             # centroid containment
             outer_pts = poly.outer.points
             for t in tri.triangles:

@@ -142,6 +142,13 @@ class TestCliTriangulate:
         assert r.returncode == 2
         assert b"line 1" in r.stderr
 
+    def test_non_finite_input_exit_2(self, tmp_path):
+        bad = tmp_path / "bad.poly"
+        bad.write_text("# header\nring 0,0 1,0 inf,1\n")
+        r = cli("triangulate", "--algorithm", "basic", "--input", str(bad))
+        assert r.returncode == 2
+        assert b"line 2: non-finite" in r.stderr
+
     def test_non_utf8_input_exit_2(self, tmp_path):
         bad = tmp_path / "bad.poly"
         bad.write_bytes(b"ring 0,0 1,0 \xff\xfe\n")

@@ -20,7 +20,6 @@ from polytri.earclip import (
     _ear_key,
     _select_fallback,
     _select_smallest_angle,
-    edge_key,
     is_ear,
     update_after_cut,
 )
@@ -28,6 +27,7 @@ from polytri.geom import Point2, cross2
 from polytri.polygon import remove_vertex
 from conftest import (
     brute_force_is_ear,
+    edge_counts,
     inside_with_tolerance,
     oracle_inside,
     ring_adjacent_edges,
@@ -115,12 +115,13 @@ class TestTriangulateBasic:
         for poly in small_corpus[:10]:
             tri = triangulate_ring(build_ring(poly.outer), "basic")
             boundary = ring_adjacent_edges(tri)
-            for key, owners in tri.edge_map.items():
+            counts = edge_counts(tri)
+            for key, count in counts.items():
                 if key in boundary:
-                    assert len(owners) == 1
+                    assert count == 1
                 else:
-                    assert len(owners) == 2
-            singles = {k for k, v in tri.edge_map.items() if len(v) == 1}
+                    assert count == 2
+            singles = {k for k, v in counts.items() if v == 1}
             assert singles == boundary
 
     def test_selection_rule(self, small_corpus):
@@ -348,22 +349,3 @@ class TestUpdateAfterCut:
         update_after_cut(ring, left, right)
         assert (far.interior_angle, far.is_convex, far.is_ear) == before
 
-
-class TestEdgeKey:
-    def test_symmetric(self, unit_square):
-        ring = build_ring(unit_square)
-        a, b = ring.head, ring.head.next
-        assert edge_key(a, b) == edge_key(b, a)
-
-    def test_distinguishes_duplicated_indices(self):
-        # two nodes with identical coordinates and original index are
-        # different keys by identity
-        ring = build_ring(
-            Ring([(0, 0), (1, 0), (1, 1), (0, 1)]),
-            indices=[0, 1, 0, 1],
-            table=(P(0, 0), P(1, 0)),
-        )
-        nodes = list(ring)
-        k1 = edge_key(nodes[0], nodes[1])
-        k2 = edge_key(nodes[2], nodes[1])
-        assert k1 != k2

@@ -43,8 +43,9 @@ class TestParseText:
         assert exc.value.line == 1
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             parse_polygon("ring 0,0 1,0 nan,1\n")
+        assert exc.value.line == 1
 
     def test_comments_and_blank_lines(self):
         poly = parse_polygon("# fixture\n\nring 0,0 1,0 1,1 0,1\n")
@@ -96,6 +97,16 @@ class TestParseGeoJSON:
     def test_invalid_json(self):
         with pytest.raises(ParseError):
             parse_polygon("{nope", fmt="geojson")
+
+    def test_non_finite_rejected(self):
+        # Python's json module reads the non-standard Infinity and NaN tokens
+        for bad in ("Infinity", "NaN"):
+            text = (
+                '{"type": "Polygon", "coordinates": [[[0, 0], [4, 0], [4, 4], [0, 4]],'
+                f" [[1, 1], [3, 1], [3, {bad}], [1, 3]]]}}"
+            )
+            with pytest.raises(ParseError, match="ring 1: non-finite"):
+                parse_polygon(text, fmt="geojson")
 
 
 class TestRoundTrip:

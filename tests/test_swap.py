@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from polytri import build_ring, triangulate_ring
-from polytri.earclip import Triangulation, edge_key
+import polytri.swap as swap_mod
+from polytri import build_ring, eliminate_holes, generate_corpus, triangulate_ring
+from polytri.earclip import Triangulation, _clip
 from polytri.polygon import VertexNode
-from polytri.geom import Point2, cross2
-from polytri.swap import find_neighbor_across_longest_edge, try_swap
-from conftest import quad_pair_min6, ring_adjacent_edges, triangulation_area
+from polytri.geom import DegenerateTriangle, Point2, cross2
+from polytri.swap import sharp_swapper, try_swap
+from conftest import edge_counts, quad_pair_min6, ring_adjacent_edges, triangulation_area
 
 P = Point2
 
@@ -21,6 +22,27 @@ def quad_triangulation(p0, p1, p2, p3):
     tri.add_triangle(nodes[0], nodes[1], nodes[2])
     tri.add_triangle(nodes[0], nodes[2], nodes[3])
     return tri, nodes
+
+
+@pytest.fixture()
+def swap_calls(monkeypatch):
+    """The ``(t1, t2)`` pair of every ``try_swap`` call the hook makes."""
+    calls = []
+    original = swap_mod.try_swap
+
+    def recording(t1, t2, tri):
+        calls.append((t1, t2))
+        return original(t1, t2, tri)
+
+    monkeypatch.setattr(swap_mod, "try_swap", recording)
+    return calls
+
+
+def emit(tri, hook, *nodes):
+    """Add one triangle and hand it to ``hook`` as the clipping engine does."""
+    tid = tri.add_triangle(*nodes)
+    hook(tri, tid)
+    return tri.triangles[tid]
 
 
 class TestAngleBound:
@@ -46,28 +68,80 @@ class TestAngleBound:
 
 
 class TestFindNeighbor:
-    def test_across_square_diagonal(self):
-        tri, _ = quad_triangulation(P(0, 0), P(1, 0), P(1, 1), P(0, 1))
-        t0, t1 = tri.triangles
-        assert find_neighbor_across_longest_edge(t0, tri) is t1
-        assert find_neighbor_across_longest_edge(t1, tri) is t0
+    """The hook pairs a sharp fresh triangle with the one across its longest edge."""
 
-    def test_first_clipped_ear_has_no_neighbor(self, unit_square):
-        # replicate the engine's very first cut by hand
+    def test_across_square_diagonal(self, swap_calls):
+        p = (P(0, 0), P(1, 0), P(1, 1), P(0, 1))
+        for first, second in (((0, 1, 2), (0, 2, 3)), ((0, 2, 3), (0, 1, 2))):
+            nodes = [VertexNode(q.x, q.y, i, i) for i, q in enumerate(p)]
+            tri, hook = Triangulation(p), sharp_swapper(60.0)
+            t0 = emit(tri, hook, *(nodes[i] for i in first))
+            assert swap_calls == []  # nothing across the diagonal yet
+            t1 = emit(tri, hook, *(nodes[i] for i in second))
+            assert swap_calls == [(t1, t0)]
+            swap_calls.clear()
+
+    def test_first_clipped_ear_has_no_neighbor(self, unit_square, swap_calls):
+        # replicate the engine's very first cut by hand: a sharp (45 degree)
+        # triangle with nothing emitted before it
         ring = build_ring(unit_square)
         tri = Triangulation(ring.table)
         v = ring.head
-        tri.add_triangle(v.prev, v, v.next)
-        assert find_neighbor_across_longest_edge(tri.triangles[0], tri) is None
+        emit(tri, sharp_swapper(60.0), v.prev, v, v.next)
+        assert swap_calls == []
 
-    def test_longest_edge_on_boundary_gives_none(self):
-        # lone obtuse triangle: the longest edge is opposite the obtuse
-        # corner and has multiplicity one, like any input boundary edge
-        a, b, c = P(0, 0), P(10, 0), P(5, 1)
-        nodes = [VertexNode(p.x, p.y, i, i) for i, p in enumerate((a, b, c))]
-        tri = Triangulation((a, b, c))
-        tri.add_triangle(*nodes)
-        assert find_neighbor_across_longest_edge(tri.triangles[0], tri) is None
+    def test_longest_edge_on_boundary_gives_none(self, swap_calls):
+        # an obtuse sliver whose longest edge a-b is a boundary edge; its
+        # neighbour across the shorter edge b-c is emitted first
+        a, b, c, d = P(0, 0), P(10, 0), P(5, 1), P(10, 5)
+        nodes = [VertexNode(q.x, q.y, i, i) for i, q in enumerate((a, b, c, d))]
+        tri, hook = Triangulation((a, b, c, d)), sharp_swapper(60.0)
+        emit(tri, hook, nodes[2], nodes[1], nodes[3])
+        emit(tri, hook, nodes[0], nodes[1], nodes[2])
+        assert swap_calls == []
+
+    def test_matches_brute_force_on_bridged_rings(self, swap_calls):
+        # Around each emit, re-derive the neighbour by scanning every stored
+        # triangle for both endpoints of the fresh triangle's longest edge.
+        # Bridged rings hold twin nodes with equal coordinates and index, and
+        # earlier swaps have rewritten stored triangles.
+        def longest_edge(t):
+            if t.degenerate:
+                return None
+            try:
+                angles = swap_mod._node_angles(t)
+            except DegenerateTriangle:
+                return None
+            if not min(angles) < 30.0:
+                return None
+            k = max(range(3), key=lambda i: (angles[i], -i))
+            return t.nodes[(k + 1) % 3], t.nodes[(k + 2) % 3]
+
+        sharp = twins = swaps = 0
+        for poly in generate_corpus(31, 12, (16, 48), (1, 3)):
+            degen = eliminate_holes(poly)
+            ring = build_ring(degen.ring, indices=degen.indices, table=poly.vertex_table())
+            hook = sharp_swapper(30.0)
+            twinned = {i for i in degen.indices if degen.indices.count(i) > 1}
+
+            def checked(tri, tid):
+                nonlocal sharp, twins
+                t = tri.triangles[tid]
+                edge = longest_edge(t)
+                owners = []
+                if edge is not None:
+                    u, w = edge
+                    owners = [o for o in tri.triangles if o is not t and u in o.nodes and w in o.nodes]
+                    assert len(owners) <= 1
+                    sharp += 1
+                    twins += not twinned.isdisjoint((u.original_index, w.original_index))
+                swap_calls.clear()
+                hook(tri, tid)
+                assert swap_calls == [(t, o) for o in owners]
+
+            tri = _clip(ring, smallest_angle=True, post_emit=checked)
+            swaps += tri.swap_count
+        assert sharp > 0 and twins > 0 and swaps > 0
 
 
 class TestTrySwap:
@@ -100,17 +174,6 @@ class TestTrySwap:
         tri, _ = quad_triangulation(P(0, 0), P(4, 0), P(1, 1), P(0, 4))
         t0, t1 = tri.triangles
         assert try_swap(t0, t1, tri) is None
-
-    def test_edge_map_transactional_update(self):
-        tri, nodes = quad_triangulation(P(0, 0), P(10, -1), P(20, 0), P(10, 1))
-        t0, t1 = tri.triangles
-        assert try_swap(t0, t1, tri) is not None
-        assert edge_key(nodes[0], nodes[2]) not in tri.edge_map
-        assert sorted(tri.edge_map[edge_key(nodes[1], nodes[3])]) == [0, 1]
-        for key, owners in tri.edge_map.items():
-            for tid in owners:
-                u, w = key
-                assert u in tri.triangles[tid].nodes and w in tri.triangles[tid].nodes
 
     def test_verdict_matches_brute_force_on_random_quads(self):
         rng = random.Random(99)
@@ -162,11 +225,12 @@ class TestTriangulateImproved:
             tri = triangulate_ring(build_ring(poly.outer), "improved", bound=30.0)
             swaps_seen += tri.swap_count
             boundary = ring_adjacent_edges(tri)
-            for key, owners in tri.edge_map.items():
-                assert len(owners) in (1, 2)
+            counts = edge_counts(tri)
+            for key, count in counts.items():
+                assert count in (1, 2)
                 if key in boundary:
-                    assert len(owners) == 1
-            singles = {k for k, v in tri.edge_map.items() if len(v) == 1}
+                    assert count == 1
+            singles = {k for k, v in counts.items() if v == 1}
             assert singles == boundary
         assert swaps_seen > 0  # the corpus must actually exercise swapping
 
