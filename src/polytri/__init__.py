@@ -11,7 +11,7 @@ histogram of per-triangle minimum angles plus their mean.
 from .geom import DegenerateTriangle, DegenerateVertex, GeometryError, InvalidRing
 from .polygon import PolygonWithHoles, Ring, build_ring, normalize
 from .earclip import EarSearchFailed
-from .bridge import NoValidBridge, eliminate_holes, find_bridge
+from .bridge import NoValidBridge, eliminate_holes
 from .quality import EmptyInput, compare, pooled, report
 from .corpus import GenerationFailed, generate_corpus, generate_polygon
 from .formats import ParseError, parse_polygon, serialize_polygon, triangulation_to_json
@@ -37,7 +37,6 @@ __all__ = [
     "build_ring",
     "compare",
     "eliminate_holes",
-    "find_bridge",
     "generate_corpus",
     "generate_polygon",
     "normalize",

@@ -17,9 +17,8 @@ when it does not share a point with any edge of the current ring, the hole,
 or any hole still waiting to be merged, beyond the candidate's own
 endpoints. Checking the pending holes goes beyond just the two rings being
 joined, but without it a bridge can slice through a later hole and corrupt
-the ring. Within one ``eliminate_holes`` call every ring's edges are boxed
-once for the crossing tests' bounding-box filter: each merge splices the
-hole's boxed edges and the two bridge edges into the merged ring's list.
+the ring. Merging only reorders edges and adds the bridge, so these are
+always all input edges plus the bridges placed so far.
 
 A candidate must additionally leave each endpoint through the interior
 angular wedge there: out of the ring vertex between its two incident edges,
@@ -35,12 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .geom import EPS_LEN, GeometryError, Point2
 from .polygon import PolygonWithHoles, Ring, _boxed_edge, _boxed_edges, _crosses_any
 
-__all__ = ["NoValidBridge", "BridgeEdge", "DegenerateRing", "find_bridge", "merge_hole", "eliminate_holes"]
+__all__ = ["NoValidBridge", "BridgeEdge", "DegenerateRing", "find_bridge", "eliminate_holes"]
 
 
 class NoValidBridge(GeometryError):
@@ -152,45 +151,23 @@ def _pairs_by_length(
     )
 
 
-class _Boxed(NamedTuple):
-    """A ring's points with its edges boxed once by ``polygon._boxed_edges``.
-
-    ``eliminate_holes`` hands these to :func:`find_bridge` in place of rings
-    and carries the boxes through every merge, so no ring is boxed twice.
-    """
-
-    points: tuple[Point2, ...]
-    edges: list
-
-
-def _edges(ring: Ring | _Boxed) -> list:
-    return ring.edges if isinstance(ring, _Boxed) else _boxed_edges(ring)
-
-
 def find_bridge(
-    current: Ring,
-    hole: Ring,
-    obstacles: Sequence[Ring] = (),
-    hole_id: int = 1,
-) -> BridgeEdge:
-    """Shortest unobstructed segment joining ``current`` to ``hole``.
+    cpts: Sequence[Point2], hpts: Sequence[Point2], edges: list
+) -> tuple[float, int, int]:
+    """Shortest unobstructed segment joining ring ``cpts`` to hole ``hpts``.
 
-    The m*n vertex pairs are visited in order of length (ties: smaller ring
+    Returns ``(length, i, j)`` for ring position i and hole position j.
+    ``edges`` are the obstacles, boxed by ``polygon._boxed_edge``. The m*n
+    vertex pairs are visited in order of length (ties: smaller ring
     position, then smaller hole position), nearest first, until one neither
-    crosses nor grazes any edge of the involved rings and enters the
-    interior wedge at both of its endpoints. Only the pairs up to about
-    twice the winning length are ever built and sorted. Zero-length
-    candidates, where a ring vertex coincides with a hole vertex, are
-    skipped: they would create a null slit. Raises NoValidBridge if every
-    candidate is obstructed.
+    crosses nor grazes any of ``edges`` and enters the interior wedge at
+    both of its endpoints. Only the pairs up to about twice the winning
+    length are ever built and sorted. Zero-length candidates, where a ring
+    vertex coincides with a hole vertex, are skipped: they would create a
+    null slit. Raises NoValidBridge if every candidate is obstructed.
     """
-    cpts = current.points
-    hpts = hole.points
     m = len(cpts)
     k = len(hpts)
-    edges = _edges(current) + _edges(hole)
-    for obstacle in obstacles:
-        edges.extend(_edges(obstacle))
     for length, i, j in _pairs_by_length(cpts, hpts):
         if length <= EPS_LEN:
             continue
@@ -204,10 +181,9 @@ def find_bridge(
             continue
         if _crosses_any(a, b, edges):
             continue
-        return BridgeEdge((0, i), (hole_id, j), length)
+        return length, i, j
     raise NoValidBridge(
-        f"all {len(cpts)}x{len(hpts)} bridge candidates are obstructed; "
-        "input polygon is likely malformed"
+        f"all {m}x{k} bridge candidates are obstructed; input polygon is likely malformed"
     )
 
 
@@ -221,17 +197,6 @@ def _splice(cur: tuple, hole: tuple, i: int, j: int) -> tuple:
     return cur[: i + 1] + hole[j:] + hole[:j] + (hole[j], cur[i]) + cur[i + 1 :]
 
 
-def merge_hole(current: Ring, hole: Ring, b: BridgeEdge) -> Ring:
-    """Join ``hole`` into ``current`` along bridge ``b``.
-
-    The hole is traversed in its stored clockwise order starting and ending
-    at the bridged hole vertex, so the result stays counter-clockwise with
-    area equal to the current area minus the hole's. Both bridge endpoints
-    appear twice.
-    """
-    return Ring(_splice(current.points, hole.points, b.outer_vertex[1], b.hole_vertex[1]))
-
-
 def eliminate_holes(poly: PolygonWithHoles) -> DegenerateRing:
     """Merge every hole into the outer ring, one bridge at a time.
 
@@ -239,29 +204,26 @@ def eliminate_holes(poly: PolygonWithHoles) -> DegenerateRing:
     still waiting as obstacles. A polygon without holes passes through
     unchanged. Expects a normalized polygon.
 
-    Every ring is boxed once: a merge splices the hole's boxed edges and the
-    two bridge edges into the merged ring's list in ring order, which gives
-    the same list as boxing the merged ring afresh.
+    Every input edge is boxed once, into one obstacle list; after each merge
+    the list gets both directions of the new bridge and nothing else, so it
+    holds the merged ring's directed edges plus the pending holes'. Both
+    directions are kept because the crossing test's orientation signs can
+    round differently for the two.
     """
     outer = poly.outer
-    cur_idx = tuple(range(len(outer)))
+    cpts, cur_idx = outer.points, tuple(range(len(outer)))
     if not poly.holes:
         return DegenerateRing(outer, cur_idx, ())
-    cur = _Boxed(outer.points, _boxed_edges(outer))
-    holes = [_Boxed(h.points, _boxed_edges(h)) for h in poly.holes]
+    edges = [e for ring in (outer, *poly.holes) for e in _boxed_edges(ring)]
     off = len(outer)  # table index of the current hole's first vertex
     bridges = []
-    for h, hole in enumerate(holes):
-        b = find_bridge(cur, hole, holes[h + 1 :], hole_id=h + 1)
-        i, j = b.outer_vertex[1], b.hole_vertex[1]
-        a, c = cur.points[i], hole.points[j]
-        ce, he = cur.edges, hole.edges
-        cur = _Boxed(
-            _splice(cur.points, hole.points, i, j),
-            [*ce[:i], _boxed_edge(a, c), *he[j:], *he[:j], _boxed_edge(c, a), *ce[i:]],
-        )
-        hole_idx = tuple(range(off, off + len(hole.points)))
-        off += len(hole.points)
-        cur_idx = _splice(cur_idx, hole_idx, i, j)
-        bridges.append(b)
-    return DegenerateRing(Ring(cur.points), cur_idx, tuple(bridges))
+    for h, hole in enumerate(poly.holes, start=1):
+        hpts = hole.points
+        length, i, j = find_bridge(cpts, hpts, edges)
+        a, c = cpts[i], hpts[j]
+        edges += (_boxed_edge(a, c), _boxed_edge(c, a))
+        cpts = _splice(cpts, hpts, i, j)
+        cur_idx = _splice(cur_idx, tuple(range(off, off + len(hpts))), i, j)
+        off += len(hpts)
+        bridges.append(BridgeEdge((0, i), (h, j), length))
+    return DegenerateRing(Ring(cpts), cur_idx, tuple(bridges))

@@ -151,6 +151,15 @@ def _cmd_gen_corpus(args) -> int:
     return EXIT_OK
 
 
+def _in_file(path: Path, fn, *args):
+    """``fn(*args)``, with ``path`` put in front of a parse or geometry error's message."""
+    try:
+        return fn(*args)
+    except (ParseError, GeometryError) as e:
+        e.args = (f"{path}: {e}",)
+        raise
+
+
 def _cmd_bench(args) -> int:
     corpus_dir = Path(args.corpus)
     files = sorted(corpus_dir.glob("*.poly"))
@@ -165,7 +174,7 @@ def _cmd_bench(args) -> int:
     bounds = [float(b) for b in args.bounds.split(",") if b.strip()]
     if not bounds and "improved" in algorithms:
         raise ValueError(f"--bounds lists no bound for 'improved': {args.bounds!r}")
-    polys = [parse_polygon(f.read_text(encoding="utf-8")) for f in files]
+    polys = [_in_file(f, parse_polygon, f.read_text(encoding="utf-8")) for f in files]
     configs: list[tuple[str, str, float]] = []
     for a in algorithms:
         if a == "improved":
@@ -175,8 +184,8 @@ def _cmd_bench(args) -> int:
     rows = []
     for label, algorithm, bound in configs:
         reports = []
-        for poly in polys:
-            tri, _ = triangulate_polygon(poly, algorithm, bound)
+        for f, poly in zip(files, polys):
+            tri, _ = _in_file(f, triangulate_polygon, poly, algorithm, bound)
             reports.append(report(tri))
         rows.append((label, pooled(reports)))
     sys.stdout.write(compare(rows, fmt=args.report))

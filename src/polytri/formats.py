@@ -70,8 +70,6 @@ def _parse_text(text: str) -> PolygonWithHoles:
         if tokens[0] != "ring":
             raise ParseError(f"expected 'ring', got {tokens[0]!r}", lineno)
         pts = [_parse_point(tok, lineno) for tok in tokens[1:]]
-        if len(pts) < 3:
-            raise ParseError(f"ring needs at least 3 vertices, got {len(pts)}", lineno)
         try:
             rings.append(Ring(pts))
         except InvalidRing as e:
@@ -95,17 +93,18 @@ def _parse_geojson(text: str) -> PolygonWithHoles:
         raise ParseError("Polygon has no coordinate rings")
     rings = []
     for k, ring in enumerate(coords):
-        try:
-            pts = [(float(p[0]), float(p[1])) for p in ring]
-        except (TypeError, ValueError, IndexError):
-            raise ParseError(f"ring {k}: malformed coordinates") from None
+        # a position is an array of numbers; json gives bool for true/false
+        if type(ring) is not list or not all(
+            type(p) is list and len(p) > 1 and {type(p[0]), type(p[1])} <= {int, float}
+            for p in ring
+        ):
+            raise ParseError(f"ring {k}: malformed coordinates")
+        pts = [(p[0], p[1]) for p in ring]
         if len(pts) > 1 and pts[0] == pts[-1]:
             pts = pts[:-1]  # GeoJSON rings close explicitly
-        if len(pts) < 3:
-            raise ParseError(f"ring {k}: needs at least 3 distinct vertices")
         try:
             rings.append(Ring(pts))
-        except InvalidRing as e:
+        except (InvalidRing, OverflowError) as e:  # an int too large for a float
             raise ParseError(f"ring {k}: {e}") from None
     return PolygonWithHoles(rings[0], rings[1:])
 

@@ -168,6 +168,28 @@ def oracle_find_bridge(current, hole, obstacles=()):
     return None
 
 
+def recorded_bridge_calls(poly):
+    """Run ``eliminate_holes(poly)`` and record every ``bridge.find_bridge`` call.
+
+    Returns the DegenerateRing and one ``(cpts, hpts, edges, result)`` per
+    call; ``edges`` is copied at call time, before the merge extends it.
+    """
+    from polytri import bridge
+
+    real = bridge.find_bridge
+    calls = []
+
+    def recorder(cpts, hpts, edges):
+        result = real(cpts, hpts, edges)
+        calls.append((cpts, hpts, list(edges), result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bridge, "find_bridge", recorder)
+        degen = bridge.eliminate_holes(poly)
+    return degen, calls
+
+
 def tri_angles_oracle(a, b, c):
     """Law-of-cosines angles, independent of the library's atan2 version."""
     la = math.hypot(b[0] - c[0], b[1] - c[1])

@@ -19,15 +19,14 @@ import pytest
 
 import polytri.swap as swap_mod
 from polytri import (
+    Ring,
     build_ring,
     eliminate_holes,
-    find_bridge,
     generate_corpus,
     report,
     triangulate_polygon,
     triangulate_ring,
 )
-from polytri.bridge import merge_hole
 from polytri.earclip import is_ear
 from polytri.geom import Point2
 from polytri.swap import try_swap
@@ -37,6 +36,7 @@ from conftest import (
     edge_counts,
     inside_with_tolerance,
     oracle_find_bridge,
+    recorded_bridge_calls,
     outside_with_tolerance,
     polygon_area,
     quad_pair_min6,
@@ -240,21 +240,17 @@ def test_c08_bridge_laws(corpus200, corpus_results):
         want_area = polygon_area(poly)
         got_area = degen.ring.signed_area()
         assert abs(got_area - want_area) <= 1e-9 * abs(want_area)
-        # selection minimality against the exhaustive oracle, re-running the
-        # merge sequence step by step
-        current = poly.outer
-
-        for h, hole in enumerate(poly.holes):
-            b = find_bridge(current, hole, poly.holes[h + 1 :], hole_id=h + 1)
-            if len(current) * len(hole) > 900:
+        # selection minimality against the exhaustive oracle at every merge
+        _, calls = recorded_bridge_calls(poly)
+        assert len(calls) == len(poly.holes)
+        for h, (cpts, hpts, _, got) in enumerate(calls):
+            if len(cpts) * len(hpts) > 900:
                 skipped_large += 1
             else:
-                want = oracle_find_bridge(current, hole, poly.holes[h + 1 :])
+                want = oracle_find_bridge(Ring(cpts), Ring(hpts), poly.holes[h + 1 :])
                 assert want is not None
-                assert (b.length, b.outer_vertex[1], b.hole_vertex[1]) == want
+                assert got == want
                 matched += 1
-            current = merge_hole(current, hole, b)
-        assert current.points == degen.ring.points
     print(
         f"\n[PASS] criterion 8: vertex/area laws on {len(holed)} holed polygons; "
         f"{matched} bridge selections match the exhaustive oracle "

@@ -11,16 +11,14 @@ from polytri import (
     Ring,
     build_ring,
     eliminate_holes,
-    find_bridge,
     generate_corpus,
     normalize,
     triangulate_ring,
 )
-from polytri import bridge as bridge_mod
-from polytri.bridge import _in_wedge, _pairs_by_length, merge_hole
+from polytri.bridge import BridgeEdge, _in_wedge, _pairs_by_length, find_bridge
 from polytri.polygon import _boxed_edges
 from polytri.geom import Point2
-from conftest import oracle_segments_share_beyond_endpoint, triangulation_area
+from conftest import oracle_segments_share_beyond_endpoint, recorded_bridge_calls, triangulation_area
 
 P = Point2
 
@@ -31,23 +29,28 @@ HOLE = Ring([(1, 1), (1, 3), (3, 3), (3, 1)])  # already clockwise
 from conftest import oracle_find_bridge as brute_force_bridge  # noqa: E402
 
 
+def bridge_between(current, hole, obstacles=()):
+    """``find_bridge`` with the edges of every given ring as the obstacles."""
+    edges = [e for ring in (current, hole, *obstacles) for e in _boxed_edges(ring)]
+    return find_bridge(current.points, hole.points, edges)
+
+
 class TestFindBridge:
     def test_square_in_square_corner_pair(self):
-        b = find_bridge(OUTER, HOLE)
+        got = bridge_between(OUTER, HOLE)
+        assert got == brute_force_bridge(OUTER, HOLE)
+        assert got[0] == pytest.approx(math.sqrt(2.0))
+        b = eliminate_holes(PolygonWithHoles(OUTER, [HOLE])).bridges[0]
         assert b.outer_vertex == (0, 0)
         assert b.hole_vertex == (1, 0)
-        assert b.length == pytest.approx(math.sqrt(2.0))
-        oracle = brute_force_bridge(OUTER, HOLE)
-        assert oracle == (b.length, b.outer_vertex[1], b.hole_vertex[1])
 
     def test_hole_hugging_wall(self):
         # hole close to the right wall connects to that wall's nearest vertex
         hole = Ring([(3.4, 1.8), (3.4, 2.2), (3.9, 2.2), (3.9, 1.8)])
         assert hole.signed_area() < 0
-        b = find_bridge(OUTER, hole)
-        want = brute_force_bridge(OUTER, hole)
-        assert want == (b.length, b.outer_vertex[1], b.hole_vertex[1])
-        assert OUTER.points[b.outer_vertex[1]].x == 4.0  # a right-wall vertex
+        got = bridge_between(OUTER, hole)
+        assert got == brute_force_bridge(OUTER, hole)
+        assert OUTER.points[got[1]].x == 4.0  # a right-wall vertex
 
     def test_blocked_by_second_hole_picks_next_shortest(self):
         outer = Ring([(0, 0), (12, 0), (12, 6), (0, 6)])
@@ -56,14 +59,13 @@ class TestFindBridge:
         blocker = Ring([(9.4, 0.4), (9.4, 1.6), (10.6, 1.6), (10.6, 0.4)])
         target = Ring([(8.6, 1.9), (8.6, 3.1), (9.9, 3.1), (9.9, 1.9)])
         assert blocker.signed_area() < 0 and target.signed_area() < 0
-        naive = find_bridge(outer, target)
-        guarded = find_bridge(outer, target, obstacles=[blocker])
-        assert guarded.length >= naive.length
-        want = brute_force_bridge(outer, target, obstacles=[blocker])
-        assert want == (guarded.length, guarded.outer_vertex[1], guarded.hole_vertex[1])
+        naive = bridge_between(outer, target)
+        guarded = bridge_between(outer, target, obstacles=[blocker])
+        assert guarded[0] >= naive[0]
+        assert guarded == brute_force_bridge(outer, target, obstacles=[blocker])
         # the chosen bridge must not touch the blocking hole
-        a = outer.points[guarded.outer_vertex[1]]
-        b = target.points[guarded.hole_vertex[1]]
+        a = outer.points[guarded[1]]
+        b = target.points[guarded[2]]
         bpts = blocker.points
         for i in range(len(bpts)):
             assert not oracle_segments_share_beyond_endpoint(
@@ -74,7 +76,7 @@ class TestFindBridge:
         # a "hole" congruent with the outer ring leaves only zero-length or
         # overlapping candidates
         with pytest.raises(NoValidBridge):
-            find_bridge(OUTER, OUTER.reversed())
+            bridge_between(OUTER, OUTER.reversed())
 
 
 def all_pairs_sorted(cpts, hpts):
@@ -146,53 +148,54 @@ def grid_polygon_with_square_holes(seed, n_holes):
     return normalize(PolygonWithHoles(Ring(outer), holes))
 
 
-def assert_eliminate_holes_matches(poly, merged, bridges):
-    """``eliminate_holes(poly)`` gives the ring ``merged`` and ``bridges`` that
-    chained public ``find_bridge`` + ``merge_hole`` calls gave, and indexes
-    each position by its vertex (the polygon's vertices must be distinct)."""
+def assert_bridges_match_oracle(poly):
+    """Every bridge ``eliminate_holes(poly)`` picks is the exhaustive oracle's
+    for the ring merged so far, the next hole and the pending holes; each
+    merge splices the hole in after the bridged ring vertex; and every
+    position is indexed by its vertex (the polygon's vertices must be
+    distinct)."""
     where = {p: i for i, p in enumerate(poly.vertex_table())}
     assert len(where) == len(poly.vertex_table())
-    degen = eliminate_holes(poly)
-    assert degen.ring == merged
-    assert degen.indices == tuple(where[p] for p in merged.points)
-    assert degen.bridges == tuple(bridges)
+    degen, calls = recorded_bridge_calls(poly)
+    assert len(calls) == len(poly.holes)
+    assert calls[0][0] == poly.outer.points
+    merged = [c[0] for c in calls[1:]] + [degen.ring.points]
+    for h, (cpts, hpts, _, (length, i, j)) in enumerate(calls):
+        assert hpts == poly.holes[h].points
+        assert (length, i, j) == brute_force_bridge(Ring(cpts), Ring(hpts), poly.holes[h + 1 :])
+        assert merged[h] == cpts[: i + 1] + hpts[j:] + hpts[:j] + (hpts[j], cpts[i]) + cpts[i + 1 :]
+        assert degen.bridges[h] == BridgeEdge((0, i), (h + 1, j), length)
+    assert len(degen.bridges) == len(poly.holes)
+    assert degen.indices == tuple(where[p] for p in degen.ring.points)
 
 
 class TestFindBridgeOnGridPolygons:
     @pytest.mark.parametrize("n_holes", [1, 2, 3, 4])
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_oracle_at_every_merge(self, seed, n_holes):
-        poly = grid_polygon_with_square_holes(seed, n_holes)
-        current, bridges = poly.outer, []
-        for h, hole in enumerate(poly.holes):
-            rest = poly.holes[h + 1 :]
-            b = find_bridge(current, hole, rest, hole_id=h + 1)
-            assert brute_force_bridge(current, hole, rest) == (
-                b.length, b.outer_vertex[1], b.hole_vertex[1]
-            )
-            bridges.append(b)
-            current = merge_hole(current, hole, b)
-        assert_eliminate_holes_matches(poly, current, bridges)
+        assert_bridges_match_oracle(grid_polygon_with_square_holes(seed, n_holes))
+
+
+def merged_square():
+    degen = eliminate_holes(PolygonWithHoles(OUTER, [HOLE]))
+    return degen.ring, degen.bridges[0]
 
 
 class TestMergeHole:
     def test_vertex_count(self):
-        b = find_bridge(OUTER, HOLE)
-        merged = merge_hole(OUTER, HOLE, b)
+        merged, _ = merged_square()
         assert len(merged) == len(OUTER) + len(HOLE) + 2
 
     def test_area_subtracts_hole(self):
-        b = find_bridge(OUTER, HOLE)
-        merged = merge_hole(OUTER, HOLE, b)
+        merged, _ = merged_square()
         assert merged.signed_area() == pytest.approx(16.0 - 4.0)
 
     def test_result_is_ccw(self):
-        b = find_bridge(OUTER, HOLE)
-        assert merge_hole(OUTER, HOLE, b).signed_area() > 0
+        merged, _ = merged_square()
+        assert merged.signed_area() > 0
 
     def test_traversal_layout(self):
-        b = find_bridge(OUTER, HOLE)
-        merged = merge_hole(OUTER, HOLE, b)
+        merged, _ = merged_square()
         assert merged.points == (
             P(0, 0),
             P(1, 1), P(1, 3), P(3, 3), P(3, 1), P(1, 1),
@@ -201,8 +204,7 @@ class TestMergeHole:
         )
 
     def test_bridge_endpoints_duplicated(self):
-        b = find_bridge(OUTER, HOLE)
-        merged = merge_hole(OUTER, HOLE, b)
+        merged, b = merged_square()
         assert merged.points.count(OUTER.points[b.outer_vertex[1]]) == 2
         assert merged.points.count(HOLE.points[b.hole_vertex[1]]) == 2
 
@@ -242,29 +244,21 @@ class TestEliminateHoles:
 
     def test_matches_public_step_by_step_path(self):
         for poly in generate_corpus(7, 40, (4, 120), (1, 3)):
-            current, bridges = poly.outer, []
-            for h, hole in enumerate(poly.holes):
-                b = find_bridge(current, hole, poly.holes[h + 1 :], hole_id=h + 1)
-                bridges.append(b)
-                current = merge_hole(current, hole, b)
-            assert_eliminate_holes_matches(poly, current, bridges)
+            assert_bridges_match_oracle(poly)
 
-    def test_carried_edge_boxes_equal_fresh_boxing(self, monkeypatch):
-        # Every ring reaches find_bridge with the boxes, in ring order, that
-        # boxing it afresh gives, so the crossing tests run in the same order.
-        real = bridge_mod.find_bridge
-        rings = []
-
-        def checking(current, hole, obstacles=(), hole_id=1):
-            for ring in (current, hole, *obstacles):
-                rings.append(ring)
-                assert bridge_mod._edges(ring) == _boxed_edges(Ring(ring.points))
-            return real(current, hole, obstacles, hole_id)
-
-        monkeypatch.setattr(bridge_mod, "find_bridge", checking)
+    def test_carried_edge_boxes_equal_fresh_boxing(self):
+        # The one obstacle list holds, at every bridge search, exactly the
+        # directed edges of the ring merged so far, the hole and the pending
+        # holes, boxed as afresh: the crossing verdicts equal those of
+        # boxing these rings for each search.
+        searches = 0
         for poly in generate_corpus(7, 40, (4, 120), (1, 3)):
-            eliminate_holes(poly)
-        assert len(rings) > 40
+            _, calls = recorded_bridge_calls(poly)
+            for h, (cpts, hpts, edges, _) in enumerate(calls):
+                rings = (Ring(cpts), Ring(hpts), *poly.holes[h + 1 :])
+                assert sorted(edges) == sorted(e for r in rings for e in _boxed_edges(r))
+                searches += 1
+        assert searches > 40
 
     def test_duplicates_share_original_index(self):
         poly = normalize(PolygonWithHoles(OUTER, [HOLE]))

@@ -284,6 +284,13 @@ class TestCliTriangulate:
         assert r.returncode == 0
         assert len(json.loads(r.stdout)["triangles"]) == 2
 
+    def test_geojson_object_positions_exit_2(self, tmp_path):
+        f = tmp_path / "p.geojson"
+        f.write_text('{"type": "Polygon", "coordinates": [[{"a":1},{"a":2},{"a":3}]]}')
+        r = cli("triangulate", "--algorithm", "basic", "--format", "geojson", "--input", str(f))
+        assert r.returncode == 2
+        assert r.stderr.decode() == "polytri: parse error: ring 0: malformed coordinates\n"
+
     def test_determinism_byte_identical(self, tmp_path):
         args = (
             "triangulate", "--algorithm", "improved", "--bound", "30",
@@ -337,6 +344,24 @@ class TestCliCorpusAndBench:
     def test_bench_empty_dir_exit_2(self, tmp_path):
         r = cli("bench", "--corpus", str(tmp_path))
         assert r.returncode == 2
+
+    @pytest.mark.parametrize(
+        "text, code, message",
+        [
+            ("ring 0,0 4,0 1,zap\n", 2, "parse error: {f}: line 1: bad coordinate in '1,zap'"),
+            # two identical holes leave no ear: a geometry error
+            ("ring 0,0 4,0 4,4 0,4\n" + "ring 1,1 1,3 3,3 3,1\n" * 2, 3,
+             "geometry error: {f}: no ear found"),
+        ],
+        ids=["parse", "geometry"],
+    )
+    def test_bench_names_the_failing_file(self, tmp_path, text, code, message):
+        (tmp_path / "a.poly").write_text("ring 0,0 4,0 4,4 0,4\n")
+        bad = tmp_path / "b.poly"
+        bad.write_text(text)
+        r = cli("bench", "--corpus", str(tmp_path))
+        assert r.returncode == code
+        assert r.stderr.decode().startswith("polytri: " + message.format(f=bad))
 
     def test_bench_unknown_algorithm_exit_4(self, tmp_path):
         corpus_dir = tmp_path / "corpus"

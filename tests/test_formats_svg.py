@@ -108,6 +108,31 @@ class TestParseGeoJSON:
             with pytest.raises(ParseError, match="ring 1: non-finite"):
                 parse_polygon(text, fmt="geojson")
 
+    @pytest.mark.parametrize(
+        "ring",
+        [
+            [{"a": 1}, {"a": 2}, {"a": 3}],  # objects, not arrays
+            ["00", "40", "44", "04"],  # strings would be indexed by character
+            [[0, 0], [4, 0], [True, True], [0, 4]],  # json true is not the number 1
+        ],
+    )
+    def test_positions_must_be_arrays_of_numbers(self, ring):
+        doc = {"type": "Polygon", "coordinates": [ring]}
+        with pytest.raises(ParseError, match="^ring 0: malformed coordinates$"):
+            parse_polygon(json.dumps(doc), fmt="geojson")
+
+    def test_integer_too_large_for_a_float_rejected(self):
+        text = '{"type": "Polygon", "coordinates": [[[0, 0], [1%s, 0], [0, 4]]]}' % ("0" * 400)
+        with pytest.raises(ParseError, match="^ring 0: "):
+            parse_polygon(text, fmt="geojson")
+
+    def test_short_ring_reports_ring(self):
+        # three positions, of which the last only closes the ring
+        doc = {"type": "Polygon", "coordinates": [[[0, 0], [1, 1], [0, 0]]]}
+        with pytest.raises(ParseError) as exc:
+            parse_polygon(json.dumps(doc), fmt="geojson")
+        assert str(exc.value).startswith("ring 0:")
+
 
 class TestRoundTrip:
     def test_corpus_round_trip(self, small_corpus):
