@@ -152,12 +152,15 @@ def _cmd_gen_corpus(args) -> int:
 
 
 def _in_file(path: Path, fn, *args):
-    """``fn(*args)``, with ``path`` put in front of a parse or geometry error's message."""
+    """``fn(*args)``, with ``path`` put in front of a parse or geometry error's
+    message; text that is not UTF-8 becomes a ParseError naming ``path``."""
     try:
         return fn(*args)
     except (ParseError, GeometryError) as e:
         e.args = (f"{path}: {e}",)
         raise
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: {e}") from e
 
 
 def _cmd_bench(args) -> int:
@@ -174,7 +177,7 @@ def _cmd_bench(args) -> int:
     bounds = [float(b) for b in args.bounds.split(",") if b.strip()]
     if not bounds and "improved" in algorithms:
         raise ValueError(f"--bounds lists no bound for 'improved': {args.bounds!r}")
-    polys = [_in_file(f, parse_polygon, f.read_text(encoding="utf-8")) for f in files]
+    polys = [_in_file(f, parse_polygon, _in_file(f, f.read_text, "utf-8")) for f in files]
     configs: list[tuple[str, str, float]] = []
     for a in algorithms:
         if a == "improved":

@@ -11,13 +11,15 @@ triangles for an n-vertex ring.
 An ear is three consecutive vertices whose tip is convex and whose triangle
 closure contains no reflex vertex of the current ring other than the tip's
 own neighbours. The ear test asks the ring's reflex grid for the reflex
-vertices near the triangle instead of visiting all of them. Ear status is
+vertices near the triangle instead of visiting all of them; on a dense grid
+a wide triangle's query is clipped to the triangle row by row. Ear status is
 cached per vertex and refreshed only for the two neighbours of each cut;
 the angle-aware policy keeps the flagged ears in a heap with lazily skipped
 stale entries, so a cut costs no ring scan. The selected candidate is
 re-verified before cutting as a cheap guard against stale flags on
-degenerate rings. Worst-case time stays quadratic: a triangle whose box
-holds most reflex vertices still visits them all.
+degenerate rings. Worst-case time stays quadratic: an ear whose box holds
+most reflex vertices still visits them all where the grid does not clip
+its rows, as on a grid with fewer members than cells.
 
 Rings produced by bridging holes repeat vertices, and exact coincidences
 can starve the literal ear test even though the limit geometry still has
@@ -134,9 +136,11 @@ def is_ear(
     """Ear test for tip ``v`` against the current ring state.
 
     True iff ``v`` is convex and no reflex vertex of the ring, other than
-    ``v.prev`` and ``v.next``, lies in the closure of the tip triangle. Only
-    the reflex vertices that ``ring.reflex`` returns for the triangle's
-    padded bounding box are tested, against the live ring state.
+    ``v.prev`` and ``v.next``, lies in the closure of the tip triangle: in
+    its bounding box padded by EPS_AREA over the shortest side, and on the
+    inner side of each edge up to EPS_AREA. Only the reflex vertices that
+    ``ring.reflex`` returns for that box and triangle, a superset of the
+    ones passing those tests, are tested, against the live ring state.
 
     With ``corner_twins`` a reflex vertex within EPS_LEN of a triangle corner
     does not block: the bridge duplicate of a corner lies on the closure even
@@ -153,9 +157,10 @@ def is_ear(
     bcx, bcy = cx - bx, cy - by
     cax, cay = ax - cx, ay - cy
     neg = -EPS_AREA
-    # A point passing all three closure tests lies within EPS_AREA/min_side
-    # of the triangle, so the bounding box can be padded by that margin and
-    # stay conservative.
+    # The padded box is part of the predicate, not a filter that the closure
+    # tests would make redundant: they reach about d / sin(theta / 2) past a
+    # corner of angle theta, with d = EPS_AREA / (edge length), which on a
+    # sliver is far more than this margin.
     margin = EPS_AREA / math.sqrt(
         min(abx * abx + aby * aby, bcx * bcx + bcy * bcy, cax * cax + cay * cay)
     )
@@ -163,7 +168,7 @@ def is_ear(
     maxx = max(ax, bx, cx) + margin
     miny = min(ay, by, cy) - margin
     maxy = max(ay, by, cy) + margin
-    for r in ring.reflex.query(minx, miny, maxx, maxy):
+    for r in ring.reflex.query(minx, miny, maxx, maxy, p, v, n):
         if r is p or r is n:
             continue
         px = r.x

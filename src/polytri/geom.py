@@ -21,14 +21,10 @@ __all__ = [
     "Point2",
     "EPS_AREA",
     "EPS_LEN",
-    "cross2",
     "orientation",
     "signed_area",
-    "points_close",
-    "point_in_triangle_closure",
     "point_on_segment",
     "segments_properly_cross",
-    "triangle_angles",
     "triangle_angles_xy",
     "point_in_ring",
 ]
@@ -63,11 +59,6 @@ EPS_AREA = 1e-12
 EPS_LEN = 1e-9
 
 
-def cross2(a: Point2, b: Point2, c: Point2) -> float:
-    """z component of (b - a) x (c - a); twice the signed area of abc."""
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
 def orientation(a: Point2, b: Point2, c: Point2) -> int:
     """Turn direction of the path a -> b -> c, as the sign of its turn.
 
@@ -99,27 +90,6 @@ def signed_area(ring: Sequence[Point2]) -> float:
     return 0.5 * math.fsum(terms)
 
 
-def points_close(a: Point2, b: Point2) -> bool:
-    return math.hypot(b[0] - a[0], b[1] - a[1]) <= EPS_LEN
-
-
-def point_in_triangle_closure(
-    p: Point2, a: Point2, b: Point2, c: Point2
-) -> bool:
-    """True iff ``p`` lies inside triangle abc or on its boundary.
-
-    Three orientation tests; a collinear verdict counts as on-boundary and
-    therefore inside the closure. Works for either winding of abc.
-    """
-    e = EPS_AREA
-    z1 = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-    z2 = (c[0] - b[0]) * (p[1] - b[1]) - (c[1] - b[1]) * (p[0] - b[0])
-    z3 = (a[0] - c[0]) * (p[1] - c[1]) - (a[1] - c[1]) * (p[0] - c[0])
-    if z1 >= -e and z2 >= -e and z3 >= -e:
-        return True
-    return z1 <= e and z2 <= e and z3 <= e
-
-
 def point_on_segment(a: Point2, b: Point2, p: Point2) -> bool:
     """True iff ``p`` lies on segment ab (endpoints included)."""
     if orientation(a, b, p) != 0:
@@ -141,10 +111,11 @@ def segments_properly_cross(
     endpoint of one lies inside the other, collinear overlaps, and identical
     segments.
     """
-    s11 = points_close(p1, q1)
-    s12 = points_close(p1, q2)
-    s21 = points_close(p2, q1)
-    s22 = points_close(p2, q2)
+    hypot, t = math.hypot, EPS_LEN
+    s11 = hypot(q1[0] - p1[0], q1[1] - p1[1]) <= t
+    s12 = hypot(q2[0] - p1[0], q2[1] - p1[1]) <= t
+    s21 = hypot(q1[0] - p2[0], q1[1] - p2[1]) <= t
+    s22 = hypot(q2[0] - p2[0], q2[1] - p2[1]) <= t
     shared = s11 + s12 + s21 + s22
     if shared >= 2:
         return True  # same segment (possibly reversed)
@@ -169,16 +140,6 @@ def segments_properly_cross(
         or point_on_segment(q1, q2, p1)
         or point_on_segment(q1, q2, p2)
     )
-
-
-def triangle_angles(
-    a: Point2, b: Point2, c: Point2
-) -> tuple[float, float, float]:
-    """The three interior angles of triangle abc in degrees, at a, b, c.
-
-    See :func:`triangle_angles_xy`, which takes the six coordinates.
-    """
-    return triangle_angles_xy(a[0], a[1], b[0], b[1], c[0], c[1])
 
 
 def triangle_angles_xy(

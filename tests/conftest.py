@@ -13,7 +13,41 @@ from collections import Counter
 import pytest
 
 from polytri import Ring, PolygonWithHoles, generate_corpus
-from polytri.geom import EPS_AREA, EPS_LEN, Point2, point_in_triangle_closure
+from polytri.geom import EPS_AREA, EPS_LEN, Point2, triangle_angles_xy
+
+
+# ---------------------------------------------------------------------------
+# point-based forms of library predicates, used only by tests
+
+
+def cross2(a: Point2, b: Point2, c: Point2) -> float:
+    """z component of (b - a) x (c - a); twice the signed area of abc."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def point_in_triangle_closure(
+    p: Point2, a: Point2, b: Point2, c: Point2
+) -> bool:
+    """True iff ``p`` lies inside triangle abc or on its boundary.
+
+    Three orientation tests; a collinear verdict counts as on-boundary and
+    therefore inside the closure. Works for either winding of abc.
+    """
+    e = EPS_AREA
+    z1 = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+    z2 = (c[0] - b[0]) * (p[1] - b[1]) - (c[1] - b[1]) * (p[0] - b[0])
+    z3 = (a[0] - c[0]) * (p[1] - c[1]) - (a[1] - c[1]) * (p[0] - c[0])
+    if z1 >= -e and z2 >= -e and z3 >= -e:
+        return True
+    return z1 <= e and z2 <= e and z3 <= e
+
+
+def triangle_angles(
+    a: Point2, b: Point2, c: Point2
+) -> tuple[float, float, float]:
+    """The interior angles of triangle abc in degrees, at a, b, c, from
+    :func:`polytri.geom.triangle_angles_xy` on the points' coordinates."""
+    return triangle_angles_xy(a[0], a[1], b[0], b[1], c[0], c[1])
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,14 @@ class TestCliCorpusAndBench:
         assert r.returncode == code
         assert r.stderr.decode().startswith("polytri: " + message.format(f=bad))
 
+    def test_bench_names_a_file_that_is_not_utf8(self, tmp_path):
+        (tmp_path / "a.poly").write_text("ring 0,0 4,0 4,4 0,4\n")
+        bad = tmp_path / "b.poly"
+        bad.write_bytes(b"ring 0,0 4,0 \xff,4 0,4\n")
+        r = cli("bench", "--corpus", str(tmp_path))
+        assert r.returncode == 2
+        assert r.stderr.decode().startswith(f"polytri: parse error: {bad}: 'utf-8' codec")
+
     def test_bench_unknown_algorithm_exit_4(self, tmp_path):
         corpus_dir = tmp_path / "corpus"
         cli("gen-corpus", "--seed", "5", "--count", "1", "--vertices", "8..8",

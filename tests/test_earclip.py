@@ -23,13 +23,15 @@ from polytri.earclip import (
     is_ear,
     update_after_cut,
 )
-from polytri.geom import Point2, cross2
+from polytri.geom import Point2
 from polytri.polygon import remove_vertex
 from conftest import (
     brute_force_is_ear,
+    cross2,
     edge_counts,
     inside_with_tolerance,
     oracle_inside,
+    point_in_triangle_closure,
     ring_adjacent_edges,
     triangulation_area,
 )
@@ -65,8 +67,6 @@ class TestIsEar:
         tip = nodes[1]
         blocker = nodes[3]
         assert not blocker.is_convex
-        from polytri.geom import point_in_triangle_closure
-
         assert point_in_triangle_closure(blocker.point, P(0, 0), P(4, 0), P(4, 4))
         assert not is_ear(ring, tip)
 

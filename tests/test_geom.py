@@ -13,14 +13,17 @@ from polytri.geom import (
     Point2,
     orientation,
     point_in_ring,
-    point_in_triangle_closure,
     point_on_segment,
     segments_properly_cross,
     signed_area,
-    triangle_angles,
 )
 from polytri.polygon import VertexNode, VertexRing, refresh_node
-from conftest import oracle_segments_share_beyond_endpoint, tri_angles_oracle
+from conftest import (
+    oracle_segments_share_beyond_endpoint,
+    point_in_triangle_closure,
+    tri_angles_oracle,
+    triangle_angles,
+)
 
 P = Point2
 

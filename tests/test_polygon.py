@@ -13,9 +13,16 @@ from polytri import (
     generate_corpus,
     normalize,
 )
-from polytri.earclip import _select_smallest_angle, is_ear, update_after_cut
-from polytri.geom import DegenerateVertex, Point2
-from polytri.polygon import refresh_node, remove_vertex, validate_polygon
+from polytri.bridge import eliminate_holes
+from polytri.earclip import _select_fallback, _select_smallest_angle, is_ear, update_after_cut
+from polytri.geom import EPS_AREA, DegenerateVertex, Point2
+from polytri.polygon import (
+    ReflexGrid,
+    VertexNode,
+    refresh_node,
+    remove_vertex,
+    validate_polygon,
+)
 from conftest import brute_force_is_ear, tri_angles_oracle
 
 P = Point2
@@ -225,11 +232,58 @@ def clip_steps(ring):
     for node in ring:
         node.is_ear = is_ear(ring, node) if node.is_convex else False
     while ring.count > 3:
-        v = _select_smallest_angle(ring)
+        v = _select_smallest_angle(ring) or _select_fallback(ring)
         left, right = v.prev, v.next
         remove_vertex(ring, v)
         update_after_cut(ring, left, right)
         yield ring
+
+
+def comb_polygon(teeth, seed=0, holes=False):
+    """The benchmark comb (``workloads.comb_polygon``): ``teeth`` unit-wide
+    teeth of seeded height on a straight spine, 4 * teeth + 3 vertices. With
+    ``holes`` every third tooth holds a square hole."""
+    rng = random.Random(seed)
+    width = 2.0 * teeth + 1.0
+    pts = [(0.0, -1.0), (width, -1.0), (width, 0.0)]
+    squares = []
+    for t in reversed(range(teeth)):
+        x0 = 1.0 + 2.0 * t
+        x1 = x0 + 1.0
+        h = rng.uniform(2.0, 10.0)
+        pts += [(x1, 0.0), (x1, h), (x0, h), (x0, 0.0)]
+        if holes and t % 3 == 0:
+            squares.append(
+                Ring([(x0 + 0.25, 1.0), (x0 + 0.25, 1.5), (x0 + 0.75, 1.5), (x0 + 0.75, 1.0)])
+            )
+    return normalize(PolygonWithHoles(Ring(pts), squares))
+
+
+def bridged_ring(poly):
+    degen = eliminate_holes(poly)
+    return build_ring(degen.ring, indices=degen.indices, table=poly.vertex_table())
+
+
+def query_and_blockers(grid, a, v, c):
+    """The grid's answer for the CCW triangle ``a, v, c``, and the members
+    that pass ``is_ear``'s padded-box test and its three closure tests,
+    recomputed here with the same float expressions."""
+    ax, ay, bx, by, cx, cy = a.x, a.y, v.x, v.y, c.x, c.y
+    abx, aby, bcx, bcy, cax, cay = bx - ax, by - ay, cx - bx, cy - by, ax - cx, ay - cy
+    margin = EPS_AREA / math.sqrt(
+        min(abx * abx + aby * aby, bcx * bcx + bcy * bcy, cax * cax + cay * cay)
+    )
+    box = (min(ax, bx, cx) - margin, min(ay, by, cy) - margin,
+           max(ax, bx, cx) + margin, max(ay, by, cy) + margin)
+    minx, miny, maxx, maxy = box
+    blockers = {
+        m for m in grid
+        if minx <= m.x <= maxx and miny <= m.y <= maxy
+        and abx * (m.y - ay) - aby * (m.x - ax) >= -EPS_AREA
+        and bcx * (m.y - by) - bcy * (m.x - bx) >= -EPS_AREA
+        and cax * (m.y - cy) - cay * (m.x - cx) >= -EPS_AREA
+    }
+    return list(grid.query(*box, a, v, c)), blockers, box
 
 
 class TestReflexGrid:
@@ -284,15 +338,84 @@ class TestReflexGrid:
 
     def test_is_ear_matches_brute_force_through_a_full_clip(self):
         # a 400-vertex star is large enough that the grid prunes most reflex
-        # vertices; every convex node is tested after every cut
-        poly = generate_corpus(seed=404, count=1, vertex_range=(400, 400))[0]
-        compared = 0
-        for ring in clip_steps(build_ring(poly.outer)):
+        # vertices; the comb's fan triangles take the row clip; every convex
+        # node is tested after every cut
+        star = generate_corpus(seed=404, count=1, vertex_range=(400, 400))[0]
+        for poly in (star, comb_polygon(60)):
+            compared = 0
+            for ring in clip_steps(build_ring(poly.outer)):
+                for node in ring:
+                    if node.is_convex:
+                        assert is_ear(ring, node) == brute_force_is_ear(ring, node), node
+                        compared += 1
+            assert compared > 5000
+
+    def test_triangle_query_is_a_superset_for_random_triangles(self):
+        # lattice members, many exactly on triangle edges, in a grid of two
+        # rows whose member y-extents have height; wide, thin triangles take
+        # the row clip
+        rng = random.Random(11)
+        nodes = [
+            VertexNode(float(rng.randrange(201)), float(rng.randrange(11)), k, k)
+            for k in range(600)
+        ]
+        grid = ReflexGrid(nodes)
+        for node in nodes:
+            if node not in grid:
+                grid.add(node)
+        assert len(grid) > len(grid.cells) and grid.last_row == 1
+        clipped = 0
+        for k in range(3000):
+            y = rng.randrange(-2, 12)
+            a, v, c = (
+                VertexNode(float(rng.randrange(-5, 206)), float(y + rng.randrange(4)), 0, 0)
+                for _ in range(3)
+            )
+            z = (v.x - a.x) * (c.y - a.y) - (v.y - a.y) * (c.x - a.x)
+            if z == 0.0:
+                continue
+            if z < 0.0:
+                a, c = c, a
+            found, blockers, box = query_and_blockers(grid, a, v, c)
+            assert blockers <= set(found), (k, blockers - set(found))
+            clipped += len(found) < len(list(grid.query(*box)))
+        assert clipped > 1000
+
+    @pytest.mark.parametrize("shape", ["comb", "bridged", "holed_comb"])
+    def test_triangle_query_is_a_superset_through_a_full_clip(self, shape):
+        # after every cut, for every convex node, the query with its
+        # triangle returns every member that passes is_ear's box and closure
+        # tests; bridged rings add coincident twins, and a comb with holes
+        # has twins on a grid dense enough for the row clip
+        if shape == "comb":
+            ring = build_ring(comb_polygon(100).outer)
+        elif shape == "bridged":
+            ring = bridged_ring(generate_corpus(1, 1, (60, 60), (2, 2))[0])
+        else:
+            ring = bridged_ring(comb_polygon(60, holes=True))
+        grid = ring.reflex
+        checked = clipped = 0
+        fan_found = fan_members = 0
+        for ring in clip_steps(ring):
+            fan = shape == "comb" and all(n.y <= 0.0 for n in ring)
+            tip = _select_smallest_angle(ring) if fan else None
             for node in ring:
-                if node.is_convex:
-                    assert is_ear(ring, node) == brute_force_is_ear(ring, node), node
-                    compared += 1
-        assert compared > 10000
+                if not node.is_convex:
+                    continue
+                found, blockers, box = query_and_blockers(grid, node.prev, node, node.next)
+                assert blockers <= set(found), (node, blockers - set(found))
+                checked += 1
+                clipped += len(found) < len(list(grid.query(*box)))
+                if node is tip:
+                    fan_found += len(found)
+                    fan_members += len(grid)
+        assert checked > 1000
+        if shape != "bridged":  # that grid holds fewer members than cells
+            assert clipped > 100
+        if shape == "comb":
+            # the fan tips' slivers span the spine, yet their queries return
+            # under a quarter of the members
+            assert 0 < 4 * fan_found < fan_members, (fan_found, fan_members)
 
 
 class TestValidatePolygon:

@@ -13,10 +13,11 @@ from polytri import (
     triangulate_ring,
 )
 from polytri.earclip import Triangulation
-from polytri.geom import EPS_AREA, Point2, triangle_angles, triangle_angles_xy
+from polytri.geom import EPS_AREA, Point2, triangle_angles_xy
 from polytri.polygon import VertexNode
 from polytri.quality import QualityReport, min_angles
 from polytri.swap import _node_angles, try_swap
+from conftest import triangle_angles
 
 P = Point2
 

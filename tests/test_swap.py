@@ -8,9 +8,15 @@ import polytri.swap as swap_mod
 from polytri import build_ring, eliminate_holes, generate_corpus, triangulate_ring
 from polytri.earclip import Triangulation, _clip
 from polytri.polygon import VertexNode
-from polytri.geom import DegenerateTriangle, Point2, cross2
+from polytri.geom import DegenerateTriangle, Point2
 from polytri.swap import sharp_swapper, try_swap
-from conftest import edge_counts, quad_pair_min6, ring_adjacent_edges, triangulation_area
+from conftest import (
+    cross2,
+    edge_counts,
+    quad_pair_min6,
+    ring_adjacent_edges,
+    triangulation_area,
+)
 
 P = Point2
 
