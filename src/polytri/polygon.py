@@ -337,7 +337,7 @@ class ReflexGrid(dict):
             for base in range(r0 * cols, r1 * cols + 1, cols):
                 for bucket in cells[base + c0 : base + c1 + 1]:
                     if bucket:
-                        found += bucket
+                        found.extend(bucket)
             return found
         clip = a is not None and c1 - c0 > r1 - r0 and c1 - c0 > 2
         if clip:
