@@ -12,14 +12,16 @@ An ear is three consecutive vertices whose tip is convex and whose triangle
 closure contains no reflex vertex of the current ring other than the tip's
 own neighbours. The ear test asks the ring's reflex grid for the reflex
 vertices near the triangle instead of visiting all of them; on a dense grid
-a wide triangle's query is clipped to the triangle row by row. Ear status is
+(see ``DenseReflexGrid``) a wide triangle's query is clipped to the
+triangle row by row. Ear status is
 cached per vertex and refreshed only for the two neighbours of each cut;
 the angle-aware policy keeps the flagged ears in a heap with lazily skipped
 stale entries, so a cut costs no ring scan. The selected candidate is
 re-verified before cutting as a cheap guard against stale flags on
 degenerate rings. Worst-case time stays quadratic: an ear whose box holds
 most reflex vertices still visits them all where the grid does not clip
-its rows, as on a grid with fewer members than cells.
+its rows, that is on a ring that starts with no more reflex vertices than
+grid cells, or for a box at least as tall as wide.
 
 Rings produced by bridging holes repeat vertices, and exact coincidences
 can starve the literal ear test even though the limit geometry still has
@@ -139,7 +141,7 @@ def is_ear(
     ``v.prev`` and ``v.next``, lies in the closure of the tip triangle: in
     its bounding box padded by EPS_AREA over the shortest side, and on the
     inner side of each edge up to EPS_AREA. Only the reflex vertices that
-    ``ring.reflex`` returns for that box and triangle, a superset of the
+    ``ring.reflex`` returns for that box and tip, a superset of the
     ones passing those tests, are tested, against the live ring state.
 
     With ``corner_twins`` a reflex vertex within EPS_LEN of a triangle corner
@@ -168,7 +170,7 @@ def is_ear(
     maxx = max(ax, bx, cx) + margin
     miny = min(ay, by, cy) - margin
     maxy = max(ay, by, cy) + margin
-    for r in ring.reflex.query(minx, miny, maxx, maxy, p, v, n):
+    for r in ring.reflex.query(minx, miny, maxx, maxy, v):
         if r is p or r is n:
             continue
         px = r.x

@@ -23,6 +23,7 @@ __all__ = [
     "EPS_LEN",
     "orientation",
     "signed_area",
+    "points_close",
     "point_on_segment",
     "segments_properly_cross",
     "triangle_angles_xy",
@@ -90,6 +91,10 @@ def signed_area(ring: Sequence[Point2]) -> float:
     return 0.5 * math.fsum(terms)
 
 
+def points_close(a: Point2, b: Point2) -> bool:
+    return math.hypot(b[0] - a[0], b[1] - a[1]) <= EPS_LEN
+
+
 def point_on_segment(a: Point2, b: Point2, p: Point2) -> bool:
     """True iff ``p`` lies on segment ab (endpoints included)."""
     if orientation(a, b, p) != 0:
@@ -111,11 +116,10 @@ def segments_properly_cross(
     endpoint of one lies inside the other, collinear overlaps, and identical
     segments.
     """
-    hypot, t = math.hypot, EPS_LEN
-    s11 = hypot(q1[0] - p1[0], q1[1] - p1[1]) <= t
-    s12 = hypot(q2[0] - p1[0], q2[1] - p1[1]) <= t
-    s21 = hypot(q1[0] - p2[0], q1[1] - p2[1]) <= t
-    s22 = hypot(q2[0] - p2[0], q2[1] - p2[1]) <= t
+    s11 = points_close(p1, q1)
+    s12 = points_close(p1, q2)
+    s21 = points_close(p2, q1)
+    s22 = points_close(p2, q2)
     shared = s11 + s12 + s21 + s22
     if shared >= 2:
         return True  # same segment (possibly reversed)

@@ -17,7 +17,7 @@ from polytri.bridge import eliminate_holes
 from polytri.earclip import _select_fallback, _select_smallest_angle, is_ear, update_after_cut
 from polytri.geom import EPS_AREA, DegenerateVertex, Point2
 from polytri.polygon import (
-    ReflexGrid,
+    DenseReflexGrid,
     VertexNode,
     refresh_node,
     remove_vertex,
@@ -264,10 +264,11 @@ def bridged_ring(poly):
     return build_ring(degen.ring, indices=degen.indices, table=poly.vertex_table())
 
 
-def query_and_blockers(grid, a, v, c):
-    """The grid's answer for the CCW triangle ``a, v, c``, and the members
-    that pass ``is_ear``'s padded-box test and its three closure tests,
-    recomputed here with the same float expressions."""
+def query_and_blockers(grid, v):
+    """The grid's answer for the CCW triangle ``v.prev, v, v.next``, and the
+    members that pass ``is_ear``'s padded-box test and its three closure
+    tests, recomputed here with the same float expressions."""
+    a, c = v.prev, v.next
     ax, ay, bx, by, cx, cy = a.x, a.y, v.x, v.y, c.x, c.y
     abx, aby, bcx, bcy, cax, cay = bx - ax, by - ay, cx - bx, cy - by, ax - cx, ay - cy
     margin = EPS_AREA / math.sqrt(
@@ -283,7 +284,7 @@ def query_and_blockers(grid, a, v, c):
         and bcx * (m.y - by) - bcy * (m.x - bx) >= -EPS_AREA
         and cax * (m.y - cy) - cay * (m.x - cx) >= -EPS_AREA
     }
-    return list(grid.query(*box, a, v, c)), blockers, box
+    return list(grid.query(*box, v)), blockers, box
 
 
 class TestReflexGrid:
@@ -341,14 +342,16 @@ class TestReflexGrid:
         # vertices; the comb's fan triangles take the row clip; every convex
         # node is tested after every cut
         star = generate_corpus(seed=404, count=1, vertex_range=(400, 400))[0]
-        for poly in (star, comb_polygon(60)):
+        for poly, floor in ((star, 10000), (comb_polygon(60), 5000)):
             compared = 0
-            for ring in clip_steps(build_ring(poly.outer)):
+            ring = build_ring(poly.outer)
+            assert isinstance(ring.reflex, DenseReflexGrid) == (poly is not star)
+            for ring in clip_steps(ring):
                 for node in ring:
                     if node.is_convex:
                         assert is_ear(ring, node) == brute_force_is_ear(ring, node), node
                         compared += 1
-            assert compared > 5000
+            assert compared > floor
 
     def test_triangle_query_is_a_superset_for_random_triangles(self):
         # lattice members, many exactly on triangle edges, in a grid of two
@@ -359,10 +362,7 @@ class TestReflexGrid:
             VertexNode(float(rng.randrange(201)), float(rng.randrange(11)), k, k)
             for k in range(600)
         ]
-        grid = ReflexGrid(nodes)
-        for node in nodes:
-            if node not in grid:
-                grid.add(node)
+        grid = DenseReflexGrid(nodes, nodes)
         assert len(grid) > len(grid.cells) and grid.last_row == 1
         clipped = 0
         for k in range(3000):
@@ -376,7 +376,8 @@ class TestReflexGrid:
                 continue
             if z < 0.0:
                 a, c = c, a
-            found, blockers, box = query_and_blockers(grid, a, v, c)
+            v.prev, v.next = a, c
+            found, blockers, box = query_and_blockers(grid, v)
             assert blockers <= set(found), (k, blockers - set(found))
             clipped += len(found) < len(list(grid.query(*box)))
         assert clipped > 1000
@@ -394,6 +395,7 @@ class TestReflexGrid:
         else:
             ring = bridged_ring(comb_polygon(60, holes=True))
         grid = ring.reflex
+        assert isinstance(grid, DenseReflexGrid) == (shape != "bridged")
         checked = clipped = 0
         fan_found = fan_members = 0
         for ring in clip_steps(ring):
@@ -402,7 +404,7 @@ class TestReflexGrid:
             for node in ring:
                 if not node.is_convex:
                     continue
-                found, blockers, box = query_and_blockers(grid, node.prev, node, node.next)
+                found, blockers, box = query_and_blockers(grid, node)
                 assert blockers <= set(found), (node, blockers - set(found))
                 checked += 1
                 clipped += len(found) < len(list(grid.query(*box)))
@@ -410,7 +412,7 @@ class TestReflexGrid:
                     fan_found += len(found)
                     fan_members += len(grid)
         assert checked > 1000
-        if shape != "bridged":  # that grid holds fewer members than cells
+        if shape != "bridged":  # that ring has fewer reflex vertices than cells
             assert clipped > 100
         if shape == "comb":
             # the fan tips' slivers span the spine, yet their queries return
