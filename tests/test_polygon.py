@@ -16,13 +16,8 @@ from polytri import (
 from polytri.bridge import eliminate_holes
 from polytri.earclip import _select_fallback, _select_smallest_angle, is_ear, update_after_cut
 from polytri.geom import EPS_AREA, DegenerateVertex, Point2
-from polytri.polygon import (
-    DenseReflexGrid,
-    VertexNode,
-    refresh_node,
-    remove_vertex,
-    validate_polygon,
-)
+from polytri.polygon import VertexNode, refresh_node, remove_vertex, validate_polygon
+from polytri.reflexgrid import DenseReflexGrid
 from conftest import brute_force_is_ear, tri_angles_oracle
 
 P = Point2
