@@ -16,12 +16,21 @@ vertices near the triangle instead of visiting all of them; on a dense grid
 triangle row by row. Ear status is
 cached per vertex and refreshed only for the two neighbours of each cut;
 the angle-aware policy keeps the flagged ears in a heap with lazily skipped
-stale entries, so a cut costs no ring scan. The selected candidate is
-re-verified before cutting as a cheap guard against stale flags on
-degenerate rings. Worst-case time stays quadratic: an ear whose box holds
-most reflex vertices still visits them all where the grid does not clip
-its rows, that is on a ring that starts with no more reflex vertices than
-grid cells, or for a box at least as tall as wide.
+stale entries, so a cut costs no ring scan.
+
+A set ear flag is trusted without a new test. Removing an ear changes the
+ear status of its two neighbours only (Eberly, "Triangulation by Ear
+Clipping", 2002), and those are re-tested. Every other flag came from a
+passing test; since then the tip, its neighbours and every reflex vertex
+stayed where they were, and while the reflex set only loses members the
+test would pass again. The one exception is a cut neighbour that turns
+reflex, which takes a spike collinear within EPS_AREA or two coincident
+bridge twins;
+``ring.reflex_grown`` records it, and from then on the selection re-tests
+the chosen tip for the rest of the clip. Worst-case time stays quadratic:
+an ear whose box holds most reflex vertices still visits them all where
+the grid does not clip its rows, that is on a ring that starts with no more
+reflex vertices than grid cells, or for a box at least as tall as wide.
 
 Rings produced by bridging holes repeat vertices, and exact coincidences
 can starve the literal ear test even though the limit geometry still has
@@ -201,7 +210,8 @@ def update_after_cut(
     Geometry first for both nodes, then ear tests, so each neighbour's ear
     test sees the other's updated reflex status. A neighbour flagged as an
     ear is pushed onto the ear heap once that exists. No other node is
-    touched.
+    touched. A neighbour that turns reflex sets ``ring.reflex_grown`` (in
+    :func:`refresh_node`), which makes the selection re-test flags.
     """
     refresh_node(ring, left)
     refresh_node(ring, right)
@@ -220,7 +230,7 @@ def _ear_key(node: VertexNode) -> tuple[float, int, int]:
 
 
 def _select_smallest_angle(ring: VertexRing) -> Optional[VertexNode]:
-    """Flagged ear with the minimal :func:`_ear_key`, re-verified before use.
+    """Flagged ear with the minimal :func:`_ear_key`.
 
     Reads the top of ``ring.ears``, a heap of ``(*key, node)`` entries
     built from the ear flags on the first call and fed by
@@ -229,8 +239,10 @@ def _select_smallest_angle(ring: VertexRing) -> Optional[VertexNode]:
     current entry, so the first live entry is the minimum a full ring scan
     would find. No tiebreaker is needed: ``seq`` is unique within a ring, so
     entries of different nodes differ before the node, and equal entries of
-    one node compare equal by identity without ordering nodes. Returns None
-    when no flagged ear survives re-verification.
+    one node compare equal by identity without ordering nodes. The flag is
+    trusted until ``ring.reflex_grown`` is set (see the module docstring);
+    after that the candidate is re-tested and dropped when it fails. Returns
+    None when no flagged ear is left.
     """
     ears = ring.ears
     if ears is None:
@@ -239,7 +251,7 @@ def _select_smallest_angle(ring: VertexRing) -> Optional[VertexNode]:
     while ears:
         angle, _, _, node = ears[0]
         if node.is_ear and node.interior_angle == angle and node.prev.next is node:
-            if is_ear(ring, node):
+            if not ring.reflex_grown or is_ear(ring, node):
                 return node
             node.is_ear = False
         heapq.heappop(ears)
@@ -249,11 +261,15 @@ def _select_smallest_angle(ring: VertexRing) -> Optional[VertexNode]:
 def _select_next_sequential(
     ring: VertexRing, start: VertexNode
 ) -> Optional[VertexNode]:
-    """First flagged-and-verified ear at or after ``start`` in ring order."""
+    """First flagged ear at or after ``start`` in ring order.
+
+    Flags are trusted as in :func:`_select_smallest_angle`, and re-tested
+    once ``ring.reflex_grown`` is set.
+    """
     node = start
     for _ in range(ring.count):
         if node.is_ear:
-            if is_ear(ring, node):
+            if not ring.reflex_grown or is_ear(ring, node):
                 return node
             node.is_ear = False
         node = node.next

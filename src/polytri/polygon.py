@@ -204,12 +204,15 @@ class VertexRing:
     the ring's starting bounding box (a :class:`DenseReflexGrid` when
     :func:`build_ring` finds more of them than cells), so an ear test visits
     only the reflex nodes near its triangle. It is maintained by :func:`refresh_node` and
-    :func:`remove_vertex`. ``ears`` is the clipping loop's heap of ear
-    candidates, built on first use (see :mod:`polytri.earclip`).
+    :func:`remove_vertex`. ``reflex_grown`` turns true when a node joins
+    ``reflex`` after :func:`build_ring`; until then the reflex set only
+    loses members, so the clipping loop trusts its ear flags. ``ears`` is the
+    clipping loop's heap of ear candidates, built on first use (see
+    :mod:`polytri.earclip`).
     Single-threaded mutable state: one triangulation run owns one ring.
     """
 
-    __slots__ = ("head", "count", "table", "reflex", "ears")
+    __slots__ = ("head", "count", "table", "reflex", "ears", "reflex_grown")
 
     def __init__(self, head: VertexNode, count: int, table: tuple[Point2, ...]):
         self.head = head
@@ -217,6 +220,7 @@ class VertexRing:
         self.table = table
         self.reflex = ReflexGrid(self)
         self.ears: Optional[list] = None
+        self.reflex_grown = False
 
     def __iter__(self) -> Iterator[VertexNode]:
         node = self.head
@@ -232,7 +236,8 @@ def refresh_node(
 
     Convexity comes from the turn direction (a left turn is convex on a CCW
     ring); exactly straight or spiked vertices are reflex. Keeps
-    ``ring.reflex`` in sync and clears the ear flag on non-convex nodes.
+    ``ring.reflex`` in sync, sets ``ring.reflex_grown`` when the node joins
+    it, and clears the ear flag on non-convex nodes.
 
     With ``strict`` a coincident neighbour raises DegenerateVertex (build
     time, where it means broken input). Without it the node is marked
@@ -265,6 +270,7 @@ def refresh_node(
         node.is_ear = False
         if node not in reflex:
             reflex.add(node)
+            ring.reflex_grown = True
 
 
 def build_ring(
@@ -278,8 +284,8 @@ def build_ring(
     table (bridged rings repeat indices for duplicated vertices); it
     defaults to 0..n-1 with the ring's own points as the table. Interior
     angles and convexity are computed for every node; ear flags start
-    false. A ring with more reflex vertices than reflex-grid cells gets a
-    :class:`DenseReflexGrid`.
+    false, and so does ``reflex_grown``. A ring with more reflex vertices
+    than reflex-grid cells gets a :class:`DenseReflexGrid`.
     """
     pts = ring.points
     n = len(pts)
@@ -294,6 +300,7 @@ def build_ring(
     vring = VertexRing(nodes[0], n, table)
     for node in nodes:
         refresh_node(vring, node, strict=True)
+    vring.reflex_grown = False  # the initial inserts are not growth
     grid = vring.reflex
     if len(grid) > len(grid.cells):
         vring.reflex = DenseReflexGrid(nodes, grid)

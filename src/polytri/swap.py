@@ -32,15 +32,17 @@ def _node_angles(t: Triangle) -> tuple[float, float, float]:
 
 
 def try_swap(
-    t1: Triangle, t2: Triangle, tri: Triangulation
+    t1: Triangle, t2: Triangle, tri: Triangulation, t1_min: Optional[float] = None
 ) -> Optional[tuple[Triangle, Triangle]]:
     """Swap the shared diagonal of ``t1``/``t2`` when it improves the pair.
 
     The four distinct corners form a quadrilateral; if it is not strictly
     convex the other diagonal would leave it, so nothing happens. Otherwise
     the pair minimum over six angles decides: swap only on strict
-    improvement. Returns the re-diagonalized pair (the same Triangle objects
-    rewritten in place) or None when unchanged.
+    improvement. ``t1_min`` is the smallest angle of ``t1`` when the caller
+    has measured it already; it is measured here otherwise. Returns the
+    re-diagonalized pair (the same Triangle objects rewritten in place) or
+    None when unchanged.
     """
     if t1.degenerate or t2.degenerate:
         return None
@@ -65,7 +67,9 @@ def try_swap(
     ):
         return None
     try:
-        old_min = min(min(_node_angles(t1)), min(_node_angles(t2)))
+        if t1_min is None:
+            t1_min = min(_node_angles(t1))
+        old_min = min(t1_min, min(_node_angles(t2)))
         new_min = min(
             min(triangle_angles_xy(x1, y1, wx, wy, x2, y2)),
             min(triangle_angles_xy(x2, y2, ux, uy, x1, y1)),
@@ -121,7 +125,8 @@ def sharp_swapper(bound: float) -> Callable[[Triangulation, int], None]:
             angles = _node_angles(t)
         except DegenerateTriangle:
             return
-        if not min(angles) < limit:
+        sharpest = min(angles)
+        if not sharpest < limit:
             return
         k = 0
         if angles[1] > angles[k]:
@@ -131,7 +136,7 @@ def sharp_swapper(bound: float) -> Callable[[Triangulation, int], None]:
         u = t.nodes[(k + 1) % 3]
         w = t.nodes[(k + 2) % 3]
         neighbor = half.get((w, u))
-        if neighbor is not None and try_swap(t, neighbor, tri) is not None:
+        if neighbor is not None and try_swap(t, neighbor, tri, sharpest) is not None:
             del half[u, w], half[w, u]
             own(t)
             own(neighbor)

@@ -161,9 +161,9 @@ def test_c05_swap_verdict_oracle(quality_corpus, monkeypatch):
     observed = []
     original = swap_mod.try_swap
 
-    def recording(t1, t2, tri):
+    def recording(t1, t2, tri, *measured):
         before = min(min(swap_mod._node_angles(t1)), min(swap_mod._node_angles(t2)))
-        out = original(t1, t2, tri)
+        out = original(t1, t2, tri, *measured)
         if out is not None:
             after = min(min(swap_mod._node_angles(out[0])), min(swap_mod._node_angles(out[1])))
             observed.append((before, after))

@@ -1,8 +1,13 @@
+import functools
 import heapq
 import math
 import pathlib
+import sys
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polytri import (
     EarSearchFailed,
@@ -16,14 +21,17 @@ from polytri import (
     triangulate_polygon,
     triangulate_ring,
 )
+from polytri import earclip
 from polytri.earclip import (
     _ear_key,
     _select_fallback,
+    _select_next_sequential,
     _select_smallest_angle,
     is_ear,
     update_after_cut,
 )
 from polytri.geom import Point2
+from polytri.pipeline import ALGORITHMS
 from polytri.polygon import remove_vertex
 from conftest import (
     brute_force_is_ear,
@@ -349,3 +357,143 @@ class TestUpdateAfterCut:
         update_after_cut(ring, left, right)
         assert (far.interior_angle, far.is_convex, far.is_ear) == before
 
+
+
+SELECTION = ("_select_smallest_angle", "_select_next_sequential")
+
+# An octagon with two holes that meet at the vertex (15, 3). Bridging repeats
+# that vertex, and under the traditional scan a cut leaves two copies of it
+# adjacent: their common neighbour turns into a 360-degree reflex vertex
+# mid-run, inside the triangle of a tip that is still flagged as an ear.
+TOUCHING_HOLES = PolygonWithHoles(
+    Ring([(79, 1), (58, 50), (3, 80), (-52, 56), (-92, 5), (-62, -54), (-10, -76), (68, -65)]),
+    [
+        Ring([(5, -13), (2, -10), (-1, -7), (-3, -3), (15, 3)]),
+        Ring([(48, -1), (47, -9), (43, -15), (38, -21), (15, 3)]),
+    ],
+)
+
+
+@functools.cache
+def large_polygon(name):
+    """The 2000-vertex star and the comb fixture of the selection tests."""
+    if name == "star2000":
+        return generate_corpus(seed=909, count=1, vertex_range=(2000, 2000))[0]
+    return parse_polygon((FIXTURES / f"{name}.poly").read_text())
+
+
+def bridged_ring(poly):
+    poly = normalize(poly)
+    degen = eliminate_holes(poly)
+    return build_ring(degen.ring, indices=degen.indices, table=poly.vertex_table())
+
+
+class TestTrustedEarFlags:
+    """Selection trusts a set ear flag until the reflex set gains a member.
+
+    A flag is set only by a passing ear test, and a cut changes the ear
+    status of its two neighbours only (Eberly), which are re-tested. While
+    reflex vertices only leave the ring, a flagged tip stays an ear, so the
+    selection does not test it again; once a cut turns a neighbour reflex
+    it does, for the rest of the clip.
+    """
+
+    def test_fresh_ring_has_not_grown(self, l_shape):
+        ring = build_ring(l_shape)
+        assert len(ring.reflex) == 1
+        assert not ring.reflex_grown
+        assert not bridged_ring(TOUCHING_HOLES).reflex_grown
+
+    def test_growth_brings_back_the_re_test(self, monkeypatch):
+        # a traditional clip, cut by cut: no selection test before the
+        # growing cut; after it, the selection re-tests flagged tips, drops
+        # the one the new reflex vertex blocks, and every tip it returns
+        # passes the from-scratch oracle
+        ring = bridged_ring(TOUCHING_HOLES)
+        verdicts = []
+
+        def recording(ring, v, corner_twins=False):
+            ok = is_ear(ring, v, corner_twins)
+            if sys._getframe(1).f_code.co_name in SELECTION:
+                verdicts.append((ok, brute_force_is_ear(ring, v)))
+            return ok
+
+        monkeypatch.setattr(earclip, "is_ear", recording)
+        for node in ring:
+            node.is_ear = is_ear(ring, node) if node.is_convex else False
+        cursor = ring.head
+        grown_at = None
+        cuts = 0
+        while ring.count > 3:
+            if ring.reflex_grown and grown_at is None:
+                grown_at = cuts
+                assert verdicts == []
+            v = _select_next_sequential(ring, cursor)
+            if v is None:
+                v = _select_fallback(ring)
+            else:
+                assert brute_force_is_ear(ring, v), (cuts, v)
+            left, right = v.prev, v.next
+            remove_vertex(ring, v)
+            update_after_cut(ring, left, right)
+            cursor = right
+            cuts += 1
+        assert grown_at is not None and 0 < grown_at < cuts
+        assert (False, False) in verdicts
+        assert all(ok == oracle for ok, oracle in verdicts)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("name", ["star2000", "comb"])
+    def test_no_selection_ear_test_while_the_ring_never_grew(
+        self, monkeypatch, name, algorithm
+    ):
+        callers = Counter()
+        real = earclip.is_ear
+
+        def counting(*args, **kwargs):
+            callers[sys._getframe(1).f_code.co_name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(earclip, "is_ear", counting)
+        poly = large_polygon(name)
+        ring = build_ring(poly.outer)
+        convex = sum(node.is_convex for node in ring)
+        triangulate_ring(ring, algorithm)
+        assert not ring.reflex_grown
+        assert sum(callers[f] for f in SELECTION) == 0
+        assert set(callers) == {"_clip", "update_after_cut"}
+        assert callers["_clip"] == convex
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31),
+    st.integers(min_value=0, max_value=3),
+)
+def test_every_selected_tip_is_an_ear_when_cut(seed, holes):
+    # the test-time form of the selection's skipped re-test: every tip that
+    # the normal path clips, under each algorithm, passes the from-scratch
+    # ear oracle on the ring as it is at the moment of its cut
+    poly = generate_corpus(seed, 1, (4, 40), (holes, holes))[0]
+    real_remove = earclip.remove_vertex
+    real_fallback = earclip._select_fallback
+    fallback = []
+    cut = []
+
+    def recording_fallback(ring):
+        fallback.append(real_fallback(ring))
+        return fallback[-1]
+
+    def checked_remove(ring, v):
+        if not (fallback and fallback[-1] is v):
+            assert brute_force_is_ear(ring, v), (seed, holes, len(cut), v)
+        cut.append(v)
+        return real_remove(ring, v)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(earclip, "remove_vertex", checked_remove)
+        mp.setattr(earclip, "_select_fallback", recording_fallback)
+        for algorithm in ALGORITHMS:
+            tri, degen = triangulate_polygon(poly, algorithm)
+            assert len(tri.triangles) == len(degen.ring) - 2
+    assert len(cut) == 3 * (len(degen.ring) - 3)

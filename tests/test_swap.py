@@ -36,9 +36,9 @@ def swap_calls(monkeypatch):
     calls = []
     original = swap_mod.try_swap
 
-    def recording(t1, t2, tri):
+    def recording(t1, t2, tri, *measured):
         calls.append((t1, t2))
-        return original(t1, t2, tri)
+        return original(t1, t2, tri, *measured)
 
     monkeypatch.setattr(swap_mod, "try_swap", recording)
     return calls
