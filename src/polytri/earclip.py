@@ -24,13 +24,15 @@ Clipping", 2002), and those are re-tested. Every other flag came from a
 passing test; since then the tip, its neighbours and every reflex vertex
 stayed where they were, and while the reflex set only loses members the
 test would pass again. The one exception is a cut neighbour that turns
-reflex, which takes a spike collinear within EPS_AREA or two coincident
-bridge twins;
-``ring.reflex_grown`` records it, and from then on the selection re-tests
-the chosen tip for the rest of the clip. Worst-case time stays quadratic:
-an ear whose box holds most reflex vertices still visits them all where
-the grid does not clip its rows, that is on a ring that starts with no more
-reflex vertices than grid cells, or for a box at least as tall as wide.
+reflex, which takes a degenerate ring: the neighbour becomes a zero-width
+spike or meets a coincident vertex, as where bridge twins or touching holes
+repeat a point. ``ring.reflex_grown`` records it, and from then on the
+selection re-tests the chosen tip for the rest of the clip.
+
+Worst-case time stays quadratic: an ear whose box holds most reflex
+vertices still visits them all where the grid does not clip its rows, that
+is on a ring that starts with no more reflex vertices than grid cells, or
+for a box at least as tall as wide.
 
 Rings produced by bridging holes repeat vertices, and exact coincidences
 can starve the literal ear test even though the limit geometry still has

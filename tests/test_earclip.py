@@ -52,6 +52,14 @@ def centroid(a, b, c):
     return P((a.x + b.x + c.x) / 3.0, (a.y + b.y + c.y) / 3.0)
 
 
+@functools.cache
+def large_polygon(name):
+    """The 2000-vertex star, or a fixture by name, for the selection tests."""
+    if name == "star2000":
+        return generate_corpus(seed=909, count=1, vertex_range=(2000, 2000))[0]
+    return parse_polygon((FIXTURES / f"{name}.poly").read_text())
+
+
 class TestIsEar:
     def test_convex_polygon_every_vertex_is_ear(self):
         hexagon = Ring(
@@ -179,10 +187,8 @@ class TestTriangulateBasic:
         # On a bridged ring a cut can turn convex the bridge twin of another
         # tip's neighbour and so unblock that tip, whose cached ear flag
         # stays false; there the oracle ranks flagged nodes only.
-        if name in ("spiral", "comb"):
-            poly = parse_polygon((FIXTURES / f"{name}.poly").read_text())
-        elif name == "star2000":
-            poly = generate_corpus(seed=909, count=1, vertex_range=(2000, 2000))[0]
+        if name != "two_holes":
+            poly = large_polygon(name)
         else:
             # the bridged ring of this seed needs the fallback twice
             poly = generate_corpus(
@@ -361,10 +367,10 @@ class TestUpdateAfterCut:
 
 SELECTION = ("_select_smallest_angle", "_select_next_sequential")
 
-# An octagon with two holes that meet at the vertex (15, 3). Bridging repeats
-# that vertex, and under the traditional scan a cut leaves two copies of it
-# adjacent: their common neighbour turns into a 360-degree reflex vertex
-# mid-run, inside the triangle of a tip that is still flagged as an ear.
+# An octagon with two holes that meet at the vertex (15, 3), which each hole
+# lists. Under the traditional scan a cut leaves the outer vertex (58, 50)
+# between the two copies: it turns into a zero-width spike, reflex at 360
+# degrees, mid-run, and blocks a tip that is still flagged as an ear.
 TOUCHING_HOLES = PolygonWithHoles(
     Ring([(79, 1), (58, 50), (3, 80), (-52, 56), (-92, 5), (-62, -54), (-10, -76), (68, -65)]),
     [
@@ -372,14 +378,6 @@ TOUCHING_HOLES = PolygonWithHoles(
         Ring([(48, -1), (47, -9), (43, -15), (38, -21), (15, 3)]),
     ],
 )
-
-
-@functools.cache
-def large_polygon(name):
-    """The 2000-vertex star and the comb fixture of the selection tests."""
-    if name == "star2000":
-        return generate_corpus(seed=909, count=1, vertex_range=(2000, 2000))[0]
-    return parse_polygon((FIXTURES / f"{name}.poly").read_text())
 
 
 def bridged_ring(poly):
@@ -393,7 +391,7 @@ class TestTrustedEarFlags:
 
     A flag is set only by a passing ear test, and a cut changes the ear
     status of its two neighbours only (Eberly), which are re-tested. While
-    reflex vertices only leave the ring, a flagged tip stays an ear, so the
+    the reflex set only loses members, a flagged tip stays an ear, so the
     selection does not test it again; once a cut turns a neighbour reflex
     it does, for the rest of the clip.
     """
@@ -465,7 +463,7 @@ class TestTrustedEarFlags:
         assert callers["_clip"] == convex
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**31),
     st.integers(min_value=0, max_value=3),
@@ -474,7 +472,7 @@ def test_every_selected_tip_is_an_ear_when_cut(seed, holes):
     # the test-time form of the selection's skipped re-test: every tip that
     # the normal path clips, under each algorithm, passes the from-scratch
     # ear oracle on the ring as it is at the moment of its cut
-    poly = generate_corpus(seed, 1, (4, 40), (holes, holes))[0]
+    poly = generate_corpus(seed, 1, (4, 60), (holes, holes))[0]
     real_remove = earclip.remove_vertex
     real_fallback = earclip._select_fallback
     fallback = []
