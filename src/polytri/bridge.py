@@ -9,10 +9,11 @@ yields m + n + 2 vertices, and the enclosed area drops by the hole's area.
 
 Candidate bridges are every (ring vertex, hole vertex) pair, tried in order
 of increasing length (ties: smaller ring position, then smaller hole
-position). The pairs are produced nearest first, one growing radius at a
-time, so a search that stops at a short bridge never builds or sorts the
-long pairs; one that finds every near candidate obstructed still orders
-them all, O(m*n log(m*n)) as with a single full sort. A candidate is valid
+position). The pairs are produced nearest first, one doubling radius at a
+time, each round looking only at the ring vertices near the hole, so a
+search that stops at a short bridge never builds or sorts the long pairs;
+one that finds every near candidate obstructed still orders them all,
+O(m*n log(m*n)) as with a single full sort. A candidate is valid
 when it does not share a point with any edge of the current ring, the hole,
 or any hole still waiting to be merged, beyond the candidate's own
 endpoints. Checking the pending holes goes beyond just the two rings being
@@ -33,6 +34,7 @@ merged ring cross itself at that point.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -96,15 +98,17 @@ def _pairs_by_length(
     """Every ``(length, i, j)`` of ring position i and hole position j, in
     the order ``sorted()`` gives all of them, produced nearest first.
 
-    The ring's vertices are bucketed in a uniform grid with about sqrt(m)
-    cells along the longer side of their bounding box. Each round takes a
-    radius r, starting at one cell width and doubling: for every hole vertex
-    it visits the cells within r (plus one cell, so rounding in the cell
-    function cannot drop a vertex), keeps the pairs longer than the previous
-    radius and at most r, and yields them sorted. Once r spans the bounding
-    box of both rings, the last round yields every pair still left. Each
-    pair falls in exactly one round and rounds ascend, so the stream equals
-    the full sort, ties included.
+    Ring vertices fall in a uniform grid of about sqrt(m) cells along the
+    longer side of their bounding box. Each round takes a radius r, from one
+    cell width, doubling. It sorts by cell, row-major, the ring vertices in
+    the hole's bounding box grown by r, so each row of a hole vertex's visit
+    rectangle (the cells within r) is one slice, and hole vertices with one
+    rectangle share its walk. It yields, sorted, the pairs longer than the
+    previous radius and at most r. Once r spans both rings, the last round
+    yields every pair left. Each pair falls in one round and rounds ascend,
+    so the stream equals the full sort, ties included. Rounding drops no
+    vertex: a computed length of at most r means coordinates within
+    r(1 + 2^-50), the bounds grow by r(1 + 2^-32), and rounding is monotone.
     """
     xs = [c.x for c in cpts]
     ys = [c.y for c in cpts]
@@ -114,32 +118,41 @@ def _pairs_by_length(
     inv = 1.0 / width if width > 0.0 else 0.0
     last_col, last_row = int(spanx * inv), int(spany * inv)
     cols = last_col + 1
-    cells: list[list[int]] = [[] for _ in range(cols * (last_row + 1))]
-    for i, c in enumerate(cpts):
-        cells[int((c.y - y0) * inv) * cols + int((c.x - x0) * inv)].append(i)
     hxs = [h.x for h in hpts]
     hys = [h.y for h in hpts]
-    reach = math.hypot(
-        max(x1, *hxs) - min(x0, *hxs), max(y1, *hys) - min(y0, *hys)
-    )
+    hx0, hy0, hx1, hy1 = min(hxs), min(hys), max(hxs), max(hys)
+    reach = math.hypot(max(x1, hx1) - min(x0, hx0), max(y1, hy1) - min(y0, hy0))
     lo, r = -math.inf, width
     while 0.0 < r < reach:
+        pad = r + r * 2.0**-32
+        bx0, by0, bx1, by1 = hx0 - pad, hy0 - pad, hx1 + pad, hy1 + pad
+        near = sorted(
+            (int((y - y0) * inv) * cols + int((x - x0) * inv), i, x, y)
+            for i, (x, y) in enumerate(cpts)
+            if bx0 <= x <= bx1 and by0 <= y <= by1
+        )
+        keys = [cell[0] for cell in near]
+        walks: dict[tuple, list] = {}  # visit rectangle -> its hole vertices
+        for j, (hx, hy) in enumerate(hpts):
+            c0 = max(int((hx - pad - x0) * inv), 0)
+            c1 = min(int((hx + pad - x0) * inv), last_col)
+            r0 = max(int((hy - pad - y0) * inv), 0)
+            r1 = min(int((hy + pad - y0) * inv), last_row)
+            if c0 <= c1 and r0 <= r1:  # else no ring vertex within r
+                walks.setdefault((c0, c1, r0, r1), []).append((j, hx, hy))
         batch = []
-        for j, h in enumerate(hpts):
-            # int() truncates toward zero, which can only widen floor()'s range
-            c0 = max(int((h.x - r - x0) * inv) - 1, 0)
-            c1 = min(int((h.x + r - x0) * inv) + 1, last_col)
-            r0 = max(int((h.y - r - y0) * inv) - 1, 0)
-            r1 = min(int((h.y + r - y0) * inv) + 1, last_row)
-            if c1 < c0 or r1 < r0:
-                continue  # no ring vertex within r; keeps slice ends non-negative
-            for base in range(r0 * cols, r1 * cols + 1, cols):
-                for bucket in cells[base + c0 : base + c1 + 1]:
-                    for i in bucket:
-                        c = cpts[i]
-                        length = math.hypot(c.x - h.x, c.y - h.y)
-                        if lo < length <= r:
-                            batch.append((length, i, j))
+        for (c0, c1, r0, r1), group in walks.items():
+            seen = [
+                cell
+                for row in range(r0 * cols, r1 * cols + 1, cols)
+                for cell in near[bisect_left(keys, row + c0) : bisect_right(keys, row + c1)]
+            ]
+            batch += [
+                (length, i, j)
+                for j, hx, hy in group
+                for _, i, x, y in seen
+                if lo < (length := math.hypot(x - hx, y - hy)) <= r
+            ]
         batch.sort()
         yield from batch
         lo, r = r, 2.0 * r
@@ -161,8 +174,9 @@ def find_bridge(
     vertex pairs are visited in order of length (ties: smaller ring
     position, then smaller hole position), nearest first, until one neither
     crosses nor grazes any of ``edges`` and enters the interior wedge at
-    both of its endpoints. Only the pairs up to about twice the winning
-    length are ever built and sorted. Zero-length candidates, where a ring
+    both of its endpoints. Only pairs shorter than about twice the winning
+    length, or one grid cell of ``_pairs_by_length`` when that is longer,
+    are ever measured and sorted. Zero-length candidates, where a ring
     vertex coincides with a hole vertex, are skipped: they would create a
     null slit. Raises NoValidBridge if every candidate is obstructed.
     """
@@ -226,4 +240,4 @@ def eliminate_holes(poly: PolygonWithHoles) -> DegenerateRing:
         cur_idx = _splice(cur_idx, tuple(range(off, off + len(hpts))), i, j)
         off += len(hpts)
         bridges.append(BridgeEdge((0, i), (h, j), length))
-    return DegenerateRing(Ring(cpts), cur_idx, tuple(bridges))
+    return DegenerateRing(Ring._trusted(cpts), cur_idx, tuple(bridges))

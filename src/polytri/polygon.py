@@ -20,6 +20,7 @@ from .geom import (
     InvalidRing,
     Point2,
     point_in_ring,
+    points_close,
     segments_properly_cross,
     signed_area,
 )
@@ -54,11 +55,19 @@ class Ring:
                 raise InvalidRing(f"non-finite coordinate {p}")
         self.points = pts
 
+    @classmethod
+    def _trusted(cls, points: tuple[Point2, ...]) -> "Ring":
+        """A ring over ``points`` as given: at least 3 finite ``Point2``s,
+        taken from rings that were already checked. Not for outside input."""
+        ring = object.__new__(cls)
+        ring.points = points
+        return ring
+
     def signed_area(self) -> float:
         return signed_area(self.points)
 
     def reversed(self) -> "Ring":
-        return Ring(tuple(reversed(self.points)))
+        return Ring._trusted(self.points[::-1])
 
     def __len__(self) -> int:
         return len(self.points)
@@ -137,7 +146,7 @@ def _normalize_ring(ring: Ring, want_ccw: bool, label: str) -> Ring:
         log.info("%s reversed to %s order", label, "CCW" if want_ccw else "CW")
     if pts == ring.points:
         return ring
-    return Ring(pts)
+    return Ring._trusted(pts)
 
 
 def normalize(poly: PolygonWithHoles) -> PolygonWithHoles:
@@ -389,4 +398,7 @@ def validate_polygon(poly: PolygonWithHoles) -> list[str]:
             ) or point_in_ring(poly.holes[j].points[0], poly.holes[i].points)
             if crossing or nested:
                 problems.append(f"holes {i} and {j} overlap")
+            elif any(points_close(p, q) for p in poly.holes[i] for q in poly.holes[j]):
+                # a shared vertex is not a crossing (segments_properly_cross)
+                problems.append(f"holes {i} and {j} touch at a vertex")
     return problems

@@ -125,6 +125,53 @@ class TestCandidateOrder:
         hpts = [P(0.0, 0.0), P(1.0, 1.0), P(5.0, -2.0)]
         assert list(_pairs_by_length(cpts, hpts)) == all_pairs_sorted(cpts, hpts)
 
+    @settings(max_examples=200)
+    @given(
+        st.lists(grid_points(-6, 6), min_size=3, max_size=40),
+        st.lists(grid_points(-12, 12), min_size=3, max_size=10),
+        st.floats(0.1, 10.0),
+    )
+    def test_shifted_by_1e8_and_scaled_by_1e_6(self, cpts, hpts, unit):
+        # coordinates near 1e8 keep about 8 bits below the cell width, so
+        # box and cell bounds round onto the vertices they must keep
+        def far(p):
+            return P(1e8 + p.x * unit * 1e-6, 1e8 - p.y * unit * 1e-6)
+
+        cpts, hpts = [far(c) for c in cpts], [far(h) for h in hpts]
+        assert list(_pairs_by_length(cpts, hpts)) == all_pairs_sorted(cpts, hpts)
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(grid_points(-6, 6), min_size=3, max_size=40),
+        st.lists(grid_points(-40, 40), min_size=1, max_size=10),
+        grid_points(-1, 1),
+    )
+    def test_hole_vertices_outside_the_ring_box(self, cpts, hpts, side):
+        hpts = [P(h.x + 20.0 * side.x, h.y + 20.0 * side.y) for h in hpts]
+        assert list(_pairs_by_length(cpts, hpts)) == all_pairs_sorted(cpts, hpts)
+
+    @settings(max_examples=100)
+    @given(
+        st.lists(grid_points(-6, 6), min_size=3, max_size=40),
+        grid_points(-8, 8),
+        st.lists(st.tuples(st.floats(0.0, 0.3), st.floats(0.0, 0.3)), min_size=1, max_size=60),
+    )
+    def test_many_hole_vertices_in_one_cell(self, cpts, corner, offsets):
+        hpts = [P(corner.x + dx, corner.y + dy) for dx, dy in offsets]
+        assert list(_pairs_by_length(cpts, hpts)) == all_pairs_sorted(cpts, hpts)
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(grid_points(-6, 6), min_size=3, max_size=30),
+        st.lists(st.integers(0, 29), min_size=1, max_size=6),
+        st.lists(grid_points(-12, 12), min_size=3, max_size=10),
+    )
+    def test_repeated_ring_points(self, cpts, twins, hpts):
+        # a bridged ring repeats both endpoints of every bridge
+        for t in twins:
+            cpts.insert(t % len(cpts), cpts[t % len(cpts)])
+        assert list(_pairs_by_length(cpts, hpts)) == all_pairs_sorted(cpts, hpts)
+
 
 def grid_polygon_with_square_holes(seed, n_holes):
     """Integer-grid square with a vertex at every unit step of its boundary
@@ -146,6 +193,15 @@ def grid_polygon_with_square_holes(seed, n_holes):
         taken.append((x - 1, y - 1, s + 1))  # keep one unit of clearance
         holes.append(Ring([(x, y), (x, y + s), (x + s, y + s), (x + s, y)]))
     return normalize(PolygonWithHoles(Ring(outer), holes))
+
+
+def square_ring(lo, hi, steps):
+    """The square [lo, hi]^2 with ``steps`` vertices along each side."""
+    t = [lo + (hi - lo) * k / steps for k in range(steps)]
+    u = [hi - (hi - lo) * k / steps for k in range(steps)]
+    return Ring(
+        [(x, lo) for x in t] + [(hi, y) for y in t] + [(x, hi) for x in u] + [(lo, y) for y in u]
+    )
 
 
 def assert_bridges_match_oracle(poly):
@@ -174,6 +230,18 @@ class TestFindBridgeOnGridPolygons:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_oracle_at_every_merge(self, seed, n_holes):
         assert_bridges_match_oracle(grid_polygon_with_square_holes(seed, n_holes))
+
+    @pytest.mark.parametrize(
+        "outer_steps, hole_steps, inset",
+        [(3, 3, 0.1), (30, 30, 0.05), (30, 7, 0.2), (11, 30, 0.01)],
+    )
+    def test_annulus(self, outer_steps, hole_steps, inset):
+        # the worst case for the nearest-first search: every hole vertex is
+        # about as near the ring as the shortest bridge
+        hole = square_ring(inset, 1.0 - inset, hole_steps)
+        poly = normalize(PolygonWithHoles(square_ring(0.0, 1.0, outer_steps), [hole]))
+        assert len(poly.holes[0]) == 4 * hole_steps
+        assert_bridges_match_oracle(poly)
 
 
 def merged_square():

@@ -32,6 +32,17 @@ class TestRing:
         with pytest.raises(InvalidRing):
             Ring([(0, 0), (1, 0), (float("nan"), 1)])
 
+    def test_rings_from_checked_rings_equal_checked_ones(self):
+        # reversed, normalized and merged rings reuse their source's points
+        # unchecked (Ring._trusted); they must equal a checked Ring of them
+        ring = Ring([(0, 0), (4, 0), (4, 4), (4, 4), (0, 4)])
+        assert ring.reversed() == Ring(ring.points[::-1])
+        for made in (ring.reversed(), normalize(PolygonWithHoles(ring.reversed())).outer):
+            assert made == Ring(made.points)
+            assert all(type(p) is Point2 for p in made.points)
+        degen = eliminate_holes(normalize(PolygonWithHoles(ring, [Ring([(1, 1), (1, 3), (3, 3)])])))
+        assert degen.ring == Ring(degen.ring.points)
+
     def test_vertex_table_order(self):
         poly = PolygonWithHoles(
             Ring([(0, 0), (4, 0), (4, 4), (0, 4)]), [Ring([(1, 1), (1, 3), (3, 3), (3, 1)])]
@@ -455,8 +466,21 @@ class TestValidatePolygon:
         )
         assert validate_polygon(poly)
 
+    def test_holes_sharing_a_vertex_touch(self):
+        # a shared endpoint is not a crossing, and neither hole's first
+        # vertex lies inside the other
+        poly = normalize(
+            PolygonWithHoles(
+                Ring([(0, 0), (10, 0), (10, 10), (0, 10)]),
+                [Ring([(2, 2), (2, 8), (5, 5)]), Ring([(5, 5), (8, 8), (8, 2)])],
+            )
+        )
+        assert validate_polygon(poly) == ["holes 0 and 1 touch at a vertex"]
+
     def test_corpus_polygons_valid(self, small_corpus):
         for poly in small_corpus:
+            assert validate_polygon(poly) == []
+        for poly in generate_corpus(11, 60, (4, 120), (1, 4)):
             assert validate_polygon(poly) == []
 
 
