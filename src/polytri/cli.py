@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -65,6 +66,18 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected MIN..MAX, got {text!r}") from None
 
 
+def _bound(option: str, text: str) -> float:
+    """One angle bound given to ``option``; ValueError, naming the option,
+    unless it is a non-negative number of degrees."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value >= 0.0:  # also rejects NaN
+        raise ValueError(f"{option} takes non-negative numbers of degrees, got {text.strip()!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="polytri", description="Polygon triangulation by ear clipping.")
@@ -72,7 +85,7 @@ def _build_parser() -> _Parser:
 
     t = sub.add_parser("triangulate", help="triangulate one polygon file")
     t.add_argument("--algorithm", required=True, choices=ALGORITHMS)
-    t.add_argument("--bound", type=float, default=30.0,
+    t.add_argument("--bound", default="30",
                    help="sharpness threshold in degrees for 'improved' (default 30)")
     t.add_argument("--validate", action="store_true",
                    help="check hole containment/disjointness before triangulating")
@@ -114,6 +127,7 @@ def _write_output(data: str | bytes, path: str | None) -> None:
 
 
 def _cmd_triangulate(args) -> int:
+    bound = _bound("--bound", args.bound)
     text = Path(args.input).read_text(encoding="utf-8")
     poly = parse_polygon(text, fmt=args.format)  # already normalized
     if args.validate:
@@ -122,9 +136,9 @@ def _cmd_triangulate(args) -> int:
             for problem in problems:
                 print(f"polytri: invalid polygon: {problem}", file=sys.stderr)
             return EXIT_GEOMETRY
-    if args.bound != 30.0 and args.algorithm != "improved":
+    if bound != 30.0 and args.algorithm != "improved":
         log.warning("--bound has no effect with --algorithm %s", args.algorithm)
-    tri, degen = triangulate_polygon(poly, args.algorithm, args.bound)
+    tri, degen = triangulate_polygon(poly, args.algorithm, bound)
     if args.emit_degenerate:
         dump = serialize_polygon(PolygonWithHoles(degen.ring))
         Path(args.emit_degenerate).write_text(dump, encoding="utf-8")
@@ -136,7 +150,7 @@ def _cmd_triangulate(args) -> int:
     elif args.emit == "svg":
         _write_output(render_svg(poly, tri), args.output)
     else:
-        label = args.algorithm if args.algorithm != "improved" else f"improved({args.bound:g})"
+        label = args.algorithm if args.algorithm != "improved" else f"improved({bound:g})"
         _write_output(compare([(label, stats)], fmt="text"), args.output)
     return EXIT_OK
 
@@ -174,7 +188,7 @@ def _cmd_bench(args) -> int:
         raise ValueError(f"--algorithms lists no algorithm: {args.algorithms!r}")
     for a in algorithms:
         _check_algorithm(a)
-    bounds = [float(b) for b in args.bounds.split(",") if b.strip()]
+    bounds = [_bound("--bounds", b) for b in args.bounds.split(",") if b.strip()]
     if not bounds and "improved" in algorithms:
         raise ValueError(f"--bounds lists no bound for 'improved': {args.bounds!r}")
     polys = [_in_file(f, parse_polygon, _in_file(f, f.read_text, "utf-8")) for f in files]

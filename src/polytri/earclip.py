@@ -13,21 +13,34 @@ closure contains no reflex vertex of the current ring other than the tip's
 own neighbours. The ear test asks the ring's reflex grid for the reflex
 vertices near the triangle instead of visiting all of them; on a dense grid
 (see ``DenseReflexGrid``) a wide triangle's query is clipped to the
-triangle row by row. Ear status is
-cached per vertex and refreshed only for the two neighbours of each cut;
-the angle-aware policy keeps the flagged ears in a heap with lazily skipped
-stale entries, so a cut costs no ring scan.
+triangle row by row.
 
-A set ear flag is trusted without a new test. Removing an ear changes the
-ear status of its two neighbours only (Eberly, "Triangulation by Ear
-Clipping", 2002), and those are re-tested. Every other flag came from a
-passing test; since then the tip, its neighbours and every reflex vertex
-stayed where they were, and while the reflex set only loses members the
-test would pass again. The one exception is a cut neighbour that turns
-reflex, which takes a degenerate ring: the neighbour becomes a zero-width
-spike or meets a coincident vertex, as where bridge twins or touching holes
-repeat a point. ``ring.reflex_grown`` records it, and from then on the
-selection re-tests the chosen tip for the rest of the clip.
+Ear flags are tested on demand. Removing an ear changes the ear status of
+its two neighbours only (Eberly, "Triangulation by Ear Clipping", 2002), so
+a cut refreshes those two and leaves every other flag as it is. Every
+convex node when the clip starts, and each convex neighbour after a cut,
+gets a pending flag (``is_ear`` None) stamped with the number of cuts made
+so far (``ring.clock``); the angle-aware policy pushes it onto a heap of
+ear candidates with lazily skipped stale entries, so a cut costs no ring
+scan. Only the selection resolves a pending flag, when the heap top or the
+traditional cursor reaches it, by one ear test; a node refreshed again or
+clipped before that is never tested. That test runs against the reflex set
+as of the stamp, not the current one, so it gives the flag that a test at
+the time of the stamp would have given: it visits ``ring.history``, a copy
+of the reflex grid as the ring was built, and skips the nodes that had left
+``ring.reflex`` by the stamp (``gone_at``).
+
+A resolved ear flag is trusted without a new test: since its stamp the tip,
+its neighbours and every reflex vertex stayed where they were, and while
+the reflex set only loses members the test would pass again. The one
+exception is a cut neighbour that turns reflex, which takes a degenerate
+ring: the neighbour becomes a zero-width spike or meets a coincident
+vertex, as where bridge twins or touching holes repeat a point.
+``ring.reflex_grown`` records it. From then on a cut tests its neighbours
+at once, against ``ring.reflex`` (``history`` lacks the new member), and
+the selection re-tests the chosen tip for the rest of the clip. A flag
+stamped before the growth still resolves exactly, as nothing had joined
+the reflex set by its stamp.
 
 Worst-case time stays quadratic: an ear whose box holds most reflex
 vertices still visits them all where the grid does not clip its rows, that
@@ -45,6 +58,7 @@ exactly collinear tip is never clipped as a zero-area triangle mid-run.
 from __future__ import annotations
 
 import heapq
+import logging
 import math
 from typing import Callable, Optional
 
@@ -58,6 +72,8 @@ __all__ = [
     "is_ear",
     "update_after_cut",
 ]
+
+log = logging.getLogger("polytri")
 
 
 class EarSearchFailed(GeometryError):
@@ -144,9 +160,9 @@ class Triangulation:
 
 
 def is_ear(
-    ring: VertexRing, v: VertexNode, corner_twins: bool = False
+    ring: VertexRing, v: VertexNode, corner_twins: bool = False, stamp: Optional[int] = None
 ) -> bool:
-    """Ear test for tip ``v`` against the current ring state.
+    """Ear test for tip ``v`` against the current ring state, or as of a cut.
 
     True iff ``v`` is convex and no reflex vertex of the ring, other than
     ``v.prev`` and ``v.next``, lies in the closure of the tip triangle: in
@@ -154,6 +170,11 @@ def is_ear(
     inner side of each edge up to EPS_AREA. Only the reflex vertices that
     ``ring.reflex`` returns for that box and tip, a superset of the
     ones passing those tests, are tested, against the live ring state.
+
+    With ``stamp`` the reflex set is the one as of cut ``stamp``: the
+    members of ``ring.history`` whose ``gone_at`` exceeds it. That is exact
+    for a stamp set before ``ring.reflex_grown``; the selection uses it to
+    resolve a pending flag, whose tip and neighbours are those of its stamp.
 
     With ``corner_twins`` a reflex vertex within EPS_LEN of a triangle corner
     does not block: the bridge duplicate of a corner lies on the closure even
@@ -181,7 +202,9 @@ def is_ear(
     maxx = max(ax, bx, cx) + margin
     miny = min(ay, by, cy) - margin
     maxy = max(ay, by, cy) + margin
-    for r in ring.reflex.query(minx, miny, maxx, maxy, v):
+    # every gone_at is at least 0, so -1 keeps every member of ring.reflex
+    grid, as_of = (ring.reflex, -1) if stamp is None else (ring.history, stamp)
+    for r in grid.query(minx, miny, maxx, maxy, v):
         if r is p or r is n:
             continue
         px = r.x
@@ -193,6 +216,8 @@ def is_ear(
         if bcx * (py - by) - bcy * (px - bx) < neg:
             continue
         if cax * (py - cy) - cay * (px - cx) < neg:
+            continue
+        if r.gone_at <= as_of:
             continue
         if corner_twins and (
             math.hypot(px - ax, py - ay) <= EPS_LEN
@@ -209,20 +234,24 @@ def update_after_cut(
 ) -> None:
     """Refresh the two neighbours of a cut: angle, convexity, ear status.
 
-    Geometry first for both nodes, then ear tests, so each neighbour's ear
-    test sees the other's updated reflex status. A neighbour flagged as an
-    ear is pushed onto the ear heap once that exists. No other node is
-    touched. A neighbour that turns reflex sets ``ring.reflex_grown`` (in
-    :func:`refresh_node`), which makes the selection re-test flags.
+    Counts the cut in ``ring.clock``, then refreshes both nodes before
+    either flag is set, so each flag sees the other's updated reflex status.
+    A convex neighbour gets a pending flag stamped with the new count (in
+    :func:`refresh_node`), or a fresh ear test once ``ring.reflex_grown``
+    is set (a neighbour that turns reflex sets it), and is pushed onto the
+    ear heap once that exists unless the test failed. No other node is
+    touched.
     """
+    ring.clock += 1
     refresh_node(ring, left)
     refresh_node(ring, right)
-    left.is_ear = is_ear(ring, left) if left.is_convex else False
-    right.is_ear = is_ear(ring, right) if right.is_convex else False
-    if ring.ears is not None:
-        for node in (left, right):
-            if node.is_ear:
-                heapq.heappush(ring.ears, (*_ear_key(node), node))
+    grown = ring.reflex_grown
+    ears = ring.ears
+    for node in (left, right):
+        if node.is_convex:
+            node.is_ear = is_ear(ring, node) if grown else None
+            if ears is not None and node.is_ear is not False:
+                heapq.heappush(ears, (*_ear_key(node), node))
 
 
 def _ear_key(node: VertexNode) -> tuple[float, int, int]:
@@ -232,30 +261,38 @@ def _ear_key(node: VertexNode) -> tuple[float, int, int]:
 
 
 def _select_smallest_angle(ring: VertexRing) -> Optional[VertexNode]:
-    """Flagged ear with the minimal :func:`_ear_key`.
+    """Ear with the minimal :func:`_ear_key`.
 
-    Reads the top of ``ring.ears``, a heap of ``(*key, node)`` entries
-    built from the ear flags on the first call and fed by
-    :func:`update_after_cut`, popping stale entries: those whose node lost
-    the flag, changed angle or left the ring. Every live flagged node has a
-    current entry, so the first live entry is the minimum a full ring scan
-    would find. No tiebreaker is needed: ``seq`` is unique within a ring, so
-    entries of different nodes differ before the node, and equal entries of
-    one node compare equal by identity without ordering nodes. The flag is
-    trusted until ``ring.reflex_grown`` is set (see the module docstring);
-    after that the candidate is re-tested and dropped when it fails. Returns
-    None when no flagged ear is left.
+    Reads the top of ``ring.ears``, a heap of ``(*key, node)`` entries for
+    the nodes flagged as ears or pending, built from the flags on the first
+    call and fed by :func:`update_after_cut`, popping stale entries: those
+    whose node lost the flag, changed angle or left the ring. A pending flag
+    at the top is resolved by an ear test as of its stamp and popped when
+    that fails. Every live node flagged or pending has a current entry, so
+    the first live entry that passes is the ear with the minimal key, as a
+    full ring scan would find. No tiebreaker is needed: ``seq`` is unique
+    within a ring, so entries of different nodes differ before the node,
+    and equal entries of one node compare equal by identity without
+    ordering nodes. A set flag is trusted until ``ring.reflex_grown`` is
+    set (see the module docstring); after that the candidate is re-tested
+    and dropped when it fails. Returns None when no ear is left.
     """
     ears = ring.ears
     if ears is None:
-        ears = ring.ears = [(*_ear_key(node), node) for node in ring if node.is_ear]
+        ears = ring.ears = [
+            (*_ear_key(node), node) for node in ring if node.is_ear is not False
+        ]
         heapq.heapify(ears)
     while ears:
         angle, _, _, node = ears[0]
-        if node.is_ear and node.interior_angle == angle and node.prev.next is node:
-            if not ring.reflex_grown or is_ear(ring, node):
-                return node
-            node.is_ear = False
+        flag = node.is_ear
+        if flag is not False and node.interior_angle == angle and node.prev.next is node:
+            if flag is None:
+                flag = node.is_ear = is_ear(ring, node, stamp=node.stamp)
+            if flag:
+                if not ring.reflex_grown or is_ear(ring, node):
+                    return node
+                node.is_ear = False
         heapq.heappop(ears)
     return None
 
@@ -263,14 +300,18 @@ def _select_smallest_angle(ring: VertexRing) -> Optional[VertexNode]:
 def _select_next_sequential(
     ring: VertexRing, start: VertexNode
 ) -> Optional[VertexNode]:
-    """First flagged ear at or after ``start`` in ring order.
+    """First ear at or after ``start`` in ring order.
 
-    Flags are trusted as in :func:`_select_smallest_angle`, and re-tested
-    once ``ring.reflex_grown`` is set.
+    Pending flags on the way are resolved, and set flags trusted, as in
+    :func:`_select_smallest_angle`; set flags are re-tested once
+    ``ring.reflex_grown`` is set.
     """
     node = start
     for _ in range(ring.count):
-        if node.is_ear:
+        flag = node.is_ear
+        if flag is None:
+            flag = node.is_ear = is_ear(ring, node, stamp=node.stamp)
+        if flag:
             if not ring.reflex_grown or is_ear(ring, node):
                 return node
             node.is_ear = False
@@ -283,7 +324,8 @@ def _select_fallback(ring: VertexRing) -> VertexNode:
 
     Returns the smallest-angle tip, with the same tie-breaks as the normal
     selection, that is an ear once reflex blockers on a corner of its
-    triangle are exempted. Raises EarSearchFailed when there is none.
+    triangle are exempted, and logs it at debug level. Raises
+    EarSearchFailed when there is none.
     """
     best = min(
         (v for v in ring if v.is_convex and is_ear(ring, v, corner_twins=True)),
@@ -292,6 +334,8 @@ def _select_fallback(ring: VertexRing) -> VertexNode:
     )
     if best is None:
         raise EarSearchFailed(ring)
+    log.debug("fallback: no literal ear, clipping tip %d with %d vertices left",
+              best.original_index, ring.count)
     return best
 
 
@@ -301,10 +345,11 @@ def _clip(
     *,
     post_emit: Optional[Callable[[Triangulation, int], None]] = None,
 ) -> Triangulation:
-    """Shared clipping loop; emits n-2 triangles and returns the result."""
+    """Shared clipping loop over a ring fresh from ``build_ring`` (every node
+    stamped 0, so every convex one starts pending); emits n-2 triangles."""
     tri = Triangulation(ring.table)
     for node in ring:
-        node.is_ear = is_ear(ring, node) if node.is_convex else False
+        node.is_ear = None if node.is_convex else False
     cursor = ring.head
     while ring.count > 3:
         if smallest_angle:

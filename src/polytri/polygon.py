@@ -169,7 +169,11 @@ class VertexNode:
 
     Carries its coordinates inline (hot loops read ``x``/``y`` directly),
     the index of the vertex in the flattened input table, and the cached
-    interior angle, convexity, and ear status.
+    interior angle, convexity, and ear status. ``is_ear`` is None while the
+    flag is pending: the ear test it stands for is due as of ring cut
+    ``stamp``, the cut that last refreshed the node (see
+    :mod:`polytri.earclip`). ``gone_at`` is the cut at which the node first
+    left the ring's reflex set, infinite until then.
     """
 
     __slots__ = (
@@ -182,6 +186,8 @@ class VertexNode:
         "is_convex",
         "is_ear",
         "seq",
+        "stamp",
+        "gone_at",
     )
 
     def __init__(self, x: float, y: float, original_index: int, seq: int):
@@ -192,8 +198,10 @@ class VertexNode:
         self.next: "VertexNode" = self
         self.interior_angle = 0.0
         self.is_convex = False
-        self.is_ear = False
+        self.is_ear: Optional[bool] = False
         self.seq = seq
+        self.stamp = 0
+        self.gone_at = math.inf
 
     @property
     def point(self) -> Point2:
@@ -212,16 +220,20 @@ class VertexRing:
     ``reflex`` holds the live non-convex nodes in a :class:`ReflexGrid` over
     the ring's starting bounding box (a :class:`DenseReflexGrid` when
     :func:`build_ring` finds more of them than cells), so an ear test visits
-    only the reflex nodes near its triangle. It is maintained by :func:`refresh_node` and
-    :func:`remove_vertex`. ``reflex_grown`` turns true when a node joins
-    ``reflex`` after :func:`build_ring`; until then the reflex set only
-    loses members, so the clipping loop trusts its ear flags. ``ears`` is the
+    only the reflex nodes near its triangle. It is maintained by
+    :func:`refresh_node` and :func:`remove_vertex`. ``reflex_grown`` turns
+    true when a node joins ``reflex`` after :func:`build_ring`; until then
+    the reflex set only loses members. ``clock`` counts the cuts made so
+    far. ``history`` is a copy of ``reflex`` as :func:`build_ring` left it,
+    never changed: while the ring has not grown, the reflex set as of cut
+    ``t`` is its members whose ``gone_at`` exceeds ``t``, which is what a
+    pending ear flag stamped ``t`` is tested against. ``ears`` is the
     clipping loop's heap of ear candidates, built on first use (see
     :mod:`polytri.earclip`).
     Single-threaded mutable state: one triangulation run owns one ring.
     """
 
-    __slots__ = ("head", "count", "table", "reflex", "ears", "reflex_grown")
+    __slots__ = ("head", "count", "table", "reflex", "ears", "reflex_grown", "clock", "history")
 
     def __init__(self, head: VertexNode, count: int, table: tuple[Point2, ...]):
         self.head = head
@@ -230,6 +242,8 @@ class VertexRing:
         self.reflex = ReflexGrid(self)
         self.ears: Optional[list] = None
         self.reflex_grown = False
+        self.clock = 0
+        self.history: ReflexGrid = self.reflex  # build_ring puts a snapshot here
 
     def __iter__(self) -> Iterator[VertexNode]:
         node = self.head
@@ -245,8 +259,10 @@ def refresh_node(
 
     Convexity comes from the turn direction (a left turn is convex on a CCW
     ring); exactly straight or spiked vertices are reflex. Keeps
-    ``ring.reflex`` in sync, sets ``ring.reflex_grown`` when the node joins
-    it, and clears the ear flag on non-convex nodes.
+    ``ring.reflex`` in sync, records the node's first departure from it in
+    ``gone_at``, sets ``ring.reflex_grown`` when the node joins it, clears
+    the ear flag on non-convex nodes and stamps the node with
+    ``ring.clock``, the cut its ear flag is due as of.
 
     With ``strict`` a coincident neighbour raises DegenerateVertex (build
     time, where it means broken input). Without it the node is marked
@@ -270,11 +286,13 @@ def refresh_node(
         else:
             node.interior_angle = 180.0 if ux * wx + uy * wy < 0.0 else 360.0
         node.is_convex = z > EPS_AREA
+    node.stamp = ring.clock
     # membership tests first: most refreshes leave it unchanged
     reflex = ring.reflex
     if node.is_convex:
         if node in reflex:
             reflex.discard(node)
+            node.gone_at = min(node.gone_at, ring.clock)
     else:
         node.is_ear = False
         if node not in reflex:
@@ -294,7 +312,8 @@ def build_ring(
     defaults to 0..n-1 with the ring's own points as the table. Interior
     angles and convexity are computed for every node; ear flags start
     false, and so does ``reflex_grown``. A ring with more reflex vertices
-    than reflex-grid cells gets a :class:`DenseReflexGrid`.
+    than reflex-grid cells gets a :class:`DenseReflexGrid`; ``history`` is
+    a snapshot of that grid.
     """
     pts = ring.points
     n = len(pts)
@@ -313,6 +332,7 @@ def build_ring(
     grid = vring.reflex
     if len(grid) > len(grid.cells):
         vring.reflex = DenseReflexGrid(nodes, grid)
+    vring.history = vring.reflex.snapshot()
     return vring
 
 
@@ -332,6 +352,8 @@ def remove_vertex(ring: VertexRing, v: VertexNode) -> VertexRing:
     ring.count -= 1
     if v in ring.reflex:
         ring.reflex.discard(v)
+        # this cut is clock + 1: update_after_cut advances the clock next
+        v.gone_at = min(v.gone_at, ring.clock + 1)
     return ring
 
 

@@ -77,6 +77,16 @@ class ReflexGrid(dict):
         if cell is not None:
             self.cells[cell].discard(node)
 
+    def snapshot(self) -> "ReflexGrid":
+        """A copy of the same class that later changes to this grid leave alone."""
+        copy = self.__class__.__new__(self.__class__)
+        dict.update(copy, self)
+        for cls in type(self).__mro__[:-2]:  # the grid classes, not dict and object
+            for name in cls.__slots__:
+                setattr(copy, name, getattr(self, name))
+        copy.cells = [set(bucket) if bucket else None for bucket in self.cells]
+        return copy
+
     def query(
         self,
         minx: float,
@@ -151,6 +161,11 @@ class DenseReflexGrid(ReflexGrid):
             self.ylo[row] = node.y
         if node.y > self.yhi[row]:
             self.yhi[row] = node.y
+
+    def snapshot(self) -> "DenseReflexGrid":
+        copy = super().snapshot()
+        copy.ylo, copy.yhi = self.ylo[:], self.yhi[:]
+        return copy
 
     def query(
         self,

@@ -15,6 +15,7 @@ from polytri import (
     render_svg,
     report,
     serialize_polygon,
+    triangulation_to_json,
 )
 from polytri.pipeline import triangulate_polygon
 
@@ -101,6 +102,17 @@ class TestCliTriangulate:
         doc = json.loads(out.read_text())
         assert len(doc["triangles"]) == 8
         assert doc["degenerate_count"] == 0
+
+    def test_fallback_prints_nothing_at_the_default_log_level(self, tmp_path):
+        # this bridged ring needs the fallback, which logs at debug level only
+        poly = generate_corpus(1, 1, (60, 60), (2, 2))[0]
+        src = tmp_path / "p.poly"
+        src.write_text(serialize_polygon(poly))
+        r = cli("triangulate", "--algorithm", "basic", "--input", str(src))
+        assert r.returncode == 0
+        assert r.stderr == b""
+        tri, _ = triangulate_polygon(parse_polygon(src.read_text()), "basic")
+        assert r.stdout.decode() == triangulation_to_json(tri, report(tri))
 
     def test_stats_emit(self):
         r = cli(
@@ -198,8 +210,11 @@ class TestCliTriangulate:
         [
             ("triangulate", "--algorithm", "improved", "--bound", "-5", "--input", "{poly}"),
             ("triangulate", "--algorithm", "improved", "--bound", "nan", "--input", "{poly}"),
+            ("triangulate", "--algorithm", "improved", "--bound", "abc", "--input", "{poly}"),
+            ("triangulate", "--algorithm", "basic", "--bound", "-1", "--input", "{poly}"),
             ("bench", "--corpus", "{corpus}", "--bounds", "abc"),
             ("bench", "--corpus", "{corpus}", "--bounds", "-1"),
+            ("bench", "--corpus", "{corpus}", "--bounds", "30,nan"),
             ("bench", "--corpus", "{corpus}", "--algorithms", ","),
             ("bench", "--corpus", "{corpus}", "--algorithms", "improved", "--bounds", ","),
             ("gen-corpus", "--count", "0", "--out-dir", "{tmp}/out/sub"),
@@ -219,6 +234,9 @@ class TestCliTriangulate:
         assert len(err.splitlines()) == 1
         if "," in args:  # an empty list: the message names its option
             assert err.startswith(f"polytri: error: {args[args.index(',') - 1]} ")
+        for option in ("--bound", "--bounds"):
+            if option in args:  # a bad bound: the message names its option
+                assert err.startswith(f"polytri: error: {option} "), err
         if any(a.startswith("--holes") for a in args):
             assert "holes_range" in err
         assert not (tmp_path / "out").exists()  # a rejected gen-corpus creates no directory

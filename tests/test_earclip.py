@@ -1,5 +1,6 @@
 import functools
 import heapq
+import logging
 import math
 import pathlib
 import sys
@@ -21,7 +22,7 @@ from polytri import (
     triangulate_polygon,
     triangulate_ring,
 )
-from polytri import earclip
+from polytri import earclip, pipeline
 from polytri.earclip import (
     _ear_key,
     _select_fallback,
@@ -186,7 +187,8 @@ class TestTriangulateBasic:
         # oracle accepts, and the fallback fires only when it accepts none.
         # On a bridged ring a cut can turn convex the bridge twin of another
         # tip's neighbour and so unblock that tip, whose cached ear flag
-        # stays false; there the oracle ranks flagged nodes only.
+        # stays false; there the oracle ranks only nodes whose flag, resolved
+        # as of its stamp when pending, is true.
         if name != "two_holes":
             poly = large_polygon(name)
         else:
@@ -198,12 +200,18 @@ class TestTriangulateBasic:
         degen = eliminate_holes(poly)
         ring = build_ring(degen.ring, indices=degen.indices, table=poly.vertex_table())
         for node in ring:
-            node.is_ear = is_ear(ring, node) if node.is_convex else False
+            node.is_ear = None if node.is_convex else False
+
+        def flagged(v):
+            if v.is_ear is None:
+                return is_ear(ring, v, stamp=v.stamp)
+            return v.is_ear
+
         cuts = fallbacks = 0
         while ring.count > 3:
             ears = (v for v in sorted(ring, key=_ear_key) if brute_force_is_ear(ring, v))
             best = next(ears, None)
-            while poly.holes and best is not None and not best.is_ear:
+            while poly.holes and best is not None and not flagged(best):
                 best = next(ears, None)
             chosen = _select_smallest_angle(ring)
             if chosen is None:
@@ -338,7 +346,11 @@ class TestUpdateAfterCut:
         assert left.interior_angle == pytest.approx(45.0)
         assert right.interior_angle == pytest.approx(45.0)
         assert left.is_convex and right.is_convex
-        assert left.is_ear and right.is_ear
+        # both flags are pending, stamped with the cut; resolved, both hold
+        assert ring.clock == left.stamp == right.stamp == 1
+        assert left.is_ear is None and right.is_ear is None
+        assert is_ear(ring, left, stamp=left.stamp)
+        assert is_ear(ring, right, stamp=right.stamp)
 
     def test_cut_unreflexes_neighbour(self):
         ring = build_ring(Ring([(0, 0), (2, 0), (1.2, 0.4), (2, 2), (0, 1)]))
@@ -387,13 +399,15 @@ def bridged_ring(poly):
 
 
 class TestTrustedEarFlags:
-    """Selection trusts a set ear flag until the reflex set gains a member.
+    """Ear flags are tested on demand and trusted until the reflex set grows.
 
-    A flag is set only by a passing ear test, and a cut changes the ear
-    status of its two neighbours only (Eberly), which are re-tested. While
-    the reflex set only loses members, a flagged tip stays an ear, so the
-    selection does not test it again; once a cut turns a neighbour reflex
-    it does, for the rest of the clip.
+    A flag starts pending, stamped with the cut that refreshed its node, and
+    only the selection resolves it, by one test as of that stamp. A cut
+    changes the ear status of its two neighbours only (Eberly), which get
+    new stamps. While the reflex set only loses members, a resolved flag
+    stays true, so the selection does not test it again; once a cut turns a
+    neighbour reflex, cuts test their neighbours at once and the selection
+    re-tests its pick, for the rest of the clip.
     """
 
     def test_fresh_ring_has_not_grown(self, l_shape):
@@ -403,29 +417,29 @@ class TestTrustedEarFlags:
         assert not bridged_ring(TOUCHING_HOLES).reflex_grown
 
     def test_growth_brings_back_the_re_test(self, monkeypatch):
-        # a traditional clip, cut by cut: no selection test before the
-        # growing cut; after it, the selection re-tests flagged tips, drops
-        # the one the new reflex vertex blocks, and every tip it returns
-        # passes the from-scratch oracle
+        # a traditional clip, cut by cut: before the growing cut every ear
+        # test is the selection resolving a pending flag as of its stamp;
+        # from that cut on, a cut tests its neighbours at once and the
+        # selection re-tests the flagged tips it reaches against the current
+        # ring, drops the one the new reflex vertex blocks, and resolves only
+        # flags stamped before the growth. Every tip it returns passes the
+        # from-scratch oracle.
         ring = bridged_ring(TOUCHING_HOLES)
-        verdicts = []
+        calls = []  # (caller, stamp, verdict, oracle on the ring as it is)
 
-        def recording(ring, v, corner_twins=False):
-            ok = is_ear(ring, v, corner_twins)
-            if sys._getframe(1).f_code.co_name in SELECTION:
-                verdicts.append((ok, brute_force_is_ear(ring, v)))
+        def recording(ring, v, corner_twins=False, stamp=None):
+            ok = is_ear(ring, v, corner_twins, stamp)
+            caller = sys._getframe(1).f_code.co_name
+            calls.append((caller, stamp, ok, brute_force_is_ear(ring, v)))
             return ok
 
         monkeypatch.setattr(earclip, "is_ear", recording)
         for node in ring:
-            node.is_ear = is_ear(ring, node) if node.is_convex else False
+            node.is_ear = None if node.is_convex else False
         cursor = ring.head
-        grown_at = None
+        grown_at = split = None
         cuts = 0
         while ring.count > 3:
-            if ring.reflex_grown and grown_at is None:
-                grown_at = cuts
-                assert verdicts == []
             v = _select_next_sequential(ring, cursor)
             if v is None:
                 v = _select_fallback(ring)
@@ -433,50 +447,102 @@ class TestTrustedEarFlags:
                 assert brute_force_is_ear(ring, v), (cuts, v)
             left, right = v.prev, v.next
             remove_vertex(ring, v)
+            mark = len(calls)
             update_after_cut(ring, left, right)
-            cursor = right
             cuts += 1
+            if ring.reflex_grown and grown_at is None:
+                grown_at, split = cuts, mark
+            cursor = right
         assert grown_at is not None and 0 < grown_at < cuts
-        assert (False, False) in verdicts
-        assert all(ok == oracle for ok, oracle in verdicts)
+        before, after = calls[:split], calls[split:]
+        assert before
+        assert all(caller in SELECTION and stamp is not None for caller, stamp, *_ in before)
+        immediate = [(ok, oracle) for caller, _, ok, oracle in after if caller == "update_after_cut"]
+        retests = [
+            (ok, oracle)
+            for caller, stamp, ok, oracle in after
+            if caller in SELECTION and stamp is None
+        ]
+        assert immediate and all(ok == oracle for ok, oracle in immediate)
+        assert (False, False) in retests
+        assert all(ok == oracle for ok, oracle in retests)
+        assert all(stamp < grown_at for _, stamp, *_ in after if stamp is not None)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("name", ["star2000", "comb"])
     def test_no_selection_ear_test_while_the_ring_never_grew(
         self, monkeypatch, name, algorithm
     ):
+        # every ear test is the selection resolving a pending flag as of the
+        # stamp its node carries, the first test for that (node, stamp); a
+        # resolved flag is never tested again
         callers = Counter()
+        resolved = set()
         real = earclip.is_ear
 
-        def counting(*args, **kwargs):
+        def counting(ring, v, corner_twins=False, stamp=None):
             callers[sys._getframe(1).f_code.co_name] += 1
-            return real(*args, **kwargs)
+            assert stamp is not None and stamp == v.stamp and v.is_ear is None, v
+            assert (v, stamp) not in resolved, v
+            resolved.add((v, stamp))
+            return real(ring, v, corner_twins, stamp)
 
         monkeypatch.setattr(earclip, "is_ear", counting)
         poly = large_polygon(name)
         ring = build_ring(poly.outer)
-        convex = sum(node.is_convex for node in ring)
         triangulate_ring(ring, algorithm)
         assert not ring.reflex_grown
-        assert sum(callers[f] for f in SELECTION) == 0
-        assert set(callers) == {"_clip", "update_after_cut"}
-        assert callers["_clip"] == convex
+        select = SELECTION[algorithm == "traditional"]
+        assert set(callers) == {select}
+        assert callers[select] == len(resolved) > 0
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=2**31),
-    st.integers(min_value=0, max_value=3),
-)
-def test_every_selected_tip_is_an_ear_when_cut(seed, holes):
-    # the test-time form of the selection's skipped re-test: every tip that
-    # the normal path clips, under each algorithm, passes the from-scratch
-    # ear oracle on the ring as it is at the moment of its cut
-    poly = generate_corpus(seed, 1, (4, 60), (holes, holes))[0]
+def clip_against_the_eager_engine(poly, algorithm):
+    """Clip ``poly`` with ``algorithm`` beside a shadow of the eager engine.
+
+    The shadow runs the ear test against ``ring.reflex`` wherever the eager
+    engine did: for every convex node when the clip starts, and for each
+    convex neighbour right after a cut. Checks that every flag the selection
+    resolves equals the shadow's verdict for that node and stamp, that no
+    (node, stamp) is tested twice, and that every tip clipped outside the
+    fallback passes the from-scratch oracle on the ring as it is at the
+    moment of its cut. Returns the ring and the number of resolutions.
+    """
+    real_is_ear = earclip.is_ear
+    real_clip = pipeline._clip
+    real_update = earclip.update_after_cut
     real_remove = earclip.remove_vertex
     real_fallback = earclip._select_fallback
+    shadow = {}
+    resolved = set()
+    rings = []
     fallback = []
     cut = []
+
+    def shadow_flags(ring, nodes):
+        for node in nodes:
+            if node.is_convex:
+                assert node.stamp == ring.clock
+                shadow[node, ring.clock] = real_is_ear(ring, node)
+
+    def shadowed_clip(ring, smallest_angle, *, post_emit=None):
+        rings.append(ring)
+        shadow_flags(ring, ring)
+        return real_clip(ring, smallest_angle, post_emit=post_emit)
+
+    def shadowed_update(ring, left, right):
+        real_update(ring, left, right)
+        shadow_flags(ring, (left, right))
+
+    def resolving(ring, v, corner_twins=False, stamp=None):
+        ok = real_is_ear(ring, v, corner_twins, stamp)
+        if stamp is not None:
+            assert sys._getframe(1).f_code.co_name in SELECTION
+            assert v.is_ear is None and stamp == v.stamp, v
+            assert (v, stamp) not in resolved, (v, stamp)
+            resolved.add((v, stamp))
+            assert ok == shadow[v, stamp], (v, stamp)
+        return ok
 
     def recording_fallback(ring):
         fallback.append(real_fallback(ring))
@@ -484,14 +550,71 @@ def test_every_selected_tip_is_an_ear_when_cut(seed, holes):
 
     def checked_remove(ring, v):
         if not (fallback and fallback[-1] is v):
-            assert brute_force_is_ear(ring, v), (seed, holes, len(cut), v)
+            assert brute_force_is_ear(ring, v), (len(cut), v)
         cut.append(v)
         return real_remove(ring, v)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_clip", shadowed_clip)
+        mp.setattr(earclip, "update_after_cut", shadowed_update)
+        mp.setattr(earclip, "is_ear", resolving)
         mp.setattr(earclip, "remove_vertex", checked_remove)
         mp.setattr(earclip, "_select_fallback", recording_fallback)
-        for algorithm in ALGORITHMS:
-            tri, degen = triangulate_polygon(poly, algorithm)
-            assert len(tri.triangles) == len(degen.ring) - 2
-    assert len(cut) == 3 * (len(degen.ring) - 3)
+        tri, degen = triangulate_polygon(poly, algorithm)
+    assert len(tri.triangles) == len(degen.ring) - 2
+    assert len(cut) == len(degen.ring) - 3
+    return rings[0], len(resolved)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31),
+    st.integers(min_value=0, max_value=3),
+)
+def test_resolved_flags_equal_the_eager_engine(seed, holes):
+    # the exactness gate of on-demand ear tests: each resolution as of a
+    # stamp gives the flag an eager test at that cut gave, so the clip, and
+    # every output, is the eager engine's; and the test-time form of the
+    # selection's skipped re-test: every tip clipped on the normal path is
+    # an ear when cut
+    poly = generate_corpus(seed, 1, (4, 60), (holes, holes))[0]
+    for algorithm in ALGORITHMS:
+        clip_against_the_eager_engine(poly, algorithm)
+
+
+@pytest.mark.parametrize("name", ["spiral", "comb", "square_hole", "touching_holes"])
+def test_resolved_flags_equal_the_eager_engine_on_fixtures(name):
+    # the fixtures, and the two-hole octagon whose ring grows mid-clip under
+    # every algorithm: flags pending across the growth resolve exactly
+    poly = TOUCHING_HOLES if name == "touching_holes" else large_polygon(name)
+    for algorithm in ALGORITHMS:
+        ring, resolutions = clip_against_the_eager_engine(poly, algorithm)
+        assert resolutions > 0
+        assert ring.reflex_grown == (name == "touching_holes")
+
+
+def test_fallback_logs_one_debug_line(caplog, monkeypatch):
+    # the bridged ring of this seed needs the fallback twice under basic
+    poly = generate_corpus(seed=1, count=1, vertex_range=(60, 60), holes_range=(2, 2))[0]
+    real = earclip._select_fallback
+    picks = []
+
+    def recording(ring):
+        count = ring.count
+        tip = real(ring)
+        picks.append((tip.original_index, count))
+        return tip
+
+    monkeypatch.setattr(earclip, "_select_fallback", recording)
+    with caplog.at_level(logging.DEBUG, logger="polytri"):
+        triangulate_polygon(poly, "basic")
+    lines = [
+        r for r in caplog.records if r.name == "polytri" and r.funcName == "_select_fallback"
+    ]
+    assert len(picks) == 2 and len(lines) == len(picks)
+    for record, (index, count) in zip(lines, picks):
+        assert record.levelno == logging.DEBUG
+        assert f"tip {index} with {count} vertices left" in record.getMessage()
+    caplog.clear()
+    triangulate_polygon(poly, "basic")  # the default level: no record
+    assert caplog.records == []
