@@ -115,8 +115,9 @@ def generate_corpus(
     """A reproducible list of random polygons.
 
     The same seed and parameters always give the same polygons. Vertex
-    counts are drawn uniformly from ``vertex_range`` (bounded to [4, 10000])
-    and hole counts from ``holes_range`` (non-negative).
+    counts are drawn uniformly from ``vertex_range`` (bounded to [4, 10000]),
+    hole counts from ``holes_range`` (non-negative) and hole vertex counts
+    from ``hole_vertex_range`` (at least 3).
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -125,6 +126,10 @@ def generate_corpus(
         raise ValueError(f"vertex_range must lie within [4, 10000], got {vertex_range}")
     if not 0 <= holes_range[0] <= holes_range[1]:
         raise ValueError(f"holes_range must satisfy 0 <= min <= max, got {holes_range}")
+    if not 3 <= hole_vertex_range[0] <= hole_vertex_range[1]:
+        raise ValueError(
+            f"hole_vertex_range must satisfy 3 <= min <= max, got {hole_vertex_range}"
+        )
     rng = random.Random(seed)
     out = []
     for _ in range(count):

@@ -26,9 +26,10 @@ scan. Only the selection resolves a pending flag, when the heap top or the
 traditional cursor reaches it, by one ear test; a node refreshed again or
 clipped before that is never tested. That test runs against the reflex set
 as of the stamp, not the current one, so it gives the flag that a test at
-the time of the stamp would have given: it visits ``ring.history``, a copy
-of the reflex grid as the ring was built, and skips the nodes that had left
-``ring.reflex`` by the stamp (``gone_at``).
+the time of the stamp would have given. One grid serves both: ``ring.reflex``
+never loses a member, so a test as of a stamp skips the members that had
+turned convex by then (``gone_at``), and a test of the current ring skips
+the members that are convex now.
 
 A resolved ear flag is trusted without a new test: since its stamp the tip,
 its neighbours and every reflex vertex stayed where they were, and while
@@ -37,10 +38,10 @@ exception is a cut neighbour that turns reflex, which takes a degenerate
 ring: the neighbour becomes a zero-width spike or meets a coincident
 vertex, as where bridge twins or touching holes repeat a point.
 ``ring.reflex_grown`` records it. From then on a cut tests its neighbours
-at once, against ``ring.reflex`` (``history`` lacks the new member), and
-the selection re-tests the chosen tip for the rest of the clip. A flag
-stamped before the growth still resolves exactly, as nothing had joined
-the reflex set by its stamp.
+at once, against the current reflex set, and the selection re-tests the
+chosen tip for the rest of the clip. A flag stamped before the growth still
+resolves exactly: nothing had joined the reflex set by its stamp, and a new
+member's ``gone_at`` of -1 hides it from every stamp.
 
 Worst-case time stays quadratic: an ear whose box holds most reflex
 vertices still visits them all where the grid does not clip its rows, that
@@ -167,14 +168,16 @@ def is_ear(
     True iff ``v`` is convex and no reflex vertex of the ring, other than
     ``v.prev`` and ``v.next``, lies in the closure of the tip triangle: in
     its bounding box padded by EPS_AREA over the shortest side, and on the
-    inner side of each edge up to EPS_AREA. Only the reflex vertices that
-    ``ring.reflex`` returns for that box and tip, a superset of the
-    ones passing those tests, are tested, against the live ring state.
+    inner side of each edge up to EPS_AREA. Only the members that
+    ``ring.reflex`` returns for that box and tip, a superset of the ones
+    passing those tests, are tested, against the live ring state. The grid
+    keeps members that are no longer reflex, so one filter after the
+    closure tests picks the reflex set: the members that are not convex.
 
     With ``stamp`` the reflex set is the one as of cut ``stamp``: the
-    members of ``ring.history`` whose ``gone_at`` exceeds it. That is exact
-    for a stamp set before ``ring.reflex_grown``; the selection uses it to
-    resolve a pending flag, whose tip and neighbours are those of its stamp.
+    members whose ``gone_at`` exceeds it. That is exact for a stamp set
+    before ``ring.reflex_grown``; the selection uses it to resolve a pending
+    flag, whose tip and neighbours are those of its stamp.
 
     With ``corner_twins`` a reflex vertex within EPS_LEN of a triangle corner
     does not block: the bridge duplicate of a corner lies on the closure even
@@ -202,9 +205,7 @@ def is_ear(
     maxx = max(ax, bx, cx) + margin
     miny = min(ay, by, cy) - margin
     maxy = max(ay, by, cy) + margin
-    # every gone_at is at least 0, so -1 keeps every member of ring.reflex
-    grid, as_of = (ring.reflex, -1) if stamp is None else (ring.history, stamp)
-    for r in grid.query(minx, miny, maxx, maxy, v):
+    for r in ring.reflex.query(minx, miny, maxx, maxy, v):
         if r is p or r is n:
             continue
         px = r.x
@@ -217,7 +218,7 @@ def is_ear(
             continue
         if cax * (py - cy) - cay * (px - cx) < neg:
             continue
-        if r.gone_at <= as_of:
+        if (r.is_convex if stamp is None else r.gone_at <= stamp):
             continue
         if corner_twins and (
             math.hypot(px - ax, py - ay) <= EPS_LEN

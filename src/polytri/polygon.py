@@ -172,8 +172,9 @@ class VertexNode:
     interior angle, convexity, and ear status. ``is_ear`` is None while the
     flag is pending: the ear test it stands for is due as of ring cut
     ``stamp``, the cut that last refreshed the node (see
-    :mod:`polytri.earclip`). ``gone_at`` is the cut at which the node first
-    left the ring's reflex set, infinite until then.
+    :mod:`polytri.earclip`). ``gone_at`` is the first cut at which the node
+    was refreshed convex, infinite until then, or -1 once it joined the
+    reflex set after :func:`build_ring`.
     """
 
     __slots__ = (
@@ -217,23 +218,23 @@ class VertexNode:
 class VertexRing:
     """Circular doubly linked ring of vertices, consumed by ear clipping.
 
-    ``reflex`` holds the live non-convex nodes in a :class:`ReflexGrid` over
-    the ring's starting bounding box (a :class:`DenseReflexGrid` when
-    :func:`build_ring` finds more of them than cells), so an ear test visits
-    only the reflex nodes near its triangle. It is maintained by
-    :func:`refresh_node` and :func:`remove_vertex`. ``reflex_grown`` turns
-    true when a node joins ``reflex`` after :func:`build_ring`; until then
-    the reflex set only loses members. ``clock`` counts the cuts made so
-    far. ``history`` is a copy of ``reflex`` as :func:`build_ring` left it,
-    never changed: while the ring has not grown, the reflex set as of cut
-    ``t`` is its members whose ``gone_at`` exceeds ``t``, which is what a
-    pending ear flag stamped ``t`` is tested against. ``ears`` is the
-    clipping loop's heap of ear candidates, built on first use (see
-    :mod:`polytri.earclip`).
+    ``reflex`` is a :class:`ReflexGrid` over the ring's starting bounding
+    box (a :class:`DenseReflexGrid` when :func:`build_ring` finds more
+    reflex nodes than cells), so an ear test visits only the reflex nodes
+    near its triangle. It never loses a member: it holds every node reflex
+    when :func:`build_ring` returns, plus each node that :func:`refresh_node`
+    finds reflex later. The current reflex set is its members that are not
+    convex (a clipped node is convex). ``reflex_grown`` turns true when a
+    node turns reflex after :func:`build_ring`; until then the reflex set
+    only loses members, and the reflex set as of cut ``t`` is the members
+    whose ``gone_at`` exceeds ``t``, which is what a pending ear flag
+    stamped ``t`` is tested against. ``clock`` counts the cuts made so far.
+    ``ears`` is the clipping loop's heap of ear candidates, built on first
+    use (see :mod:`polytri.earclip`).
     Single-threaded mutable state: one triangulation run owns one ring.
     """
 
-    __slots__ = ("head", "count", "table", "reflex", "ears", "reflex_grown", "clock", "history")
+    __slots__ = ("head", "count", "table", "reflex", "ears", "reflex_grown", "clock")
 
     def __init__(self, head: VertexNode, count: int, table: tuple[Point2, ...]):
         self.head = head
@@ -243,7 +244,6 @@ class VertexRing:
         self.ears: Optional[list] = None
         self.reflex_grown = False
         self.clock = 0
-        self.history: ReflexGrid = self.reflex  # build_ring puts a snapshot here
 
     def __iter__(self) -> Iterator[VertexNode]:
         node = self.head
@@ -258,9 +258,11 @@ def refresh_node(
     """Recompute angle and convexity of ``node`` from its current neighbours.
 
     Convexity comes from the turn direction (a left turn is convex on a CCW
-    ring); exactly straight or spiked vertices are reflex. Keeps
-    ``ring.reflex`` in sync, records the node's first departure from it in
-    ``gone_at``, sets ``ring.reflex_grown`` when the node joins it, clears
+    ring); exactly straight or spiked vertices are reflex. A node that was
+    reflex and turns convex records the cut in ``gone_at`` unless it has
+    one. A node that was convex and turns reflex sets ``ring.reflex_grown``
+    and, unless it is a member already, joins ``ring.reflex`` with
+    ``gone_at`` -1, so that no ear test as of an earlier cut sees it. Clears
     the ear flag on non-convex nodes and stamps the node with
     ``ring.clock``, the cut its ear flag is due as of.
 
@@ -269,6 +271,7 @@ def refresh_node(
     reflex with a 360 degree angle so a collapsed edge mid-run is never
     clipped as an ear.
     """
+    was_convex = node.is_convex
     p, n = node.prev, node.next
     ux, uy = p.x - node.x, p.y - node.y
     wx, wy = n.x - node.x, n.y - node.y
@@ -287,17 +290,16 @@ def refresh_node(
             node.interior_angle = 180.0 if ux * wx + uy * wy < 0.0 else 360.0
         node.is_convex = z > EPS_AREA
     node.stamp = ring.clock
-    # membership tests first: most refreshes leave it unchanged
-    reflex = ring.reflex
     if node.is_convex:
-        if node in reflex:
-            reflex.discard(node)
+        if not was_convex:
             node.gone_at = min(node.gone_at, ring.clock)
     else:
         node.is_ear = False
-        if node not in reflex:
-            reflex.add(node)
+        if was_convex:
             ring.reflex_grown = True
+            if node not in ring.reflex:
+                ring.reflex.add(node)
+                node.gone_at = -1
 
 
 def build_ring(
@@ -311,9 +313,9 @@ def build_ring(
     table (bridged rings repeat indices for duplicated vertices); it
     defaults to 0..n-1 with the ring's own points as the table. Interior
     angles and convexity are computed for every node; ear flags start
-    false, and so does ``reflex_grown``. A ring with more reflex vertices
-    than reflex-grid cells gets a :class:`DenseReflexGrid`; ``history`` is
-    a snapshot of that grid.
+    false, and so does ``reflex_grown``. The reflex nodes fill
+    ``reflex``, a :class:`DenseReflexGrid` when there are more of them than
+    grid cells.
     """
     pts = ring.points
     n = len(pts)
@@ -327,12 +329,12 @@ def build_ring(
         node.next = nodes[(i + 1) % n]
     vring = VertexRing(nodes[0], n, table)
     for node in nodes:
-        refresh_node(vring, node, strict=True)
-    vring.reflex_grown = False  # the initial inserts are not growth
-    grid = vring.reflex
-    if len(grid) > len(grid.cells):
-        vring.reflex = DenseReflexGrid(nodes, grid)
-    vring.history = vring.reflex.snapshot()
+        refresh_node(vring, node, strict=True)  # nodes start non-convex: no growth
+    reflex = [node for node in nodes if not node.is_convex]
+    if len(reflex) > len(vring.reflex.cells):
+        vring.reflex = DenseReflexGrid(nodes)
+    for node in reflex:
+        vring.reflex.add(node)
     return vring
 
 
@@ -341,7 +343,8 @@ def remove_vertex(ring: VertexRing, v: VertexNode) -> VertexRing:
 
     The caller (the clipping loop) refreshes the two neighbours afterwards.
     ``v`` keeps its own prev/next pointers so an emitted triangle can still
-    reference them.
+    reference them. The clip removes only convex tips, so ``ring.reflex``,
+    which skips convex members in current-set ear tests, needs no change.
     """
     if ring.count < 3:
         raise InvalidRing("cannot remove from a ring with fewer than 3 vertices")
@@ -350,10 +353,6 @@ def remove_vertex(ring: VertexRing, v: VertexNode) -> VertexRing:
     if ring.head is v:
         ring.head = v.next
     ring.count -= 1
-    if v in ring.reflex:
-        ring.reflex.discard(v)
-        # this cut is clock + 1: update_after_cut advances the clock next
-        v.gone_at = min(v.gone_at, ring.clock + 1)
     return ring
 
 

@@ -21,17 +21,19 @@ if TYPE_CHECKING:
 __all__ = ["ReflexGrid", "DenseReflexGrid"]
 
 
-class ReflexGrid(dict):
-    """The live reflex nodes of a ring, each mapped to its cell in a uniform grid.
+class ReflexGrid(set):
+    """The nodes of a ring that were ever reflex, each in a cell of a uniform grid.
 
     The grid covers the bounding box of the nodes it is built from, with
     about sqrt(n) cells along the longer side (the uniform-grid acceleration
-    of Held's FIST). Membership, iteration and ``len`` are the dict's; change
-    members only through :meth:`add` and :meth:`discard`, which keep the
-    cells in sync. :meth:`add` and :meth:`query` place a coordinate ``v`` by
-    one cell function, ``floor((v - v0) * inv)`` clamped to the grid; it is
-    monotone in ``v``, so a query never misses a member inside its box. Both
-    write it out inline because it runs once per ear test.
+    of Held's FIST). Membership, iteration and ``len`` are the set's; add
+    members only through :meth:`add`, which keeps the cells in sync. No
+    member is ever removed: the ear test filters the members it reads (see
+    :func:`polytri.earclip.is_ear`). :meth:`add` and :meth:`query` place a
+    coordinate ``v`` by one cell function, ``floor((v - v0) * inv)``
+    clamped to the grid; it is monotone in ``v``, so a query never misses a
+    member inside its box. Both write it out inline because it runs once
+    per ear test.
     """
 
     __slots__ = ("cells", "x0", "y0", "inv", "last_col", "last_row")
@@ -55,8 +57,8 @@ class ReflexGrid(dict):
             (self.last_col + 1) * (self.last_row + 1)
         )
 
-    def add(self, node: VertexNode) -> None:
-        """Insert ``node``, which must not be a member yet."""
+    def add(self, node: VertexNode) -> int:
+        """Insert ``node``, which must not be a member yet; return its cell."""
         inv, last_col, last_row = self.inv, self.last_col, self.last_row
         # int() truncates toward zero, which agrees with floor() once clamped
         col = int((node.x - self.x0) * inv)
@@ -64,28 +66,13 @@ class ReflexGrid(dict):
         row = int((node.y - self.y0) * inv)
         row = 0 if row < 0 else last_row if row > last_row else row
         cell = row * (last_col + 1) + col
-        self[node] = cell
+        super().add(node)
         bucket = self.cells[cell]
         if bucket is None:
             self.cells[cell] = {node}
         else:
             bucket.add(node)
-
-    def discard(self, node: VertexNode) -> None:
-        # the stored cell, not the node's coordinates, which a test may forge
-        cell = self.pop(node, None)
-        if cell is not None:
-            self.cells[cell].discard(node)
-
-    def snapshot(self) -> "ReflexGrid":
-        """A copy of the same class that later changes to this grid leave alone."""
-        copy = self.__class__.__new__(self.__class__)
-        dict.update(copy, self)
-        for cls in type(self).__mro__[:-2]:  # the grid classes, not dict and object
-            for name in cls.__slots__:
-                setattr(copy, name, getattr(self, name))
-        copy.cells = [set(bucket) if bucket else None for bucket in self.cells]
-        return copy
+        return cell
 
     def query(
         self,
@@ -132,14 +119,13 @@ class DenseReflexGrid(ReflexGrid):
     :func:`polytri.polygon.build_ring` picks it when the ring starts with
     more reflex vertices than grid cells: a ring much wider than tall, such
     as a comb on a long horizontal spine, whose grid has a few rows of
-    sqrt(n) square cells. The cells cover the box of ``nodes``; ``members``
-    are the first members. Each row keeps its members' y-extent, grow-only,
+    sqrt(n) square cells. Each row keeps its members' y-extent, grow-only,
     updated by :meth:`add`.
     """
 
     __slots__ = ("ylo", "yhi", "flat")
 
-    def __init__(self, nodes: Iterable[VertexNode], members: Iterable[VertexNode]):
+    def __init__(self, nodes: Iterable[VertexNode]):
         super().__init__(nodes)
         rows = self.last_row + 1
         self.ylo = [math.inf] * rows
@@ -150,22 +136,16 @@ class DenseReflexGrid(ReflexGrid):
         # which ``reach`` measures in cells.
         reach = max(abs(self.x0), abs(self.y0)) * self.inv + max(rows, self.last_col + 1)
         self.flat = EPS_AREA * self.inv if reach < 2.0**40 else math.inf
-        for node in members:
-            self.add(node)
 
-    def add(self, node: VertexNode) -> None:
-        """Insert ``node``, which must not be a member yet."""
-        super().add(node)
-        row = self[node] // (self.last_col + 1)
+    def add(self, node: VertexNode) -> int:
+        """Insert ``node``, which must not be a member yet; return its cell."""
+        cell = super().add(node)
+        row = cell // (self.last_col + 1)
         if node.y < self.ylo[row]:
             self.ylo[row] = node.y
         if node.y > self.yhi[row]:
             self.yhi[row] = node.y
-
-    def snapshot(self) -> "DenseReflexGrid":
-        copy = super().snapshot()
-        copy.ylo, copy.yhi = self.ylo[:], self.yhi[:]
-        return copy
+        return cell
 
     def query(
         self,

@@ -80,6 +80,11 @@ class TestGenerateCorpus:
             generate_corpus(seed=1, count=1, vertex_range=(2, 5))
         with pytest.raises(ValueError):
             generate_corpus(seed=1, count=0)
+        # hole vertex counts below 3, or a reversed range, are refused by
+        # name instead of failing inside star_ring, Ring or randint
+        for bad in ((0, 0), (2, 2), (5, 3)):
+            with pytest.raises(ValueError, match="hole_vertex_range"):
+                generate_corpus(1, 2, (10, 10), (1, 1), bad)
 
     def test_generation_failed_when_hole_cannot_fit(self, monkeypatch):
         import polytri.corpus as corpus_mod

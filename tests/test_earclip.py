@@ -468,6 +468,44 @@ class TestTrustedEarFlags:
         assert all(ok == oracle for ok, oracle in retests)
         assert all(stamp < grown_at for _, stamp, *_ in after if stamp is not None)
 
+    def test_one_grid_filtered_by_stamp_or_convexity(self):
+        # a traditional clip up to the growing cut: the reflex grid never
+        # loses a member; a test as of a stamp skips the members gone by
+        # then, a test of the current ring the convex ones
+        ring = bridged_ring(TOUCHING_HOLES)
+        members = set(ring.reflex)
+        for node in ring:
+            node.is_ear = None if node.is_convex else False
+        cursor = ring.head
+        departures = 0
+        while not ring.reflex_grown:
+            v = _select_next_sequential(ring, cursor) or _select_fallback(ring)
+            left, right = v.prev, v.next
+            remove_vertex(ring, v)
+            update_after_cut(ring, left, right)
+            cursor = right
+            for node in (left, right):
+                if node.is_convex and node.gone_at == ring.clock:
+                    # it left the reflex set at this cut; as of the cut
+                    # before, it was reflex and blocks its own triangle
+                    assert node in ring.reflex
+                    assert not is_ear(ring, node, stamp=ring.clock - 1)
+                    assert is_ear(ring, node, stamp=ring.clock) == is_ear(ring, node)
+                    departures += 1
+        assert departures > 0
+        assert members < set(ring.reflex)
+        (joined,) = set(ring.reflex) - members
+        assert joined.gone_at == -1 and not joined.is_convex
+        # the tips it blocks now passed every test as of an earlier stamp
+        blocked = [
+            v for v in ring
+            if v.is_convex and not is_ear(ring, v)
+            and all(is_ear(ring, v, stamp=t) for t in range(ring.clock))
+        ]
+        assert blocked
+        for v in blocked:
+            assert not brute_force_is_ear(ring, v), v
+
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("name", ["star2000", "comb"])
     def test_no_selection_ear_test_while_the_ring_never_grew(
