@@ -10,10 +10,11 @@ triangles for an n-vertex ring.
 
 An ear is three consecutive vertices whose tip is convex and whose triangle
 closure contains no reflex vertex of the current ring other than the tip's
-own neighbours. The ear test asks the ring's reflex grid for the reflex
-vertices near the triangle instead of visiting all of them; on a dense grid
-(see ``DenseReflexGrid``) a wide triangle's query is clipped to the
-triangle row by row.
+own neighbours. The ear test asks the ring's reflex index for the reflex
+vertices near the triangle instead of visiting all of them: each row of the
+index that the triangle's box spans is bisected to the box's x-range, and a
+triangle wider than tall is clipped to the triangle row by row (see
+``ReflexGrid``).
 
 Ear flags are tested on demand. Removing an ear changes the ear status of
 its two neighbours only (Eberly, "Triangulation by Ear Clipping", 2002), so
@@ -26,10 +27,10 @@ scan. Only the selection resolves a pending flag, when the heap top or the
 traditional cursor reaches it, by one ear test; a node refreshed again or
 clipped before that is never tested. That test runs against the reflex set
 as of the stamp, not the current one, so it gives the flag that a test at
-the time of the stamp would have given. One grid serves both: ``ring.reflex``
-never loses a member, so a test as of a stamp skips the members that had
-turned convex by then (``gone_at``), and a test of the current ring skips
-the members that are convex now.
+the time of the stamp would have given. One index serves both:
+``ring.reflex`` never loses a member, so a test as of a stamp skips the
+members that had turned convex by then (``gone_at``), and a test of the
+current ring skips the members that are convex now.
 
 A resolved ear flag is trusted without a new test: since its stamp the tip,
 its neighbours and every reflex vertex stayed where they were, and while
@@ -44,9 +45,8 @@ resolves exactly: nothing had joined the reflex set by its stamp, and a new
 member's ``gone_at`` of -1 hides it from every stamp.
 
 Worst-case time stays quadratic: an ear whose box holds most reflex
-vertices still visits them all where the grid does not clip its rows, that
-is on a ring that starts with no more reflex vertices than grid cells, or
-for a box at least as tall as wide.
+vertices still visits them all unless the triangle clip cuts them away,
+and a box at least as tall as wide is never clipped.
 
 Rings produced by bridging holes repeat vertices, and exact coincidences
 can starve the literal ear test even though the limit geometry still has
@@ -170,7 +170,7 @@ def is_ear(
     its bounding box padded by EPS_AREA over the shortest side, and on the
     inner side of each edge up to EPS_AREA. Only the members that
     ``ring.reflex`` returns for that box and tip, a superset of the ones
-    passing those tests, are tested, against the live ring state. The grid
+    passing those tests, are tested, against the live ring state. The index
     keeps members that are no longer reflex, so one filter after the
     closure tests picks the reflex set: the members that are not convex.
 

@@ -24,7 +24,7 @@ from .geom import (
     segments_properly_cross,
     signed_area,
 )
-from .reflexgrid import DenseReflexGrid, ReflexGrid
+from .reflexgrid import ReflexGrid
 
 __all__ = [
     "Ring",
@@ -218,19 +218,18 @@ class VertexNode:
 class VertexRing:
     """Circular doubly linked ring of vertices, consumed by ear clipping.
 
-    ``reflex`` is a :class:`ReflexGrid` over the ring's starting bounding
-    box (a :class:`DenseReflexGrid` when :func:`build_ring` finds more
-    reflex nodes than cells), so an ear test visits only the reflex nodes
-    near its triangle. It never loses a member: it holds every node reflex
-    when :func:`build_ring` returns, plus each node that :func:`refresh_node`
-    finds reflex later. The current reflex set is its members that are not
-    convex (a clipped node is convex). ``reflex_grown`` turns true when a
-    node turns reflex after :func:`build_ring`; until then the reflex set
-    only loses members, and the reflex set as of cut ``t`` is the members
-    whose ``gone_at`` exceeds ``t``, which is what a pending ear flag
-    stamped ``t`` is tested against. ``clock`` counts the cuts made so far.
-    ``ears`` is the clipping loop's heap of ear candidates, built on first
-    use (see :mod:`polytri.earclip`).
+    ``reflex``, set by :func:`build_ring`, is a :class:`ReflexGrid`: rows
+    over the ring's starting bounding box, each sorted by x, so an ear test
+    visits only the reflex nodes near its triangle. It never loses a member:
+    it holds every node reflex when :func:`build_ring` returns, plus each
+    node that :func:`refresh_node` finds reflex later. The current reflex
+    set is its members that are not convex (a clipped node is convex).
+    ``reflex_grown`` turns true when a node turns reflex after
+    :func:`build_ring`; until then the reflex set only loses members, and
+    the reflex set as of cut ``t`` is the members whose ``gone_at`` exceeds
+    ``t``, which is what a pending ear flag stamped ``t`` is tested against.
+    ``clock`` counts the cuts made so far. ``ears`` is the clipping loop's
+    heap of ear candidates, built on first use (see :mod:`polytri.earclip`).
     Single-threaded mutable state: one triangulation run owns one ring.
     """
 
@@ -240,7 +239,6 @@ class VertexRing:
         self.head = head
         self.count = count
         self.table = table
-        self.reflex = ReflexGrid(self)
         self.ears: Optional[list] = None
         self.reflex_grown = False
         self.clock = 0
@@ -313,9 +311,8 @@ def build_ring(
     table (bridged rings repeat indices for duplicated vertices); it
     defaults to 0..n-1 with the ring's own points as the table. Interior
     angles and convexity are computed for every node; ear flags start
-    false, and so does ``reflex_grown``. The reflex nodes fill
-    ``reflex``, a :class:`DenseReflexGrid` when there are more of them than
-    grid cells.
+    false, and so does ``reflex_grown``. Then ``reflex`` is built over the
+    nodes' bounding box and filled with the reflex nodes by one sort.
     """
     pts = ring.points
     n = len(pts)
@@ -330,11 +327,7 @@ def build_ring(
     vring = VertexRing(nodes[0], n, table)
     for node in nodes:
         refresh_node(vring, node, strict=True)  # nodes start non-convex: no growth
-    reflex = [node for node in nodes if not node.is_convex]
-    if len(reflex) > len(vring.reflex.cells):
-        vring.reflex = DenseReflexGrid(nodes)
-    for node in reflex:
-        vring.reflex.add(node)
+    vring.reflex = ReflexGrid(nodes, [node for node in nodes if not node.is_convex])
     return vring
 
 

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polytri import (
@@ -12,12 +12,13 @@ from polytri import (
     build_ring,
     generate_corpus,
     normalize,
+    triangulate_polygon,
 )
 from polytri.bridge import eliminate_holes
 from polytri.earclip import _select_fallback, _select_smallest_angle, is_ear, update_after_cut
 from polytri.geom import EPS_AREA, DegenerateVertex, Point2
 from polytri.polygon import VertexNode, refresh_node, remove_vertex, validate_polygon
-from polytri.reflexgrid import DenseReflexGrid
+from polytri.reflexgrid import ReflexGrid
 from conftest import brute_force_is_ear, tri_angles_oracle
 
 P = Point2
@@ -267,6 +268,19 @@ def bridged_ring(poly):
     return build_ring(degen.ring, indices=degen.indices, table=poly.vertex_table())
 
 
+def tip_box(v):
+    """``is_ear``'s padded box of the CCW triangle ``v.prev, v, v.next``, with
+    the same float expressions."""
+    a, c = v.prev, v.next
+    ax, ay, bx, by, cx, cy = a.x, a.y, v.x, v.y, c.x, c.y
+    abx, aby, bcx, bcy, cax, cay = bx - ax, by - ay, cx - bx, cy - by, ax - cx, ay - cy
+    margin = EPS_AREA / math.sqrt(
+        min(abx * abx + aby * aby, bcx * bcx + bcy * bcy, cax * cax + cay * cay)
+    )
+    return (min(ax, bx, cx) - margin, min(ay, by, cy) - margin,
+            max(ax, bx, cx) + margin, max(ay, by, cy) + margin)
+
+
 def query_and_blockers(grid, v):
     """The grid's answer for the CCW triangle ``v.prev, v, v.next``, and the
     members that pass ``is_ear``'s padded-box test and its three closure
@@ -274,11 +288,7 @@ def query_and_blockers(grid, v):
     a, c = v.prev, v.next
     ax, ay, bx, by, cx, cy = a.x, a.y, v.x, v.y, c.x, c.y
     abx, aby, bcx, bcy, cax, cay = bx - ax, by - ay, cx - bx, cy - by, ax - cx, ay - cy
-    margin = EPS_AREA / math.sqrt(
-        min(abx * abx + aby * aby, bcx * bcx + bcy * bcy, cax * cax + cay * cay)
-    )
-    box = (min(ax, bx, cx) - margin, min(ay, by, cy) - margin,
-           max(ax, bx, cx) + margin, max(ay, by, cy) + margin)
+    box = tip_box(v)
     minx, miny, maxx, maxy = box
     blockers = {
         m for m in grid
@@ -327,7 +337,8 @@ class TestReflexGrid:
             x = rng.uniform(lo_x - 2 * cell, hi_x + 2 * cell)
             y = rng.uniform(lo_y - 2 * cell, hi_y + 2 * cell)
             check(x, y, x + rng.uniform(0, 3 * cell), y + rng.uniform(0, 3 * cell))
-            i, j = rng.randrange(grid.last_col + 1), rng.randrange(grid.last_row + 1)
+            i = rng.randrange(int((hi_x - grid.x0) * grid.inv) + 1)
+            j = rng.randrange(len(grid.rows))
             w = rng.randrange(1, 4)
             check(
                 grid.x0 + i * cell,
@@ -343,19 +354,23 @@ class TestReflexGrid:
 
     def test_is_ear_matches_brute_force_through_a_full_clip(self):
         # a 400-vertex star is large enough that the grid prunes most reflex
-        # vertices; the comb's fan triangles take the row clip; every convex
-        # node is tested after every cut
+        # vertices; wide triangles of both rings, the comb's fans among them,
+        # take the row clip, which returns fewer members than the box alone;
+        # every convex node is tested after every cut
         star = generate_corpus(seed=404, count=1, vertex_range=(400, 400))[0]
-        for poly, floor in ((star, 10000), (comb_polygon(60), 5000)):
-            compared = 0
+        for poly, floor, clip_floor in ((star, 10000, 4000), (comb_polygon(60), 5000, 200)):
+            compared = clipped = 0
             ring = build_ring(poly.outer)
-            assert isinstance(ring.reflex, DenseReflexGrid) == (poly is not star)
+            grid = ring.reflex
             for ring in clip_steps(ring):
                 for node in ring:
                     if node.is_convex:
                         assert is_ear(ring, node) == brute_force_is_ear(ring, node), node
                         compared += 1
+                        box = tip_box(node)
+                        clipped += len(grid.query(*box, node)) < len(grid.query(*box))
             assert compared > floor
+            assert clipped > clip_floor, clipped
 
     def test_triangle_query_is_a_superset_for_random_triangles(self):
         # lattice members, many exactly on triangle edges, in a grid of two
@@ -366,10 +381,10 @@ class TestReflexGrid:
             VertexNode(float(rng.randrange(201)), float(rng.randrange(11)), k, k)
             for k in range(600)
         ]
-        grid = DenseReflexGrid(nodes)
-        for node in nodes:
+        grid = ReflexGrid(nodes, nodes[:300])
+        for node in nodes[300:]:
             grid.add(node)
-        assert len(grid) > len(grid.cells) and grid.last_row == 1
+        assert len(grid) == 600 and len(grid.rows) == 2
         clipped = 0
         for k in range(3000):
             y = rng.randrange(-2, 12)
@@ -401,7 +416,6 @@ class TestReflexGrid:
         else:
             ring = bridged_ring(comb_polygon(60, holes=True))
         grid = ring.reflex
-        assert isinstance(grid, DenseReflexGrid) == (shape != "bridged")
         checked = clipped = 0
         fan_found = fan_members = 0
         for ring in clip_steps(ring):
@@ -418,12 +432,103 @@ class TestReflexGrid:
                     fan_found += len(found)
                     fan_members += len(grid)
         assert checked > 1000
-        if shape != "bridged":  # that ring has fewer reflex vertices than cells
-            assert clipped > 100
+        # the star-shaped bridged ring has few boxes wider than tall
+        assert clipped > (10 if shape == "bridged" else 100), clipped
         if shape == "comb":
             # the fan tips' slivers span the spine, yet their queries return
             # under a quarter of the members
             assert 0 < 4 * fan_found < fan_members, (fan_found, fan_members)
+
+    def test_fewer_members_per_ear_test_than_the_column_grid(self, monkeypatch):
+        # members returned per ear test over a full basic clip, exactly; the
+        # column grid that the rows replaced returned 45413 members over 1997
+        # ear tests on the star (22.7 each) and 6477 over 402 on the comb (16.1)
+        counts = [0, 0]
+        query = ReflexGrid.query
+
+        def counted(grid, *args):
+            found = query(grid, *args)
+            counts[0] += 1
+            counts[1] += len(found)
+            return found
+
+        monkeypatch.setattr(ReflexGrid, "query", counted)
+        star = generate_corpus(seed=909, count=1, vertex_range=(2000, 2000))[0]
+        for poly, column_grid, rows in (
+            (star, (1997, 45413), (1997, 26990)),
+            (comb_polygon(100), (402, 6477), (402, 2989)),
+        ):
+            counts[:] = [0, 0]
+            triangulate_polygon(poly, "basic")
+            assert tuple(counts) == rows
+            assert counts[1] / counts[0] < column_grid[1] / column_grid[0]
+
+
+LATTICE = st.tuples(st.integers(0, 40), st.integers(0, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    points=st.lists(LATTICE, min_size=1, max_size=60),
+    twins=st.lists(st.integers(0, 59), max_size=10),
+    split=st.tuples(st.integers(1, 70), st.integers(0, 70)),
+    frame=st.sampled_from([(1.0, 0.0), (1e-6, 0.0), (1.0, 1e8), (1e-6, 1e8)]),
+    boxes=st.lists(st.tuples(LATTICE, LATTICE), max_size=10),
+    triangles=st.lists(st.tuples(LATTICE, LATTICE, LATTICE), max_size=10),
+)
+# a member added to a row that was empty at construction, inside a wide triangle
+@example(
+    points=[(0, 0), (10, 0), (20, 0), (30, 0), (40, 0), (0, 5), (10, 5), (20, 5), (30, 5), (20, 11)],
+    twins=[], split=(10, 9), frame=(1.0, 0.0), boxes=[], triangles=[((0, 9), (40, 9), (20, 12))],
+)
+def test_reflex_index_property(points, twins, split, frame, boxes, triangles):
+    # Members on a small lattice repeat x values and sit on triangle edges;
+    # twins repeat a member's coordinates; the frame scales by 1e-6 or shifts
+    # by 1e8. The index is built over the first ``bounds`` nodes with the first
+    # ``late`` as members; the rest are added one by one, possibly outside
+    # the bounds.
+    scale, shift = frame
+    pts = points + [points[i % len(points)] for i in twins]
+
+    def at(p):
+        return shift + scale * p[0], shift + scale * p[1]
+
+    nodes = [VertexNode(*at(p), k, k) for k, p in enumerate(pts)]
+    bounds, late = min(split[0], len(nodes)), min(split[1], len(nodes))
+    grid = ReflexGrid(nodes[:bounds], nodes[:late])
+    for node in nodes[late:]:
+        grid.add(node)
+
+    assert len(grid) == len(nodes)
+    assert sum(map(len, grid.rows)) == len(nodes) and set().union(*grid.rows) == grid
+    for xs, row in zip(grid.xs, grid.rows, strict=True):
+        assert xs == sorted(xs) == [m.x for m in row]
+
+    def check(found, minx, maxx):
+        assert len(found) == len(set(found)) and set(found) <= grid
+        assert all(minx <= m.x <= maxx for m in found)
+
+    point_boxes = [(m.x, m.y, m.x, m.y) for m in nodes[:5]]
+    lattice_boxes = [
+        (min(u[0], v[0]), min(u[1], v[1]), max(u[0], v[0]), max(u[1], v[1]))
+        for u, v in ((at(p), at(q)) for p, q in boxes)
+    ]
+    for minx, miny, maxx, maxy in point_boxes + lattice_boxes:
+        found = grid.query(minx, miny, maxx, maxy)
+        check(found, minx, maxx)
+        inside = {m for m in nodes if minx <= m.x <= maxx and miny <= m.y <= maxy}
+        assert inside <= set(found)
+    for corners in triangles:
+        a, v, c = (VertexNode(*at(p), 0, 0) for p in corners)
+        z = (v.x - a.x) * (c.y - a.y) - (v.y - a.y) * (c.x - a.x)
+        if z == 0.0:
+            continue
+        if z < 0.0:
+            a, c = c, a
+        v.prev, v.next = a, c
+        found, blockers, (minx, _, maxx, _) = query_and_blockers(grid, v)
+        check(found, minx, maxx)
+        assert blockers <= set(found)
 
 
 class TestValidatePolygon:
