@@ -98,12 +98,12 @@ def _pairs_by_length(
     """Every ``(length, i, j)`` of ring position i and hole position j, in
     the order ``sorted()`` gives all of them, produced nearest first.
 
-    Ring vertices fall in a uniform grid of about sqrt(m) cells along the
-    longer side of their bounding box. Each round takes a radius r, from one
-    cell width, doubling. It sorts by cell, row-major, the ring vertices in
-    the hole's bounding box grown by r, so each row of a hole vertex's visit
-    rectangle (the cells within r) is one slice, and hole vertices with one
-    rectangle share its walk. It yields, sorted, the pairs longer than the
+    Ring vertices fall in rows as tall as about 1/sqrt(m) of the longer side
+    of their bounding box. Each round takes a radius r, from one row height,
+    doubling. It files the ring vertices in the hole's bounding box grown by
+    r into rows sorted as ``(x, i, y)``, and each hole vertex takes one
+    slice of x within r, by bisection, from every row within r of it,
+    clamped to the ring's rows. It yields, sorted, the pairs longer than the
     previous radius and at most r. Once r spans both rings, the last round
     yields every pair left. Each pair falls in one round and rounds ascend,
     so the stream equals the full sort, ties included. Rounding drops no
@@ -113,46 +113,35 @@ def _pairs_by_length(
     xs = [c.x for c in cpts]
     ys = [c.y for c in cpts]
     x0, y0, x1, y1 = min(xs), min(ys), max(xs), max(ys)
-    spanx, spany = x1 - x0, y1 - y0
-    width = max(spanx, spany) / math.ceil(math.sqrt(len(cpts)))
-    inv = 1.0 / width if width > 0.0 else 0.0
-    last_col, last_row = int(spanx * inv), int(spany * inv)
-    cols = last_col + 1
+    height = max(x1 - x0, y1 - y0) / math.ceil(math.sqrt(len(cpts)))
+    inv = 1.0 / height if height > 0.0 else 0.0
+    last_row = int((y1 - y0) * inv)
     hxs = [h.x for h in hpts]
     hys = [h.y for h in hpts]
     hx0, hy0, hx1, hy1 = min(hxs), min(hys), max(hxs), max(hys)
     reach = math.hypot(max(x1, hx1) - min(x0, hx0), max(y1, hy1) - min(y0, hy0))
-    lo, r = -math.inf, width
+    lo, r = -math.inf, height
     while 0.0 < r < reach:
         pad = r + r * 2.0**-32
         bx0, by0, bx1, by1 = hx0 - pad, hy0 - pad, hx1 + pad, hy1 + pad
-        near = sorted(
-            (int((y - y0) * inv) * cols + int((x - x0) * inv), i, x, y)
-            for i, (x, y) in enumerate(cpts)
-            if bx0 <= x <= bx1 and by0 <= y <= by1
-        )
-        keys = [cell[0] for cell in near]
-        walks: dict[tuple, list] = {}  # visit rectangle -> its hole vertices
-        for j, (hx, hy) in enumerate(hpts):
-            c0 = max(int((hx - pad - x0) * inv), 0)
-            c1 = min(int((hx + pad - x0) * inv), last_col)
-            r0 = max(int((hy - pad - y0) * inv), 0)
-            r1 = min(int((hy + pad - y0) * inv), last_row)
-            if c0 <= c1 and r0 <= r1:  # else no ring vertex within r
-                walks.setdefault((c0, c1, r0, r1), []).append((j, hx, hy))
-        batch = []
-        for (c0, c1, r0, r1), group in walks.items():
-            seen = [
-                cell
-                for row in range(r0 * cols, r1 * cols + 1, cols)
-                for cell in near[bisect_left(keys, row + c0) : bisect_right(keys, row + c1)]
-            ]
-            batch += [
-                (length, i, j)
-                for j, hx, hy in group
-                for _, i, x, y in seen
-                if lo < (length := math.hypot(x - hx, y - hy)) <= r
-            ]
+        rows: dict = {}  # row -> (its x-coordinates, its (x, i, y)), by x
+        for i, (x, y) in enumerate(cpts):
+            if bx0 <= x <= bx1 and by0 <= y <= by1:
+                rows.setdefault(int((y - y0) * inv), []).append((x, i, y))
+        for k, row in rows.items():
+            row.sort()
+            rows[k] = [x for x, _, _ in row], row
+        batch = [
+            (length, i, j)
+            for j, (hx, hy) in enumerate(hpts)
+            for k in range(
+                max(int((hy - pad - y0) * inv), 0), min(int((hy + pad - y0) * inv), last_row) + 1
+            )
+            if k in rows
+            for row_x, row in [rows[k]]
+            for x, i, y in row[bisect_left(row_x, hx - pad) : bisect_right(row_x, hx + pad)]
+            if lo < (length := math.hypot(x - hx, y - hy)) <= r
+        ]
         batch.sort()
         yield from batch
         lo, r = r, 2.0 * r
@@ -175,7 +164,7 @@ def find_bridge(
     position, then smaller hole position), nearest first, until one neither
     crosses nor grazes any of ``edges`` and enters the interior wedge at
     both of its endpoints. Only pairs shorter than about twice the winning
-    length, or one grid cell of ``_pairs_by_length`` when that is longer,
+    length, or one row height of ``_pairs_by_length`` when that is longer,
     are ever measured and sorted. Zero-length candidates, where a ring
     vertex coincides with a hole vertex, are skipped: they would create a
     null slit. Raises NoValidBridge if every candidate is obstructed.

@@ -20,17 +20,18 @@ Ear flags are tested on demand. Removing an ear changes the ear status of
 its two neighbours only (Eberly, "Triangulation by Ear Clipping", 2002), so
 a cut refreshes those two and leaves every other flag as it is. Every
 convex node when the clip starts, and each convex neighbour after a cut,
-gets a pending flag (``is_ear`` None) stamped with the number of cuts made
-so far (``ring.clock``); the angle-aware policy pushes it onto a heap of
-ear candidates with lazily skipped stale entries, so a cut costs no ring
-scan. Only the selection resolves a pending flag, when the heap top or the
-traditional cursor reaches it, by one ear test; a node refreshed again or
-clipped before that is never tested. That test runs against the reflex set
-as of the stamp, not the current one, so it gives the flag that a test at
-the time of the stamp would have given. One index serves both:
-``ring.reflex`` never loses a member, so a test as of a stamp skips the
-members that had turned convex by then (``gone_at``), and a test of the
-current ring skips the members that are convex now.
+gets a pending flag (``is_ear`` None) stamped (``stamp``) with the number
+of cuts made so far (``ring.clock``); the angle-aware policy pushes it onto
+a heap of ear candidates (``ring.ears``) with lazily skipped stale entries,
+so a cut costs no ring scan. Only the selection resolves a pending flag,
+when the heap top or the traditional cursor reaches it, by one ear test; a
+node refreshed again or clipped before that is never tested. That test runs
+against the reflex set as of the stamp, not the current one, so it gives
+the flag that a test at the time of the stamp would have given. One index
+serves both: ``ring.reflex`` never loses a member, so a test as of a stamp
+skips the members that had turned convex by then (``gone_at``, the first
+cut that left a member convex), and a test of the current ring skips the
+members that are convex now.
 
 A resolved ear flag is trusted without a new test: since its stamp the tip,
 its neighbours and every reflex vertex stayed where they were, and while
@@ -43,6 +44,9 @@ at once, against the current reflex set, and the selection re-tests the
 chosen tip for the rest of the clip. A flag stamped before the growth still
 resolves exactly: nothing had joined the reflex set by its stamp, and a new
 member's ``gone_at`` of -1 hides it from every stamp.
+
+This module alone writes these fields and the ear flags;
+``polygon.refresh_node`` computes only a node's angle and convexity.
 
 Worst-case time stays quadratic: an ear whose box holds most reflex
 vertices still visits them all unless the triangle clip cuts them away,
@@ -235,17 +239,32 @@ def update_after_cut(
 ) -> None:
     """Refresh the two neighbours of a cut: angle, convexity, ear status.
 
-    Counts the cut in ``ring.clock``, then refreshes both nodes before
-    either flag is set, so each flag sees the other's updated reflex status.
-    A convex neighbour gets a pending flag stamped with the new count (in
-    :func:`refresh_node`), or a fresh ear test once ``ring.reflex_grown``
-    is set (a neighbour that turns reflex sets it), and is pushed onto the
-    ear heap once that exists unless the test failed. No other node is
-    touched.
+    Counts the cut in ``ring.clock``, then refreshes both nodes, and keeps
+    their books, before either flag is set, so each flag sees the other's
+    updated reflex status. Each node is stamped with the new count. A node
+    that was reflex and turns convex records the cut in ``gone_at`` unless
+    it has one. A node that ends reflex loses its ear flag; one that turns
+    reflex sets ``ring.reflex_grown`` and, unless it is a member already,
+    joins ``ring.reflex`` with ``gone_at`` -1, so that no ear test as of an
+    earlier cut sees it. A convex neighbour gets a pending flag, or a fresh
+    ear test once ``ring.reflex_grown`` is set, and is pushed onto the ear
+    heap once that exists unless the test failed. No other node is touched.
     """
-    ring.clock += 1
-    refresh_node(ring, left)
-    refresh_node(ring, right)
+    clock = ring.clock = ring.clock + 1
+    for node in (left, right):
+        was_convex = node.is_convex
+        refresh_node(node)
+        node.stamp = clock
+        if node.is_convex:
+            if not was_convex:
+                node.gone_at = min(node.gone_at, clock)
+        else:
+            node.is_ear = False
+            if was_convex:
+                ring.reflex_grown = True
+                if node not in ring.reflex:
+                    ring.reflex.add(node)
+                    node.gone_at = -1
     grown = ring.reflex_grown
     ears = ring.ears
     for node in (left, right):
@@ -347,7 +366,10 @@ def _clip(
     post_emit: Optional[Callable[[Triangulation, int], None]] = None,
 ) -> Triangulation:
     """Shared clipping loop over a ring fresh from ``build_ring`` (every node
-    stamped 0, so every convex one starts pending); emits n-2 triangles."""
+    stamped 0, so every convex one starts pending); emits n-2 triangles.
+    Clipping consumes the ring: a ring that was cut raises ValueError."""
+    if ring.clock > 0:
+        raise ValueError("ring was already clipped; build a new one with build_ring")
     tri = Triangulation(ring.table)
     for node in ring:
         node.is_ear = None if node.is_convex else False

@@ -33,7 +33,8 @@ def triangulate_ring(
     the smallest interior angle. ``improved`` is ``basic`` plus one swap
     attempt per triangle sharper than ``bound`` degrees (see
     :func:`polytri.swap.sharp_swapper`); with bound 0 its output equals
-    ``basic``'s. ``bound`` is ignored by the other two.
+    ``basic``'s. ``bound`` is ignored by the other two. Clipping consumes
+    ``ring``; a ring that was clipped already raises ValueError.
     """
     _check_algorithm(algorithm)
     post_emit = sharp_swapper(bound) if algorithm == "improved" else None

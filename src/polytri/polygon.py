@@ -47,7 +47,10 @@ class Ring:
     __slots__ = ("points",)
 
     def __init__(self, points: Iterable[Sequence[float]]):
-        pts = tuple(Point2(float(p[0]), float(p[1])) for p in points)
+        try:
+            pts = tuple(Point2(float(p[0]), float(p[1])) for p in points)
+        except (LookupError, TypeError, ValueError) as exc:
+            raise InvalidRing(f"{_first_non_point(points)} is not two numbers") from exc
         if len(pts) < 3:
             raise InvalidRing(f"ring needs at least 3 points, got {len(pts)}")
         for p in pts:
@@ -83,6 +86,20 @@ class Ring:
 
     def __repr__(self) -> str:
         return f"Ring({len(self.points)} points)"
+
+
+def _first_non_point(points: object) -> str:
+    """``point i value`` for the first entry of ``points`` that is not two
+    numbers; ``a point`` if ``points`` cannot be read a second time."""
+    try:
+        for i, p in enumerate(points):
+            try:
+                float(p[0]), float(p[1])
+            except (LookupError, TypeError, ValueError):
+                return f"point {i} {p!r}"
+    except TypeError:
+        pass
+    return "a point"
 
 
 class PolygonWithHoles:
@@ -168,13 +185,10 @@ class VertexNode:
     """A vertex in the live clipping ring.
 
     Carries its coordinates inline (hot loops read ``x``/``y`` directly),
-    the index of the vertex in the flattened input table, and the cached
-    interior angle, convexity, and ear status. ``is_ear`` is None while the
-    flag is pending: the ear test it stands for is due as of ring cut
-    ``stamp``, the cut that last refreshed the node (see
-    :mod:`polytri.earclip`). ``gone_at`` is the first cut at which the node
-    was refreshed convex, infinite until then, or -1 once it joined the
-    reflex set after :func:`build_ring`.
+    the index of the vertex in the flattened input table, its ring position
+    ``seq``, and the interior angle and convexity from :func:`refresh_node`.
+    ``is_ear``, ``stamp`` and ``gone_at`` are the ear-flag state that
+    :mod:`polytri.earclip` keeps (see its module docstring).
     """
 
     __slots__ = (
@@ -218,19 +232,11 @@ class VertexNode:
 class VertexRing:
     """Circular doubly linked ring of vertices, consumed by ear clipping.
 
-    ``reflex``, set by :func:`build_ring`, is a :class:`ReflexGrid`: rows
-    over the ring's starting bounding box, each sorted by x, so an ear test
-    visits only the reflex nodes near its triangle. It never loses a member:
-    it holds every node reflex when :func:`build_ring` returns, plus each
-    node that :func:`refresh_node` finds reflex later. The current reflex
-    set is its members that are not convex (a clipped node is convex).
-    ``reflex_grown`` turns true when a node turns reflex after
-    :func:`build_ring`; until then the reflex set only loses members, and
-    the reflex set as of cut ``t`` is the members whose ``gone_at`` exceeds
-    ``t``, which is what a pending ear flag stamped ``t`` is tested against.
-    ``clock`` counts the cuts made so far. ``ears`` is the clipping loop's
-    heap of ear candidates, built on first use (see :mod:`polytri.earclip`).
-    Single-threaded mutable state: one triangulation run owns one ring.
+    ``reflex``, set by :func:`build_ring`, is a :class:`ReflexGrid` of the
+    nodes reflex then. It and ``ears``, ``reflex_grown`` and ``clock`` are
+    the clipping state that :mod:`polytri.earclip` keeps (see its module
+    docstring). Single-threaded mutable state: one triangulation run owns
+    one ring.
     """
 
     __slots__ = ("head", "count", "table", "reflex", "ears", "reflex_grown", "clock")
@@ -250,26 +256,16 @@ class VertexRing:
             node = node.next
 
 
-def refresh_node(
-    ring: VertexRing, node: VertexNode, strict: bool = False
-) -> None:
-    """Recompute angle and convexity of ``node`` from its current neighbours.
+def refresh_node(node: VertexNode, strict: bool = False) -> None:
+    """Recompute ``interior_angle`` and ``is_convex`` of ``node`` from its
+    current neighbours; the ear-flag state is :mod:`polytri.earclip`'s.
 
     Convexity comes from the turn direction (a left turn is convex on a CCW
-    ring); exactly straight or spiked vertices are reflex. A node that was
-    reflex and turns convex records the cut in ``gone_at`` unless it has
-    one. A node that was convex and turns reflex sets ``ring.reflex_grown``
-    and, unless it is a member already, joins ``ring.reflex`` with
-    ``gone_at`` -1, so that no ear test as of an earlier cut sees it. Clears
-    the ear flag on non-convex nodes and stamps the node with
-    ``ring.clock``, the cut its ear flag is due as of.
-
-    With ``strict`` a coincident neighbour raises DegenerateVertex (build
-    time, where it means broken input). Without it the node is marked
-    reflex with a 360 degree angle so a collapsed edge mid-run is never
-    clipped as an ear.
+    ring); exactly straight or spiked vertices are reflex. With ``strict`` a
+    coincident neighbour raises DegenerateVertex (build time, where it means
+    broken input). Without it the node is marked reflex with a 360 degree
+    angle so a collapsed edge mid-run is never clipped as an ear.
     """
-    was_convex = node.is_convex
     p, n = node.prev, node.next
     ux, uy = p.x - node.x, p.y - node.y
     wx, wy = n.x - node.x, n.y - node.y
@@ -287,17 +283,6 @@ def refresh_node(
         else:
             node.interior_angle = 180.0 if ux * wx + uy * wy < 0.0 else 360.0
         node.is_convex = z > EPS_AREA
-    node.stamp = ring.clock
-    if node.is_convex:
-        if not was_convex:
-            node.gone_at = min(node.gone_at, ring.clock)
-    else:
-        node.is_ear = False
-        if was_convex:
-            ring.reflex_grown = True
-            if node not in ring.reflex:
-                ring.reflex.add(node)
-                node.gone_at = -1
 
 
 def build_ring(
@@ -310,9 +295,9 @@ def build_ring(
     ``indices`` maps each position to its index in the flattened vertex
     table (bridged rings repeat indices for duplicated vertices); it
     defaults to 0..n-1 with the ring's own points as the table. Interior
-    angles and convexity are computed for every node; ear flags start
-    false, and so does ``reflex_grown``. Then ``reflex`` is built over the
-    nodes' bounding box and filled with the reflex nodes by one sort.
+    angles and convexity are computed for every node. Then ``reflex`` is
+    built over the nodes' bounding box and filled with the reflex nodes by
+    one sort.
     """
     pts = ring.points
     n = len(pts)
@@ -326,7 +311,7 @@ def build_ring(
         node.next = nodes[(i + 1) % n]
     vring = VertexRing(nodes[0], n, table)
     for node in nodes:
-        refresh_node(vring, node, strict=True)  # nodes start non-convex: no growth
+        refresh_node(node, strict=True)
     vring.reflex = ReflexGrid(nodes, [node for node in nodes if not node.is_convex])
     return vring
 

@@ -1,3 +1,4 @@
+import ast
 import functools
 import heapq
 import logging
@@ -336,6 +337,47 @@ class TestMeshDisjointness:
             self._assert_disjoint_interiors(tri)
 
 
+def test_reclipping_a_consumed_ring_raises():
+    ring = build_ring(Ring([(0, 0), (4, 0), (4, 4), (2, 1), (0, 4)]))
+    assert len(triangulate_ring(ring, "basic")) == 3
+    with pytest.raises(ValueError, match="already clipped"):
+        triangulate_ring(ring, "basic")
+    # a triangle makes no cut, so clipping it again gives it again
+    triangle = build_ring(Ring([(0, 0), (1, 0), (0, 1)]))
+    for _ in range(2):
+        assert [t.indices() for t in triangulate_ring(triangle, "basic").triangles] == [(0, 1, 2)]
+
+
+EAR_STATE = {"stamp", "gone_at", "clock", "reflex_grown", "is_ear", "ears"}
+
+
+def test_only_earclip_writes_the_ear_flag_state():
+    # polygon.refresh_node is geometry only; the flags, stamps, gone_at and
+    # the growth mark have one owner, apart from the constructors' defaults
+    src = pathlib.Path(earclip.__file__).parent
+    writers = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defaults = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name in ("VertexNode", "VertexRing")
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+            for node in ast.walk(fn)
+        }
+        writers += [
+            f"{path.name}:{node.lineno} .{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and node.attr in EAR_STATE
+            and path.name != "earclip.py"
+            and id(node) not in defaults
+        ]
+    assert writers == []
+
+
 class TestUpdateAfterCut:
     def test_square_corner_cut_makes_45_degree_ears(self, unit_square):
         ring = build_ring(unit_square)
@@ -374,6 +416,34 @@ class TestUpdateAfterCut:
         remove_vertex(ring, b)
         update_after_cut(ring, left, right)
         assert (far.interior_angle, far.is_convex, far.is_ear) == before
+
+    def test_unreflexing_cut_stays_in_the_index_gone_at_the_cut(self):
+        # clipping the ear at B turns its reflex neighbour C convex; C stays
+        # in the index, marked as gone at this cut
+        ring = build_ring(Ring([(0, 0), (2, 0), (1.2, 0.4), (2, 2), (0, 1)]))
+        nodes = list(ring)
+        b, c = nodes[1], nodes[2]
+        assert not c.is_convex and c.gone_at == math.inf
+        left, right = b.prev, b.next
+        remove_vertex(ring, b)
+        update_after_cut(ring, left, right)
+        assert c.is_convex
+        assert c in ring.reflex
+        assert c.gone_at == ring.clock == 1
+
+    def test_collapsed_edge_joins_the_index_without_raising(self):
+        ring = build_ring(Ring([(0, 0), (4, 0), (4, 4), (0, 4), (-1, 2)]))
+        nodes = list(ring)
+        # forge a collapsed edge: drag a convex node onto its neighbour
+        nodes[1].x, nodes[1].y = nodes[2].x, nodes[2].y
+        assert nodes[1].is_convex and nodes[1] not in ring.reflex
+        remove_vertex(ring, nodes[0])
+        update_after_cut(ring, nodes[4], nodes[1])
+        assert not nodes[1].is_convex
+        assert nodes[1].interior_angle == 360.0
+        assert nodes[1] in ring.reflex
+        assert nodes[1].gone_at == -1 and nodes[1].is_ear is False
+        assert ring.reflex_grown
 
 
 

@@ -17,7 +17,7 @@ from polytri.geom import (
     segments_properly_cross,
     signed_area,
 )
-from polytri.polygon import VertexNode, VertexRing, refresh_node
+from polytri.polygon import VertexNode, refresh_node
 from conftest import (
     oracle_segments_share_beyond_endpoint,
     point_in_triangle_closure,
@@ -76,8 +76,7 @@ def corner_angle(prev, v, nxt):
     for i, node in enumerate(nodes):
         node.prev = nodes[i - 1]
         node.next = nodes[(i + 1) % 3]
-    ring = VertexRing(nodes[0], 3, (prev, v, nxt))
-    refresh_node(ring, nodes[1], strict=True)
+    refresh_node(nodes[1], strict=True)
     return nodes[1].interior_angle
 
 
