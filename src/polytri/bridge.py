@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .geom import EPS_LEN, GeometryError, Point2
 from .polygon import PolygonWithHoles, Ring, _boxed_edge, _boxed_edges, _crosses_any
@@ -92,11 +92,22 @@ def _in_wedge(v: Point2, toward_next: Point2, toward_prev: Point2, target: Point
     return 0.0 < off < size
 
 
+def _box(pts: Sequence[Point2]) -> tuple[float, float, float, float]:
+    """``(min x, min y, max x, max y)`` of ``pts``."""
+    xs = [p.x for p in pts]
+    ys = [p.y for p in pts]
+    return min(xs), min(ys), max(xs), max(ys)
+
+
 def _pairs_by_length(
-    cpts: Sequence[Point2], hpts: Sequence[Point2]
+    cpts: Sequence[Point2],
+    hpts: Sequence[Point2],
+    *,
+    box: Optional[tuple[float, float, float, float]] = None,
 ) -> Iterator[tuple[float, int, int]]:
     """Every ``(length, i, j)`` of ring position i and hole position j, in
     the order ``sorted()`` gives all of them, produced nearest first.
+    ``box`` is ``_box(cpts)`` when the caller has it, computed otherwise.
 
     Ring vertices fall in rows as tall as about 1/sqrt(m) of the longer side
     of their bounding box. Each round takes a radius r, from one row height,
@@ -110,15 +121,11 @@ def _pairs_by_length(
     vertex: a computed length of at most r means coordinates within
     r(1 + 2^-50), the bounds grow by r(1 + 2^-32), and rounding is monotone.
     """
-    xs = [c.x for c in cpts]
-    ys = [c.y for c in cpts]
-    x0, y0, x1, y1 = min(xs), min(ys), max(xs), max(ys)
+    x0, y0, x1, y1 = _box(cpts) if box is None else box
     height = max(x1 - x0, y1 - y0) / math.ceil(math.sqrt(len(cpts)))
     inv = 1.0 / height if height > 0.0 else 0.0
     last_row = int((y1 - y0) * inv)
-    hxs = [h.x for h in hpts]
-    hys = [h.y for h in hpts]
-    hx0, hy0, hx1, hy1 = min(hxs), min(hys), max(hxs), max(hys)
+    hx0, hy0, hx1, hy1 = _box(hpts)
     reach = math.hypot(max(x1, hx1) - min(x0, hx0), max(y1, hy1) - min(y0, hy0))
     lo, r = -math.inf, height
     while 0.0 < r < reach:
@@ -154,7 +161,11 @@ def _pairs_by_length(
 
 
 def find_bridge(
-    cpts: Sequence[Point2], hpts: Sequence[Point2], edges: list
+    cpts: Sequence[Point2],
+    hpts: Sequence[Point2],
+    edges: list,
+    *,
+    box: Optional[tuple[float, float, float, float]] = None,
 ) -> tuple[float, int, int]:
     """Shortest unobstructed segment joining ring ``cpts`` to hole ``hpts``.
 
@@ -168,10 +179,12 @@ def find_bridge(
     are ever measured and sorted. Zero-length candidates, where a ring
     vertex coincides with a hole vertex, are skipped: they would create a
     null slit. Raises NoValidBridge if every candidate is obstructed.
+    ``box`` is the bounding box of ``cpts`` as ``(x0, y0, x1, y1)`` when the
+    caller keeps it; it is computed otherwise.
     """
     m = len(cpts)
     k = len(hpts)
-    for length, i, j in _pairs_by_length(cpts, hpts):
+    for length, i, j in _pairs_by_length(cpts, hpts, box=box):
         if length <= EPS_LEN:
             continue
         a, b = cpts[i], hpts[j]
@@ -212,6 +225,9 @@ def eliminate_holes(poly: PolygonWithHoles) -> DegenerateRing:
     holds the merged ring's directed edges plus the pending holes'. Both
     directions are kept because the crossing test's orientation signs can
     round differently for the two.
+
+    The merged ring's bounding box is the outer ring's grown by the box of
+    each merged hole, kept here rather than recomputed per bridge search.
     """
     outer = poly.outer
     cpts, cur_idx = outer.points, tuple(range(len(outer)))
@@ -220,13 +236,16 @@ def eliminate_holes(poly: PolygonWithHoles) -> DegenerateRing:
     edges = [e for ring in (outer, *poly.holes) for e in _boxed_edges(ring)]
     off = len(outer)  # table index of the current hole's first vertex
     bridges = []
+    box = _box(cpts)
     for h, hole in enumerate(poly.holes, start=1):
         hpts = hole.points
-        length, i, j = find_bridge(cpts, hpts, edges)
+        length, i, j = find_bridge(cpts, hpts, edges, box=box)
         a, c = cpts[i], hpts[j]
         edges += (_boxed_edge(a, c), _boxed_edge(c, a))
         cpts = _splice(cpts, hpts, i, j)
         cur_idx = _splice(cur_idx, tuple(range(off, off + len(hpts))), i, j)
         off += len(hpts)
+        hx0, hy0, hx1, hy1 = _box(hpts)
+        box = (min(box[0], hx0), min(box[1], hy0), max(box[2], hx1), max(box[3], hy1))
         bridges.append(BridgeEdge((0, i), (h, j), length))
     return DegenerateRing(Ring._trusted(cpts), cur_idx, tuple(bridges))

@@ -106,9 +106,15 @@ class Triangle:
     adjacency by them. ``degenerate`` marks a zero-area last triangle, left
     over when a bridge slit collapses; it is excluded from quality
     statistics.
+
+    ``min_angle`` is the triangle's smallest angle, ``min`` of
+    ``triangle_angles_xy`` over ``nodes`` in order, as measured by the
+    improved pass. It holds only while ``angle_nodes`` is the very
+    ``nodes`` tuple it was measured on: code that assigns ``nodes`` makes
+    it stale, and readers then measure afresh.
     """
 
-    __slots__ = ("a", "b", "c", "nodes", "degenerate")
+    __slots__ = ("a", "b", "c", "nodes", "degenerate", "min_angle", "angle_nodes")
 
     def __init__(
         self, na: VertexNode, nb: VertexNode, nc: VertexNode, degenerate: bool = False
@@ -118,6 +124,8 @@ class Triangle:
         self.b = nb.original_index
         self.c = nc.original_index
         self.degenerate = degenerate
+        self.min_angle: Optional[float] = None
+        self.angle_nodes: Optional[tuple[VertexNode, VertexNode, VertexNode]] = None
 
     def indices(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)

@@ -37,13 +37,22 @@ class QualityReport:
 
 
 def min_angles(tri: Triangulation) -> list[float]:
-    """Minimum interior angle of every non-degenerate triangle, in degrees."""
+    """Minimum interior angle of every non-degenerate triangle, in degrees.
+
+    A triangle's stored ``min_angle`` is used while it is valid (see
+    :class:`~polytri.earclip.Triangle`); the improved pass leaves one on
+    every triangle it measured. Only the others are measured here.
+    """
     out = []
     for t in tri.triangles:
         if t.degenerate:
             continue
-        a, b, c = t.nodes
-        out.append(min(triangle_angles_xy(a.x, a.y, b.x, b.y, c.x, c.y)))
+        nodes = t.nodes
+        if t.angle_nodes is nodes:
+            out.append(t.min_angle)
+        else:
+            a, b, c = nodes
+            out.append(min(triangle_angles_xy(a.x, a.y, b.x, b.y, c.x, c.y)))
     return out
 
 

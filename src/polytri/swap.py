@@ -10,6 +10,12 @@ proceed as if nothing happened.
 
 Each new triangle gets exactly one swap attempt; swapped-in triangles are
 not re-tested and no flip cascades are chased.
+
+The pass measures each stored triangle once. The hook stores a fresh
+triangle's smallest angle on it (``Triangle.min_angle``); :func:`try_swap`
+reads the stored values of the pair and stores the minima of the two
+triangles a swap writes; :func:`polytri.quality.min_angles` reads them
+again for the report.
 """
 
 from __future__ import annotations
@@ -31,31 +37,52 @@ def _node_angles(t: Triangle) -> tuple[float, float, float]:
     return triangle_angles_xy(a.x, a.y, b.x, b.y, c.x, c.y)
 
 
+def _min_angle(t: Triangle) -> float:
+    """``t``'s stored smallest angle, or a fresh one when it has none."""
+    if t.angle_nodes is t.nodes:
+        return t.min_angle
+    return min(_node_angles(t))
+
+
 def try_swap(
-    t1: Triangle, t2: Triangle, tri: Triangulation, t1_min: Optional[float] = None
+    t1: Triangle, t2: Triangle, tri: Triangulation
 ) -> Optional[tuple[Triangle, Triangle]]:
     """Swap the shared diagonal of ``t1``/``t2`` when it improves the pair.
 
     The four distinct corners form a quadrilateral; if it is not strictly
     convex the other diagonal would leave it, so nothing happens. Otherwise
     the pair minimum over six angles decides: swap only on strict
-    improvement. ``t1_min`` is the smallest angle of ``t1`` when the caller
-    has measured it already; it is measured here otherwise. Returns the
-    re-diagonalized pair (the same Triangle objects rewritten in place) or
-    None when unchanged.
+    improvement. The old pair's minimum comes from each triangle's stored
+    ``min_angle`` (see :class:`~polytri.earclip.Triangle`), measured here
+    only for a triangle that has none. The first rewritten triangle is
+    measured next, and when its minimum is not above the old one the
+    answer is no without measuring the second. A swap stores the new minima
+    on the two rewritten triangles. Returns the re-diagonalized pair (the
+    same Triangle objects rewritten in place) or None when unchanged.
+    Raises ValueError unless the two triangles share exactly one edge.
     """
     if t1.degenerate or t2.degenerate:
         return None
-    shared = set(t1.nodes) & set(t2.nodes)
-    if len(shared) != 2:
+    n2 = t2.nodes
+    p, q, r = t1.nodes
+    # t1's apex a1 is its one corner off t2; its other two, s and v, are on it.
+    if p not in n2:
+        a1, s, v = p, q, r
+    elif q not in n2:
+        a1, s, v = q, r, p
+    else:
+        a1, s, v = r, p, q
+    if a1 in n2 or s not in n2 or v not in n2:
         raise ValueError(f"{t1!r} and {t2!r} do not share exactly one edge")
-    a1 = next(n for n in t1.nodes if n not in shared)
-    k = next(k for k, n in enumerate(t2.nodes) if n not in shared)
-    a2 = t2.nodes[k]
     # Orient the shared edge u->w as it appears in t2, so the quad reads
     # (u, a1, w, a2) counter-clockwise.
-    u = t2.nodes[(k + 1) % 3]
-    w = t2.nodes[(k + 2) % 3]
+    d, e, f = n2
+    if d is not s and d is not v:
+        a2, u, w = d, e, f
+    elif e is not s and e is not v:
+        a2, u, w = e, f, d
+    else:
+        a2, u, w = f, d, e
     x1, y1, x2, y2 = a1.x, a1.y, a2.x, a2.y
     ux, uy, wx, wy = u.x, u.y, w.x, w.y
     # Both halves on the new diagonal must keep positive area (the cross
@@ -67,21 +94,22 @@ def try_swap(
     ):
         return None
     try:
-        if t1_min is None:
-            t1_min = min(_node_angles(t1))
-        old_min = min(t1_min, min(_node_angles(t2)))
-        new_min = min(
-            min(triangle_angles_xy(x1, y1, wx, wy, x2, y2)),
-            min(triangle_angles_xy(x2, y2, ux, uy, x1, y1)),
-        )
+        old_min = min(_min_angle(t1), _min_angle(t2))
+        m1 = min(triangle_angles_xy(x1, y1, wx, wy, x2, y2))
+        # min(m1, m2) > old_min needs m1 > old_min, NaN included.
+        if not m1 > old_min:
+            return None
+        m2 = min(triangle_angles_xy(x2, y2, ux, uy, x1, y1))
     except DegenerateTriangle:
         return None
-    if not new_min > old_min:
+    if not min(m1, m2) > old_min:
         return None
-    t1.nodes = (a1, w, a2)
+    t1.nodes = t1.angle_nodes = (a1, w, a2)
     t1.a, t1.b, t1.c = a1.original_index, w.original_index, a2.original_index
-    t2.nodes = (a2, u, a1)
+    t1.min_angle = m1
+    t2.nodes = t2.angle_nodes = (a2, u, a1)
     t2.a, t2.b, t2.c = a2.original_index, u.original_index, a1.original_index
+    t2.min_angle = m2
     tri.swap_count += 1
     return (t1, t2)
 
@@ -125,7 +153,8 @@ def sharp_swapper(bound: float) -> Callable[[Triangulation, int], None]:
             angles = _node_angles(t)
         except DegenerateTriangle:
             return
-        sharpest = min(angles)
+        t.min_angle = sharpest = min(angles)
+        t.angle_nodes = t.nodes
         if not sharpest < limit:
             return
         k = 0
@@ -136,7 +165,7 @@ def sharp_swapper(bound: float) -> Callable[[Triangulation, int], None]:
         u = t.nodes[(k + 1) % 3]
         w = t.nodes[(k + 2) % 3]
         neighbor = half.get((w, u))
-        if neighbor is not None and try_swap(t, neighbor, tri, sharpest) is not None:
+        if neighbor is not None and try_swap(t, neighbor, tri) is not None:
             del half[u, w], half[w, u]
             own(t)
             own(neighbor)

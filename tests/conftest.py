@@ -213,8 +213,8 @@ def recorded_bridge_calls(poly):
     real = bridge.find_bridge
     calls = []
 
-    def recorder(cpts, hpts, edges):
-        result = real(cpts, hpts, edges)
+    def recorder(cpts, hpts, edges, **kwargs):
+        result = real(cpts, hpts, edges, **kwargs)
         calls.append((cpts, hpts, list(edges), result))
         return result
 

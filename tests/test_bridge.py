@@ -15,7 +15,8 @@ from polytri import (
     normalize,
     triangulate_ring,
 )
-from polytri.bridge import BridgeEdge, _in_wedge, _pairs_by_length, find_bridge
+from polytri import bridge
+from polytri.bridge import BridgeEdge, _box, _in_wedge, _pairs_by_length, find_bridge
 from polytri.polygon import _boxed_edges
 from polytri.geom import Point2
 from conftest import oracle_segments_share_beyond_endpoint, recorded_bridge_calls, triangulation_area
@@ -327,6 +328,22 @@ class TestEliminateHoles:
                 assert sorted(edges) == sorted(e for r in rings for e in _boxed_edges(r))
                 searches += 1
         assert searches > 40
+
+    def test_carried_box_equals_the_merged_ring_box(self, monkeypatch):
+        # The outer ring's box grown by each merged hole's is, float for
+        # float, the box of the merged ring that each search is given.
+        real = bridge.find_bridge
+        boxes = []
+
+        def recorder(cpts, hpts, edges, *, box=None):
+            boxes.append((box, _box(cpts)))
+            return real(cpts, hpts, edges, box=box)
+
+        monkeypatch.setattr(bridge, "find_bridge", recorder)
+        for poly in generate_corpus(7, 40, (4, 120), (1, 3)):
+            eliminate_holes(normalize(poly))
+        assert len(boxes) > 40
+        assert all(carried == fresh for carried, fresh in boxes)
 
     def test_duplicates_share_original_index(self):
         poly = normalize(PolygonWithHoles(OUTER, [HOLE]))

@@ -1,14 +1,24 @@
 import logging
 import math
 import random
+from collections import Counter
 
 import pytest
 
+import polytri.quality as quality_mod
 import polytri.swap as swap_mod
-from polytri import build_ring, eliminate_holes, generate_corpus, triangulate_ring
+from polytri import (
+    build_ring,
+    eliminate_holes,
+    generate_corpus,
+    report,
+    triangulate_polygon,
+    triangulate_ring,
+)
 from polytri.earclip import Triangulation, _clip
 from polytri.polygon import VertexNode
-from polytri.geom import DegenerateTriangle, Point2
+from polytri.geom import DegenerateTriangle, Point2, triangle_angles_xy
+from polytri.quality import min_angles
 from polytri.swap import sharp_swapper, try_swap
 from conftest import (
     cross2,
@@ -181,6 +191,25 @@ class TestTrySwap:
         t0, t1 = tri.triangles
         assert try_swap(t0, t1, tri) is None
 
+    @pytest.mark.parametrize(
+        "second",
+        [(4, 5, 6), (2, 4, 5), None],
+        ids=["disjoint", "one_shared_vertex", "itself"],
+    )
+    def test_rejects_a_pair_without_exactly_one_shared_edge(self, second):
+        p = (P(0, 0), P(1, 0), P(0, 1), P(3, 0), P(5, 0), P(6, 0), P(5, 1))
+        nodes = [VertexNode(q.x, q.y, i, i) for i, q in enumerate(p)]
+        tri = Triangulation(p)
+        t0 = tri.triangles[tri.add_triangle(nodes[0], nodes[1], nodes[2])]
+        t1 = t0 if second is None else tri.triangles[tri.add_triangle(*(nodes[i] for i in second))]
+        before = (t0.indices(), t1.indices())
+        with pytest.raises(ValueError, match="share exactly one edge"):
+            try_swap(t0, t1, tri)
+        with pytest.raises(ValueError, match="share exactly one edge"):
+            try_swap(t1, t0, tri)
+        assert (t0.indices(), t1.indices()) == before
+        assert tri.swap_count == 0
+
     def test_verdict_matches_brute_force_on_random_quads(self):
         rng = random.Random(99)
         from conftest import random_convex_quad
@@ -243,3 +272,45 @@ class TestTriangulateImproved:
     def test_accepts_plain_float_bound(self, unit_square):
         tri = triangulate_ring(build_ring(unit_square), "improved", bound=30)
         assert len(tri.triangles) == 2
+
+
+class TestMeasureOnce:
+    """Each triangle of an improved run is measured once; the report reuses it."""
+
+    @pytest.fixture()
+    def measured(self, monkeypatch):
+        """Count the angle measurements of ``swap`` and ``quality``."""
+        counts = Counter()
+        for module in (swap_mod, quality_mod):
+            real = module.triangle_angles_xy
+
+            def counting(*xy, name=module.__name__, real=real):
+                counts[name] += 1
+                return real(*xy)
+
+            monkeypatch.setattr(module, "triangle_angles_xy", counting)
+        return counts
+
+    def test_improved_run_and_report(self, measured, swap_calls):
+        poly = generate_corpus(3, 1, (200, 200), (3, 3))[0]
+        assert len(poly.holes) == 3
+        tri, _ = triangulate_polygon(poly, "improved", 30.0)
+        rep = report(tri)
+        kept = [t for t in tri.triangles if not t.degenerate]
+        assert rep.triangle_count == len(kept)
+        assert tri.swap_count > 0 and swap_calls
+        assert measured["polytri.swap"] <= len(tri.triangles) + 2 * len(swap_calls)
+        assert all(t.angle_nodes is t.nodes for t in kept)
+        assert measured["polytri.quality"] == 0
+
+    def test_nodes_rewritten_from_outside_are_measured_afresh(self, measured):
+        poly = generate_corpus(3, 1, (60, 60), (1, 1))[0]
+        tri, _ = triangulate_polygon(poly, "improved", 30.0)
+        t1, t2 = tri.triangles[0], tri.triangles[-1]
+        stale = t1.min_angle
+        t1.nodes = (t1.nodes[0], t1.nodes[1], t2.nodes[2])
+        a, b, c = t1.nodes
+        fresh = min(triangle_angles_xy(a.x, a.y, b.x, b.y, c.x, c.y))
+        assert fresh != stale
+        assert min_angles(tri)[0] == fresh
+        assert measured["polytri.quality"] == 1
