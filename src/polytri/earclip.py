@@ -27,23 +27,21 @@ so a cut costs no ring scan. Only the selection resolves a pending flag,
 when the heap top or the traditional cursor reaches it, by one ear test; a
 node refreshed again or clipped before that is never tested. That test runs
 against the reflex set as of the stamp, not the current one, so it gives
-the flag that a test at the time of the stamp would have given. One index
-serves both: ``ring.reflex`` never loses a member, so a test as of a stamp
-skips the members that had turned convex by then (``gone_at``, the first
-cut that left a member convex), and a test of the current ring skips the
-members that are convex now.
+the flag that a test at the time of the stamp would have given. The index
+``ring.reflex`` never loses a member, so the test skips the members that
+had turned convex by its stamp (``gone_at``, the cut that left a member
+convex), or by the current cut when no stamp is given.
 
 A resolved ear flag is trusted without a new test: since its stamp the tip,
 its neighbours and every reflex vertex stayed where they were, and while
-the reflex set only loses members the test would pass again. The one
-exception is a cut neighbour that turns reflex, which takes a degenerate
-ring: the neighbour becomes a zero-width spike or meets a coincident
-vertex, as where bridge twins or touching holes repeat a point.
-``ring.reflex_grown`` records it. From then on a cut tests its neighbours
-at once, against the current reflex set, and the selection re-tests the
-chosen tip for the rest of the clip. A flag stamped before the growth still
-resolves exactly: nothing had joined the reflex set by its stamp, and a new
-member's ``gone_at`` of -1 hides it from every stamp.
+the reflex set only loses members the test would pass again. A cut
+neighbour that turns reflex, which takes a degenerate ring (the neighbour
+becomes a zero-width spike or meets a coincident vertex, as where bridge
+twins or touching holes repeat a point), restarts this bookkeeping as the
+clip starts it: ``ring.reflex`` is rebuilt from the live ring, every live
+node gets a flag stamped with that cut, pending if convex, and the heap is
+rebuilt. Between restarts the reflex set only shrinks, so every flag is
+exact as of its stamp.
 
 This module alone writes these fields and the ear flags;
 ``polygon.refresh_node`` computes only a node's angle and convexity.
@@ -69,6 +67,7 @@ from typing import Callable, Optional
 
 from .geom import EPS_AREA, EPS_LEN, GeometryError, Point2
 from .polygon import VertexNode, VertexRing, refresh_node, remove_vertex
+from .reflexgrid import ReflexGrid
 
 __all__ = [
     "EarSearchFailed",
@@ -184,12 +183,11 @@ def is_ear(
     ``ring.reflex`` returns for that box and tip, a superset of the ones
     passing those tests, are tested, against the live ring state. The index
     keeps members that are no longer reflex, so one filter after the
-    closure tests picks the reflex set: the members that are not convex.
-
-    With ``stamp`` the reflex set is the one as of cut ``stamp``: the
-    members whose ``gone_at`` exceeds it. That is exact for a stamp set
-    before ``ring.reflex_grown``; the selection uses it to resolve a pending
-    flag, whose tip and neighbours are those of its stamp.
+    closure tests picks the reflex set as of cut ``stamp``, by default the
+    current cut ``ring.clock``: the members whose ``gone_at`` exceeds it.
+    The selection resolves a pending flag as of its stamp, since which its
+    tip and neighbours have not moved; any stamp since the index was built
+    gives the exact reflex set of that cut.
 
     With ``corner_twins`` a reflex vertex within EPS_LEN of a triangle corner
     does not block: the bridge duplicate of a corner lies on the closure even
@@ -197,6 +195,8 @@ def is_ear(
     """
     if not v.is_convex:
         return False
+    if stamp is None:
+        stamp = ring.clock
     p = v.prev
     n = v.next
     ax, ay = p.x, p.y
@@ -217,12 +217,13 @@ def is_ear(
     maxx = max(ax, bx, cx) + margin
     miny = min(ay, by, cy) - margin
     maxy = max(ay, by, cy) + margin
+    # the query returns only members with minx <= x <= maxx
     for r in ring.reflex.query(minx, miny, maxx, maxy, v):
         if r is p or r is n:
             continue
         px = r.x
         py = r.y
-        if px < minx or px > maxx or py < miny or py > maxy:
+        if py < miny or py > maxy:
             continue
         if abx * (py - ay) - aby * (px - ax) < neg:
             continue
@@ -230,7 +231,7 @@ def is_ear(
             continue
         if cax * (py - cy) - cay * (px - cx) < neg:
             continue
-        if (r.is_convex if stamp is None else r.gone_at <= stamp):
+        if r.gone_at <= stamp:
             continue
         if corner_twins and (
             math.hypot(px - ax, py - ay) <= EPS_LEN
@@ -248,38 +249,50 @@ def update_after_cut(
     """Refresh the two neighbours of a cut: angle, convexity, ear status.
 
     Counts the cut in ``ring.clock``, then refreshes both nodes, and keeps
-    their books, before either flag is set, so each flag sees the other's
-    updated reflex status. Each node is stamped with the new count. A node
-    that was reflex and turns convex records the cut in ``gone_at`` unless
-    it has one. A node that ends reflex loses its ear flag; one that turns
-    reflex sets ``ring.reflex_grown`` and, unless it is a member already,
-    joins ``ring.reflex`` with ``gone_at`` -1, so that no ear test as of an
-    earlier cut sees it. A convex neighbour gets a pending flag, or a fresh
-    ear test once ``ring.reflex_grown`` is set, and is pushed onto the ear
-    heap once that exists unless the test failed. No other node is touched.
+    their books, before either flag is set. Each node is stamped with the
+    new count. A node that was reflex and turns convex records the cut in
+    ``gone_at``; a node that ends reflex loses its ear flag. A convex
+    neighbour gets a pending flag and is pushed onto the ear heap once that
+    exists; no other node is touched. A neighbour that turns reflex instead
+    gets ``gone_at`` inf and restarts the books of the whole ring (see the
+    module docstring): a new ``ring.reflex``, a flag stamped with this cut
+    on every live node, and no heap until the selection rebuilds it.
     """
     clock = ring.clock = ring.clock + 1
+    grown = False
     for node in (left, right):
         was_convex = node.is_convex
         refresh_node(node)
         node.stamp = clock
         if node.is_convex:
             if not was_convex:
-                node.gone_at = min(node.gone_at, clock)
+                node.gone_at = clock
         else:
             node.is_ear = False
             if was_convex:
-                ring.reflex_grown = True
-                if node not in ring.reflex:
-                    ring.reflex.add(node)
-                    node.gone_at = -1
-    grown = ring.reflex_grown
+                node.gone_at = math.inf
+                grown = True
+    if grown:
+        ring.reflex = ReflexGrid(list(ring))
+        _start_flags(ring)
+        return
     ears = ring.ears
     for node in (left, right):
         if node.is_convex:
-            node.is_ear = is_ear(ring, node) if grown else None
-            if ears is not None and node.is_ear is not False:
+            node.is_ear = None
+            if ears is not None:
                 heapq.heappush(ears, (*_ear_key(node), node))
+
+
+def _start_flags(ring: VertexRing) -> None:
+    """Stamp every live node with ``ring.clock`` and give it a pending flag
+    if convex, no ear flag if not; drop the heap for the selection to
+    rebuild. The clip's start, and its restart when the reflex set grows."""
+    clock = ring.clock
+    for node in ring:
+        node.stamp = clock
+        node.is_ear = None if node.is_convex else False
+    ring.ears = None
 
 
 def _ear_key(node: VertexNode) -> tuple[float, int, int]:
@@ -301,9 +314,8 @@ def _select_smallest_angle(ring: VertexRing) -> Optional[VertexNode]:
     full ring scan would find. No tiebreaker is needed: ``seq`` is unique
     within a ring, so entries of different nodes differ before the node,
     and equal entries of one node compare equal by identity without
-    ordering nodes. A set flag is trusted until ``ring.reflex_grown`` is
-    set (see the module docstring); after that the candidate is re-tested
-    and dropped when it fails. Returns None when no ear is left.
+    ordering nodes. A set flag is trusted (see the module docstring).
+    Returns None when no ear is left.
     """
     ears = ring.ears
     if ears is None:
@@ -318,9 +330,7 @@ def _select_smallest_angle(ring: VertexRing) -> Optional[VertexNode]:
             if flag is None:
                 flag = node.is_ear = is_ear(ring, node, stamp=node.stamp)
             if flag:
-                if not ring.reflex_grown or is_ear(ring, node):
-                    return node
-                node.is_ear = False
+                return node
         heapq.heappop(ears)
     return None
 
@@ -331,8 +341,7 @@ def _select_next_sequential(
     """First ear at or after ``start`` in ring order.
 
     Pending flags on the way are resolved, and set flags trusted, as in
-    :func:`_select_smallest_angle`; set flags are re-tested once
-    ``ring.reflex_grown`` is set.
+    :func:`_select_smallest_angle`.
     """
     node = start
     for _ in range(ring.count):
@@ -340,9 +349,7 @@ def _select_next_sequential(
         if flag is None:
             flag = node.is_ear = is_ear(ring, node, stamp=node.stamp)
         if flag:
-            if not ring.reflex_grown or is_ear(ring, node):
-                return node
-            node.is_ear = False
+            return node
         node = node.next
     return None
 
@@ -379,8 +386,7 @@ def _clip(
     if ring.clock > 0:
         raise ValueError("ring was already clipped; build a new one with build_ring")
     tri = Triangulation(ring.table)
-    for node in ring:
-        node.is_ear = None if node.is_convex else False
+    _start_flags(ring)
     cursor = ring.head
     while ring.count > 3:
         if smallest_angle:

@@ -233,20 +233,19 @@ class VertexRing:
     """Circular doubly linked ring of vertices, consumed by ear clipping.
 
     ``reflex``, set by :func:`build_ring`, is a :class:`ReflexGrid` of the
-    nodes reflex then. It and ``ears``, ``reflex_grown`` and ``clock`` are
-    the clipping state that :mod:`polytri.earclip` keeps (see its module
-    docstring). Single-threaded mutable state: one triangulation run owns
-    one ring.
+    nodes reflex then. It and ``ears`` and ``clock`` are the clipping state
+    that :mod:`polytri.earclip` keeps (see its module docstring), which
+    rebuilds ``reflex`` when the reflex set grows. Single-threaded mutable
+    state: one triangulation run owns one ring.
     """
 
-    __slots__ = ("head", "count", "table", "reflex", "ears", "reflex_grown", "clock")
+    __slots__ = ("head", "count", "table", "reflex", "ears", "clock")
 
     def __init__(self, head: VertexNode, count: int, table: tuple[Point2, ...]):
         self.head = head
         self.count = count
         self.table = table
         self.ears: Optional[list] = None
-        self.reflex_grown = False
         self.clock = 0
 
     def __iter__(self) -> Iterator[VertexNode]:
@@ -312,7 +311,7 @@ def build_ring(
     vring = VertexRing(nodes[0], n, table)
     for node in nodes:
         refresh_node(node, strict=True)
-    vring.reflex = ReflexGrid(nodes, [node for node in nodes if not node.is_convex])
+    vring.reflex = ReflexGrid(nodes)
     return vring
 
 
@@ -321,8 +320,9 @@ def remove_vertex(ring: VertexRing, v: VertexNode) -> VertexRing:
 
     The caller (the clipping loop) refreshes the two neighbours afterwards.
     ``v`` keeps its own prev/next pointers so an emitted triangle can still
-    reference them. The clip removes only convex tips, so ``ring.reflex``,
-    which skips convex members in current-set ear tests, needs no change.
+    reference them. The clip removes only convex tips, which the ear test
+    skips among the members of ``ring.reflex`` by their ``gone_at``, so the
+    index needs no change.
     """
     if ring.count < 3:
         raise InvalidRing("cannot remove from a ring with fewer than 3 vertices")
@@ -378,17 +378,21 @@ def validate_polygon(poly: PolygonWithHoles) -> list[str]:
     two rings touch or cross. Assumes a normalized polygon.
     """
     problems: list[str] = []
+    outer = poly.outer.points
     outer_edges = _boxed_edges(poly.outer)
     hole_edges = [_boxed_edges(h) for h in poly.holes]
     for i, h in enumerate(poly.holes):
         for p in h.points:
-            if not point_in_ring(p, poly.outer.points):
+            if not point_in_ring(p, outer):
                 problems.append(f"hole {i}: vertex {p} outside the outer ring")
                 break
         for *_, a, b in hole_edges[i]:
             if _crosses_any(a, b, outer_edges):
                 problems.append(f"hole {i}: crosses the outer ring")
                 break
+        # a shared vertex is not a crossing, and ray casting may count it inside
+        if any(points_close(p, q) for p in h.points for q in outer):
+            problems.append(f"hole {i} touches the outer ring at a vertex")
     for i in range(len(poly.holes)):
         for j in range(i + 1, len(poly.holes)):
             crossing = any(_crosses_any(a, b, hole_edges[j]) for *_, a, b in hole_edges[i])

@@ -2,8 +2,9 @@
 
 :class:`ReflexGrid` keeps its members in horizontal rows, each sorted by x,
 so a box query bisects every row it spans to the box's x-range; a wide ear
-triangle is also clipped row by row. See :func:`polytri.polygon.build_ring`,
-which builds it, and :func:`polytri.earclip.is_ear`, which queries it.
+triangle is also clipped row by row. See :func:`polytri.polygon.build_ring`
+and :func:`polytri.earclip.update_after_cut`, which build it, and
+:func:`polytri.earclip.is_ear`, which queries it.
 """
 
 from __future__ import annotations
@@ -22,27 +23,28 @@ __all__ = ["ReflexGrid"]
 
 
 class ReflexGrid(set):
-    """The nodes of a ring that were ever reflex, in rows sorted by x.
+    """The reflex nodes of a ring when it was built, in rows sorted by x.
 
-    The rows split the bounding box of ``nodes`` into strips as tall as the
-    cells of a uniform grid with about sqrt(n) cells along the longer side
-    (the uniform grid of Held's FIST, without its columns). Row ``k`` keeps
-    two parallel lists: ``xs[k]``, its members' x-coordinates in ascending
-    order, and ``rows[k]``, the members in the same order. Membership,
-    iteration and ``len`` are the set's; add members only through
-    :meth:`add`, which keeps the rows in sync. No member is ever removed:
-    the ear test filters the members it reads (see
-    :func:`polytri.earclip.is_ear`). :meth:`add` and :meth:`query` place a
-    coordinate ``y`` by one row function, ``floor((y - y0) * inv)`` clamped
-    to the rows; it is monotone in ``y``, so a query never misses a member
-    inside its box. Both write it out inline because it runs once per ear
-    test. Each row also keeps its members' y-extent, grow-only, for the
-    triangle clip of :meth:`query`.
+    Built from ``nodes``, the ring's nodes at that moment, it keeps the
+    nodes that are not convex. The rows split the bounding box of ``nodes``
+    into strips as tall as the cells of a uniform grid with about sqrt(n)
+    cells along the longer side (the uniform grid of Held's FIST, without
+    its columns). Row ``k`` keeps two parallel lists: ``xs[k]``, its
+    members' x-coordinates in ascending order, and ``rows[k]``, the members
+    in the same order. Membership, iteration and ``len`` are the set's. The
+    index never changes once built: the ear test filters the members it
+    reads (see :func:`polytri.earclip.is_ear`), and a ring whose reflex set
+    grows gets a new index. :meth:`query` places a coordinate ``y`` by the
+    row function ``floor((y - y0) * inv)`` clamped to the rows; it is
+    monotone in ``y``, so a query never misses a member inside its box. It
+    is written out inline because it runs once per ear test. Each row also
+    keeps its members' y-extent, for the triangle clip of :meth:`query`.
     """
 
     __slots__ = ("xs", "rows", "ylo", "yhi", "x0", "y0", "inv", "cell", "flat")
 
-    def __init__(self, nodes: Sequence[VertexNode], members: Sequence[VertexNode]):
+    def __init__(self, nodes: Sequence[VertexNode]):
+        members = [node for node in nodes if not node.is_convex]
         super().__init__(members)
         xs = [node.x for node in nodes]
         ys = [node.y for node in nodes]
@@ -62,33 +64,17 @@ class ReflexGrid(set):
         self.rows = rows = [[] for _ in range(last + 1)]
         self.ylo = ylo = [math.inf] * (last + 1)
         self.yhi = yhi = [-math.inf] * (last + 1)
-        # one sort, stable, fills every row in x order
+        # one sort, stable, fills every row in x order; a member lies in the
+        # box of ``nodes``, so its row needs no clamp
         for node in sorted(members, key=attrgetter("x")):
             y = node.y
             row = int((y - y0) * inv)
-            row = 0 if row < 0 else last if row > last else row
             rows[row].append(node)
             if y < ylo[row]:
                 ylo[row] = y
             if y > yhi[row]:
                 yhi[row] = y
         self.xs = [[node.x for node in row] for row in rows]
-
-    def add(self, node: VertexNode) -> None:
-        """Insert ``node``, which must not be a member yet, in x order."""
-        super().add(node)
-        last = len(self.rows) - 1
-        # int() truncates toward zero, which agrees with floor() once clamped
-        row = int((node.y - self.y0) * self.inv)
-        row = 0 if row < 0 else last if row > last else row
-        xs = self.xs[row]
-        i = bisect_right(xs, node.x)
-        xs.insert(i, node.x)
-        self.rows[row].insert(i, node)
-        if node.y < self.ylo[row]:
-            self.ylo[row] = node.y
-        if node.y > self.yhi[row]:
-            self.yhi[row] = node.y
 
     def query(
         self,
@@ -126,7 +112,8 @@ class ReflexGrid(set):
         """
         y0, inv = self.y0, self.inv
         last = len(self.rows) - 1
-        # the row function of add()
+        # the row function; int() truncates toward zero, which agrees with
+        # floor() once clamped
         r0 = int((miny - y0) * inv)
         r0 = 0 if r0 < 0 else last if r0 > last else r0
         r1 = int((maxy - y0) * inv)

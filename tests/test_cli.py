@@ -206,6 +206,26 @@ class TestCliTriangulate:
         assert r.returncode == 3
         assert b"invalid polygon" in r.stderr
 
+    @pytest.mark.parametrize(
+        "text",
+        ["ring 0,0 10,0 10,10 5,6 0,10\nring 5,6 4,3 6,3\n",
+         "ring 0,0 10,0 10,10 0,10\nring 0,0 3,1 1,3\n"],
+    )
+    def test_hole_touching_the_outer_ring_exit_3(self, tmp_path, capsys, text):
+        # a hole sharing a vertex with the outer ring; meshed anyway, it gets
+        # a clockwise triangle from every algorithm
+        import polytri.cli
+
+        src = tmp_path / "touch.poly"
+        src.write_text(text)
+        out = tmp_path / "o.json"
+        args = ["triangulate", "--algorithm", "basic", "--validate", "--input", str(src),
+                "--output", str(out)]
+        assert polytri.cli.main(args) == 3
+        err = capsys.readouterr().err
+        assert err == "polytri: invalid polygon: hole 0 touches the outer ring at a vertex\n"
+        assert not out.exists()
+
     def test_usage_error_exit_4(self):
         r = cli("triangulate", "--algorithm", "nonsense", "--input", "x.poly")
         assert r.returncode == 4

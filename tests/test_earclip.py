@@ -1,5 +1,6 @@
 import ast
 import functools
+import hashlib
 import heapq
 import logging
 import math
@@ -20,8 +21,10 @@ from polytri import (
     generate_corpus,
     normalize,
     parse_polygon,
+    report,
     triangulate_polygon,
     triangulate_ring,
+    triangulation_to_json,
 )
 from polytri import earclip, pipeline
 from polytri.earclip import (
@@ -348,12 +351,13 @@ def test_reclipping_a_consumed_ring_raises():
         assert [t.indices() for t in triangulate_ring(triangle, "basic").triangles] == [(0, 1, 2)]
 
 
-EAR_STATE = {"stamp", "gone_at", "clock", "reflex_grown", "is_ear", "ears"}
+EAR_STATE = {"stamp", "gone_at", "clock", "is_ear", "ears", "reflex"}
 
 
 def test_only_earclip_writes_the_ear_flag_state():
-    # polygon.refresh_node is geometry only; the flags, stamps, gone_at and
-    # the growth mark have one owner, apart from the constructors' defaults
+    # polygon.refresh_node is geometry only; the flags, stamps, gone_at, the
+    # heap and the reflex index have one owner, apart from the constructors'
+    # defaults and the first index, which build_ring makes
     src = pathlib.Path(earclip.__file__).parent
     writers = []
     for path in sorted(src.glob("*.py")):
@@ -365,6 +369,12 @@ def test_only_earclip_writes_the_ear_flag_state():
             for fn in cls.body
             if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
             for node in ast.walk(fn)
+        } | {
+            id(node)
+            for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "build_ring"
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute) and node.attr == "reflex"
         }
         writers += [
             f"{path.name}:{node.lineno} .{node.attr}"
@@ -432,8 +442,12 @@ class TestUpdateAfterCut:
         assert c.gone_at == ring.clock == 1
 
     def test_collapsed_edge_joins_the_index_without_raising(self):
+        # the neighbour that turns reflex restarts the books: a new index of
+        # exactly the live reflex nodes, and every live node stamped with
+        # the cut, pending if convex
         ring = build_ring(Ring([(0, 0), (4, 0), (4, 4), (0, 4), (-1, 2)]))
         nodes = list(ring)
+        grid = ring.reflex
         # forge a collapsed edge: drag a convex node onto its neighbour
         nodes[1].x, nodes[1].y = nodes[2].x, nodes[2].y
         assert nodes[1].is_convex and nodes[1] not in ring.reflex
@@ -441,10 +455,29 @@ class TestUpdateAfterCut:
         update_after_cut(ring, nodes[4], nodes[1])
         assert not nodes[1].is_convex
         assert nodes[1].interior_angle == 360.0
-        assert nodes[1] in ring.reflex
-        assert nodes[1].gone_at == -1 and nodes[1].is_ear is False
-        assert ring.reflex_grown
+        assert ring.reflex is not grid
+        assert set(ring.reflex) == {n for n in ring if not n.is_convex} >= {nodes[1]}
+        assert nodes[1].gone_at == math.inf and nodes[1].is_ear is False
+        assert ring.ears is None
+        for n in ring:
+            assert n.stamp == ring.clock == 1
+            assert n.is_ear is (None if n.is_convex else False)
 
+
+    def test_member_that_turns_reflex_again_is_reflex_in_the_new_index(self):
+        # C leaves the reflex set at the first cut; forged onto a coincident
+        # neighbour it turns reflex again at the second, and the rebuilt
+        # index must not keep its old departure, or every test would skip it
+        ring = build_ring(Ring([(0, 0), (2, 0), (1.2, 0.4), (2, 2), (0, 1)]))
+        a, b, c, d, e = list(ring)
+        remove_vertex(ring, b)
+        update_after_cut(ring, a, c)
+        assert c.is_convex and c.gone_at == 1
+        e.x, e.y = c.x, c.y
+        remove_vertex(ring, a)
+        update_after_cut(ring, e, c)
+        assert not c.is_convex and c in ring.reflex
+        assert c.gone_at == math.inf
 
 
 SELECTION = ("_select_smallest_angle", "_select_next_sequential")
@@ -468,6 +501,17 @@ def bridged_ring(poly):
     return build_ring(degen.ring, indices=degen.indices, table=poly.vertex_table())
 
 
+def as_of(ring, grid, v, stamp):
+    """``is_ear`` of ``v`` as of ``stamp`` against the index ``grid``, which
+    a growing cut has since replaced."""
+    live = ring.reflex
+    ring.reflex = grid
+    try:
+        return is_ear(ring, v, stamp=stamp)
+    finally:
+        ring.reflex = live
+
+
 class TestTrustedEarFlags:
     """Ear flags are tested on demand and trusted until the reflex set grows.
 
@@ -475,39 +519,43 @@ class TestTrustedEarFlags:
     only the selection resolves it, by one test as of that stamp. A cut
     changes the ear status of its two neighbours only (Eberly), which get
     new stamps. While the reflex set only loses members, a resolved flag
-    stays true, so the selection does not test it again; once a cut turns a
-    neighbour reflex, cuts test their neighbours at once and the selection
-    re-tests its pick, for the rest of the clip.
+    stays true, so the selection does not test it again; a cut that turns a
+    neighbour reflex restarts the books as the clip starts them: a new
+    index, and every live node stamped with that cut and pending if convex.
     """
 
     def test_fresh_ring_has_not_grown(self, l_shape):
-        ring = build_ring(l_shape)
-        assert len(ring.reflex) == 1
-        assert not ring.reflex_grown
-        assert not bridged_ring(TOUCHING_HOLES).reflex_grown
+        # a fresh ring's index holds exactly its reflex nodes
+        for ring in (build_ring(l_shape), bridged_ring(TOUCHING_HOLES)):
+            assert set(ring.reflex) == {n for n in ring if not n.is_convex}
+            assert all(n.gone_at == math.inf for n in ring)
+        assert len(build_ring(l_shape).reflex) == 1
 
-    def test_growth_brings_back_the_re_test(self, monkeypatch):
-        # a traditional clip, cut by cut: before the growing cut every ear
-        # test is the selection resolving a pending flag as of its stamp;
-        # from that cut on, a cut tests its neighbours at once and the
-        # selection re-tests the flagged tips it reaches against the current
-        # ring, drops the one the new reflex vertex blocks, and resolves only
-        # flags stamped before the growth. Every tip it returns passes the
-        # from-scratch oracle.
+    def test_growth_restarts_the_ear_flags(self, monkeypatch):
+        # a traditional clip, cut by cut: every ear test is the selection
+        # resolving a pending flag as of its stamp, and no cut tests. At a
+        # growing cut the index is rebuilt from the live reflex nodes and
+        # every live node is stamped with that cut, pending if convex. A tip
+        # pending before it that its old stamp would pass, with the old
+        # index, but the new reflex vertex blocks, resolves false as of the
+        # restart. Every tip returned passes the from-scratch oracle, and no
+        # resolution says ear where the oracle says not.
         ring = bridged_ring(TOUCHING_HOLES)
-        calls = []  # (caller, stamp, verdict, oracle on the ring as it is)
+        calls = []  # (node, stamp, verdict, oracle on the ring as it is)
 
         def recording(ring, v, corner_twins=False, stamp=None):
             ok = is_ear(ring, v, corner_twins, stamp)
-            caller = sys._getframe(1).f_code.co_name
-            calls.append((caller, stamp, ok, brute_force_is_ear(ring, v)))
+            if not corner_twins:  # the fallback's tests are its own
+                assert sys._getframe(1).f_code.co_name in SELECTION
+                assert stamp is not None and stamp == v.stamp, v
+                calls.append((v, stamp, ok, brute_force_is_ear(ring, v)))
             return ok
 
         monkeypatch.setattr(earclip, "is_ear", recording)
-        for node in ring:
-            node.is_ear = None if node.is_convex else False
+        earclip._start_flags(ring)
         cursor = ring.head
-        grown_at = split = None
+        restarts = []
+        stale = set()  # (node, restart cut)
         cuts = 0
         while ring.count > 3:
             v = _select_next_sequential(ring, cursor)
@@ -517,63 +565,63 @@ class TestTrustedEarFlags:
                 assert brute_force_is_ear(ring, v), (cuts, v)
             left, right = v.prev, v.next
             remove_vertex(ring, v)
+            grid = ring.reflex
+            pending = {n: n.stamp for n in ring if n.is_ear is None and n not in (left, right)}
             mark = len(calls)
             update_after_cut(ring, left, right)
             cuts += 1
-            if ring.reflex_grown and grown_at is None:
-                grown_at, split = cuts, mark
+            assert len(calls) == mark
+            if ring.reflex is not grid:
+                restarts.append(cuts)
+                assert set(ring.reflex) == {n for n in ring if not n.is_convex}
+                for n in ring:
+                    assert n.stamp == cuts and n.is_ear is (None if n.is_convex else False)
+                stale |= {(n, cuts) for n, t in pending.items() if as_of(ring, grid, n, t)}
             cursor = right
-        assert grown_at is not None and 0 < grown_at < cuts
-        before, after = calls[:split], calls[split:]
-        assert before
-        assert all(caller in SELECTION and stamp is not None for caller, stamp, *_ in before)
-        immediate = [(ok, oracle) for caller, _, ok, oracle in after if caller == "update_after_cut"]
-        retests = [
-            (ok, oracle)
-            for caller, stamp, ok, oracle in after
-            if caller in SELECTION and stamp is None
-        ]
-        assert immediate and all(ok == oracle for ok, oracle in immediate)
-        assert (False, False) in retests
-        assert all(ok == oracle for ok, oracle in retests)
-        assert all(stamp < grown_at for _, stamp, *_ in after if stamp is not None)
+        assert restarts and 0 < restarts[0] < cuts
+        assert calls and all(oracle or not ok for _, _, ok, oracle in calls)
+        assert any((v, stamp) in stale and not ok for v, stamp, ok, _ in calls)
 
-    def test_one_grid_filtered_by_stamp_or_convexity(self):
+    def test_one_grid_filtered_by_stamp(self):
         # a traditional clip up to the growing cut: the reflex grid never
-        # loses a member; a test as of a stamp skips the members gone by
-        # then, a test of the current ring the convex ones
+        # loses a member, and a test as of a stamp skips the members gone
+        # by then; the growing cut rebuilds it from the live reflex nodes
         ring = bridged_ring(TOUCHING_HOLES)
-        members = set(ring.reflex)
-        for node in ring:
-            node.is_ear = None if node.is_convex else False
+        grid = ring.reflex
+        members = set(grid)
+        earclip._start_flags(ring)
         cursor = ring.head
         departures = 0
-        while not ring.reflex_grown:
+        while ring.reflex is grid:
             v = _select_next_sequential(ring, cursor) or _select_fallback(ring)
             left, right = v.prev, v.next
+            pending = {n: n.stamp for n in ring if n.is_ear is None and n not in (v, left, right)}
+            convex = {n for n in (left, right) if n.is_convex}
             remove_vertex(ring, v)
             update_after_cut(ring, left, right)
             cursor = right
+            assert set(grid) == members
             for node in (left, right):
                 if node.is_convex and node.gone_at == ring.clock:
                     # it left the reflex set at this cut; as of the cut
                     # before, it was reflex and blocks its own triangle
-                    assert node in ring.reflex
+                    assert node in grid
                     assert not is_ear(ring, node, stamp=ring.clock - 1)
-                    assert is_ear(ring, node, stamp=ring.clock) == is_ear(ring, node)
+                    assert is_ear(ring, node) == brute_force_is_ear(ring, node)
                     departures += 1
         assert departures > 0
-        assert members < set(ring.reflex)
-        (joined,) = set(ring.reflex) - members
-        assert joined.gone_at == -1 and not joined.is_convex
-        # the tips it blocks now passed every test as of an earlier stamp
+        assert set(ring.reflex) == {n for n in ring if not n.is_convex}
+        (joined,) = {n for n in convex if not n.is_convex}
+        assert joined not in members
+        assert joined in ring.reflex and joined.gone_at == math.inf
+        # the old grid passes, as of their stamps, tips that the new one
+        # blocks; they are pending again, stamped with the growing cut
         blocked = [
-            v for v in ring
-            if v.is_convex and not is_ear(ring, v)
-            and all(is_ear(ring, v, stamp=t) for t in range(ring.clock))
+            v for v, t in pending.items() if as_of(ring, grid, v, t) and not is_ear(ring, v)
         ]
         assert blocked
         for v in blocked:
+            assert v.is_ear is None and v.stamp == ring.clock
             assert not brute_force_is_ear(ring, v), v
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -598,8 +646,9 @@ class TestTrustedEarFlags:
         monkeypatch.setattr(earclip, "is_ear", counting)
         poly = large_polygon(name)
         ring = build_ring(poly.outer)
+        grid = ring.reflex
         triangulate_ring(ring, algorithm)
-        assert not ring.reflex_grown
+        assert ring.reflex is grid
         select = SELECTION[algorithm == "traditional"]
         assert set(callers) == {select}
         assert callers[select] == len(resolved) > 0
@@ -609,12 +658,14 @@ def clip_against_the_eager_engine(poly, algorithm):
     """Clip ``poly`` with ``algorithm`` beside a shadow of the eager engine.
 
     The shadow runs the ear test against ``ring.reflex`` wherever the eager
-    engine did: for every convex node when the clip starts, and for each
-    convex neighbour right after a cut. Checks that every flag the selection
-    resolves equals the shadow's verdict for that node and stamp, that no
-    (node, stamp) is tested twice, and that every tip clipped outside the
-    fallback passes the from-scratch oracle on the ring as it is at the
-    moment of its cut. Returns the ring and the number of resolutions.
+    engine did: for every convex node when the clip starts or restarts, and
+    for each convex neighbour right after any other cut. Checks that every
+    flag the selection resolves equals the shadow's verdict for that node
+    and stamp, that no (node, stamp) is tested twice, that a restart's index
+    holds exactly the live reflex nodes, and that every tip clipped outside
+    the fallback passes the from-scratch oracle on the ring as it is at the
+    moment of its cut. Returns the ring, the number of resolutions and the
+    number of restarts.
     """
     real_is_ear = earclip.is_ear
     real_clip = pipeline._clip
@@ -626,6 +677,7 @@ def clip_against_the_eager_engine(poly, algorithm):
     rings = []
     fallback = []
     cut = []
+    restarts = []
 
     def shadow_flags(ring, nodes):
         for node in nodes:
@@ -639,8 +691,14 @@ def clip_against_the_eager_engine(poly, algorithm):
         return real_clip(ring, smallest_angle, post_emit=post_emit)
 
     def shadowed_update(ring, left, right):
+        grid = ring.reflex
         real_update(ring, left, right)
-        shadow_flags(ring, (left, right))
+        if ring.reflex is grid:
+            shadow_flags(ring, (left, right))
+        else:
+            restarts.append(ring.clock)
+            assert set(ring.reflex) == {n for n in ring if not n.is_convex}
+            shadow_flags(ring, ring)
 
     def resolving(ring, v, corner_twins=False, stamp=None):
         ok = real_is_ear(ring, v, corner_twins, stamp)
@@ -671,7 +729,7 @@ def clip_against_the_eager_engine(poly, algorithm):
         tri, degen = triangulate_polygon(poly, algorithm)
     assert len(tri.triangles) == len(degen.ring) - 2
     assert len(cut) == len(degen.ring) - 3
-    return rings[0], len(resolved)
+    return rings[0], len(resolved), len(restarts)
 
 
 @settings(max_examples=200, deadline=None)
@@ -693,12 +751,25 @@ def test_resolved_flags_equal_the_eager_engine(seed, holes):
 @pytest.mark.parametrize("name", ["spiral", "comb", "square_hole", "touching_holes"])
 def test_resolved_flags_equal_the_eager_engine_on_fixtures(name):
     # the fixtures, and the two-hole octagon whose ring grows mid-clip under
-    # every algorithm: flags pending across the growth resolve exactly
+    # every algorithm: flags set at a restart resolve exactly
     poly = TOUCHING_HOLES if name == "touching_holes" else large_polygon(name)
     for algorithm in ALGORITHMS:
-        ring, resolutions = clip_against_the_eager_engine(poly, algorithm)
+        ring, resolutions, restarts = clip_against_the_eager_engine(poly, algorithm)
         assert resolutions > 0
-        assert ring.reflex_grown == (name == "touching_holes")
+        assert (restarts > 0) == (name == "touching_holes")
+
+
+@pytest.mark.parametrize(
+    "algorithm, digest",
+    [("traditional", "02aa0a8d78c54632"), ("basic", "990e29426dc3d0a7"),
+     ("improved", "c8f9b6042b4717b0")],
+)
+def test_touching_holes_output_is_pinned(algorithm, digest):
+    # the growing ring's JSON at bound 30, pinned from the engine that
+    # re-tested every pick after growth instead of restarting its flags
+    tri, _ = triangulate_polygon(TOUCHING_HOLES, algorithm, 30.0)
+    doc = triangulation_to_json(tri, report(tri))
+    assert hashlib.sha256(doc.encode()).hexdigest()[:16] == digest
 
 
 def test_fallback_logs_one_debug_line(caplog, monkeypatch):

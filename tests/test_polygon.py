@@ -381,9 +381,7 @@ class TestReflexGrid:
             VertexNode(float(rng.randrange(201)), float(rng.randrange(11)), k, k)
             for k in range(600)
         ]
-        grid = ReflexGrid(nodes, nodes[:300])
-        for node in nodes[300:]:
-            grid.add(node)
+        grid = ReflexGrid(nodes)  # a bare node is not convex, so a member
         assert len(grid) == 600 and len(grid.rows) == 2
         clipped = 0
         for k in range(3000):
@@ -471,22 +469,21 @@ LATTICE = st.tuples(st.integers(0, 40), st.integers(0, 12))
 @given(
     points=st.lists(LATTICE, min_size=1, max_size=60),
     twins=st.lists(st.integers(0, 59), max_size=10),
-    split=st.tuples(st.integers(1, 70), st.integers(0, 70)),
+    convex=st.lists(st.integers(0, 69), max_size=20),
     frame=st.sampled_from([(1.0, 0.0), (1e-6, 0.0), (1.0, 1e8), (1e-6, 1e8)]),
     boxes=st.lists(st.tuples(LATTICE, LATTICE), max_size=10),
     triangles=st.lists(st.tuples(LATTICE, LATTICE, LATTICE), max_size=10),
 )
-# a member added to a row that was empty at construction, inside a wide triangle
+# a row whose nodes are all convex, so it has no member, inside a wide triangle
 @example(
     points=[(0, 0), (10, 0), (20, 0), (30, 0), (40, 0), (0, 5), (10, 5), (20, 5), (30, 5), (20, 11)],
-    twins=[], split=(10, 9), frame=(1.0, 0.0), boxes=[], triangles=[((0, 9), (40, 9), (20, 12))],
+    twins=[], convex=[9], frame=(1.0, 0.0), boxes=[], triangles=[((0, 9), (40, 9), (20, 12))],
 )
-def test_reflex_index_property(points, twins, split, frame, boxes, triangles):
+def test_reflex_index_property(points, twins, convex, frame, boxes, triangles):
     # Members on a small lattice repeat x values and sit on triangle edges;
     # twins repeat a member's coordinates; the frame scales by 1e-6 or shifts
-    # by 1e8. The index is built over the first ``bounds`` nodes with the first
-    # ``late`` as members; the rest are added one by one, possibly outside
-    # the bounds.
+    # by 1e8. The index is built over all the nodes; the ones at positions in
+    # ``convex`` are convex, so not members, but still set the bounds.
     scale, shift = frame
     pts = points + [points[i % len(points)] for i in twins]
 
@@ -494,18 +491,20 @@ def test_reflex_index_property(points, twins, split, frame, boxes, triangles):
         return shift + scale * p[0], shift + scale * p[1]
 
     nodes = [VertexNode(*at(p), k, k) for k, p in enumerate(pts)]
-    bounds, late = min(split[0], len(nodes)), min(split[1], len(nodes))
-    grid = ReflexGrid(nodes[:bounds], nodes[:late])
-    for node in nodes[late:]:
-        grid.add(node)
+    for k in convex:
+        if k < len(nodes):
+            nodes[k].is_convex = True
+    grid = ReflexGrid(nodes)
 
-    assert len(grid) == len(nodes)
-    assert sum(map(len, grid.rows)) == len(nodes) and set().union(*grid.rows) == grid
+    members = {m for m in nodes if not m.is_convex}
+    assert grid == members
+    assert sum(map(len, grid.rows)) == len(members) and set().union(*grid.rows) == grid
     for xs, row in zip(grid.xs, grid.rows, strict=True):
         assert xs == sorted(xs) == [m.x for m in row]
 
     def check(found, minx, maxx):
         assert len(found) == len(set(found)) and set(found) <= grid
+        # is_ear has no x test of its own: it relies on this promise
         assert all(minx <= m.x <= maxx for m in found)
 
     point_boxes = [(m.x, m.y, m.x, m.y) for m in nodes[:5]]
@@ -516,7 +515,7 @@ def test_reflex_index_property(points, twins, split, frame, boxes, triangles):
     for minx, miny, maxx, maxy in point_boxes + lattice_boxes:
         found = grid.query(minx, miny, maxx, maxy)
         check(found, minx, maxx)
-        inside = {m for m in nodes if minx <= m.x <= maxx and miny <= m.y <= maxy}
+        inside = {m for m in members if minx <= m.x <= maxx and miny <= m.y <= maxy}
         assert inside <= set(found)
     for corners in triangles:
         a, v, c = (VertexNode(*at(p), 0, 0) for p in corners)
@@ -581,6 +580,22 @@ class TestValidatePolygon:
             )
         )
         assert validate_polygon(poly) == ["holes 0 and 1 touch at a vertex"]
+
+    @pytest.mark.parametrize(
+        "outer, hole",
+        [
+            # the hole hangs from the outer ring's reflex vertex (5, 6)
+            ([(0, 0), (10, 0), (10, 10), (5, 6), (0, 10)], [(5, 6), (4, 3), (6, 3)]),
+            # the hole sits in the square's corner (0, 0)
+            ([(0, 0), (10, 0), (10, 10), (0, 10)], [(0, 0), (3, 1), (1, 3)]),
+        ],
+    )
+    def test_hole_sharing_a_vertex_with_the_outer_ring_touches(self, outer, hole):
+        # a shared endpoint is not a crossing and ray casting counts the
+        # shared vertex inside, so only the vertex test catches it; without
+        # it every algorithm emits a clockwise triangle
+        poly = normalize(PolygonWithHoles(Ring(outer), [Ring(hole)]))
+        assert validate_polygon(poly) == ["hole 0 touches the outer ring at a vertex"]
 
     def test_corpus_polygons_valid(self, small_corpus):
         for poly in small_corpus:
