@@ -30,7 +30,10 @@ against the reflex set as of the stamp, not the current one, so it gives
 the flag that a test at the time of the stamp would have given. The index
 ``ring.reflex`` never loses a member, so the test skips the members that
 had turned convex by its stamp (``gone_at``, the cut that left a member
-convex), or by the current cut when no stamp is given.
+convex), or by the current cut when no stamp is given; it rejects these
+dead members first, before any geometry. The box of the tip triangle is
+built by comparison chains rather than builtin ``min``/``max`` calls (see
+the README's design notes).
 
 A resolved ear flag is trusted without a new test: since its stamp the tip,
 its neighbours and every reflex vertex stayed where they were, and while
@@ -182,9 +185,11 @@ def is_ear(
     inner side of each edge up to EPS_AREA. Only the members that
     ``ring.reflex`` returns for that box and tip, a superset of the ones
     passing those tests, are tested, against the live ring state. The index
-    keeps members that are no longer reflex, so one filter after the
-    closure tests picks the reflex set as of cut ``stamp``, by default the
-    current cut ``ring.clock``: the members whose ``gone_at`` exceeds it.
+    keeps members that are no longer reflex, so one filter picks the reflex
+    set as of cut ``stamp``, by default the current cut ``ring.clock``: the
+    members whose ``gone_at`` exceeds it. It runs first, before the box and
+    closure tests, since a dead member is the commonest visit; every test
+    only exempts a member, so their order cannot change the verdict.
     The selection resolves a pending flag as of its stamp, since which its
     tip and neighbours have not moved; any stamp since the index was built
     gives the exact reflex set of that cut.
@@ -209,16 +214,44 @@ def is_ear(
     # The padded box is part of the predicate, not a filter that the closure
     # tests would make redundant: they reach about d / sin(theta / 2) past a
     # corner of angle theta, with d = EPS_AREA / (edge length), which on a
-    # sliver is far more than this margin.
-    margin = EPS_AREA / math.sqrt(
-        min(abx * abx + aby * aby, bcx * bcx + bcy * bcy, cax * cax + cay * cay)
-    )
-    minx = min(ax, bx, cx) - margin
-    maxx = max(ax, bx, cx) + margin
-    miny = min(ay, by, cy) - margin
-    maxy = max(ay, by, cy) + margin
-    # the query returns only members with minx <= x <= maxx
+    # sliver is far more than this margin. The shortest squared edge and the
+    # box are the builtin min and max spelled as the left-to-right comparison
+    # chains they run, which give the same floats without the calls.
+    sq = abx * abx + aby * aby
+    e = bcx * bcx + bcy * bcy
+    if e < sq:
+        sq = e
+    e = cax * cax + cay * cay
+    if e < sq:
+        sq = e
+    margin = EPS_AREA / math.sqrt(sq)
+    lo = hi = ax
+    if bx < lo:
+        lo = bx
+    if cx < lo:
+        lo = cx
+    if bx > hi:
+        hi = bx
+    if cx > hi:
+        hi = cx
+    minx = lo - margin
+    maxx = hi + margin
+    lo = hi = ay
+    if by < lo:
+        lo = by
+    if cy < lo:
+        lo = cy
+    if by > hi:
+        hi = by
+    if cy > hi:
+        hi = cy
+    miny = lo - margin
+    maxy = hi + margin
+    # the query returns only members with minx <= x <= maxx; a member
+    # turned convex by the stamp, the most common exemption, goes first
     for r in ring.reflex.query(minx, miny, maxx, maxy, v):
+        if r.gone_at <= stamp:
+            continue
         if r is p or r is n:
             continue
         px = r.x
@@ -230,8 +263,6 @@ def is_ear(
         if bcx * (py - by) - bcy * (px - bx) < neg:
             continue
         if cax * (py - cy) - cay * (px - cx) < neg:
-            continue
-        if r.gone_at <= stamp:
             continue
         if corner_twins and (
             math.hypot(px - ax, py - ay) <= EPS_LEN

@@ -6,6 +6,13 @@ floats: cross products are tested against the absolute area tolerance
 ``EPS_AREA``, point coincidence against the length tolerance ``EPS_LEN``.
 The absolute tolerances suit coordinates in roughly the unit-to-thousands
 range; rescale wilder inputs before use.
+
+Angles come out in degrees by one multiply with ``_DEG``, which is
+``math.degrees(1.0)``: CPython computes ``math.degrees(x)`` as that constant
+times ``x``, rounded once, so the product is the same float without the
+call. ``triangle_min_angle_xy`` takes the smallest of the three radian
+angles and converts only that one; rounding a product by a positive
+constant is monotone, so it equals ``min(triangle_angles_xy(...))``.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ __all__ = [
     "point_on_segment",
     "segments_properly_cross",
     "triangle_angles_xy",
+    "triangle_min_angle_xy",
     "point_in_ring",
 ]
 
@@ -58,6 +66,8 @@ class Point2(NamedTuple):
 EPS_AREA = 1e-12
 # Distance below which two points count as coincident.
 EPS_LEN = 1e-9
+# Degrees per radian: x * _DEG is math.degrees(x), bit for bit.
+_DEG = math.degrees(1.0)
 
 
 def orientation(a: Point2, b: Point2, c: Point2) -> int:
@@ -161,16 +171,45 @@ def triangle_angles_xy(
         raise DegenerateTriangle(
             f"triangle {Point2(ax, ay)}, {Point2(bx, by)}, {Point2(cx, cy)} has (near-)zero area"
         )
-    degrees, atan2 = math.degrees, math.atan2
+    atan2 = math.atan2
     # At each corner v with neighbours p, q (in the order a-b-c, b-c-a, c-a-b):
     # u = p - v, w = q - v, angle = atan2(|u x w|, u . w).
     ux, uy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay
-    at_a = degrees(atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy))
+    at_a = atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy) * _DEG
     ux, uy, wx, wy = cx - bx, cy - by, ax - bx, ay - by
-    at_b = degrees(atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy))
+    at_b = atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy) * _DEG
     ux, uy, wx, wy = ax - cx, ay - cy, bx - cx, by - cy
-    at_c = degrees(atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy))
+    at_c = atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy) * _DEG
     return at_a, at_b, at_c
+
+
+def triangle_min_angle_xy(
+    ax: float, ay: float, bx: float, by: float, cx: float, cy: float
+) -> float:
+    """The smallest interior angle in degrees, ``min(triangle_angles_xy(...))``.
+
+    Raises DegenerateTriangle exactly where ``triangle_angles_xy`` does. The
+    three radian angles are compared in the order the builtin ``min`` would
+    compare their degrees, and only the smallest is converted (see the
+    module docstring).
+    """
+    z = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    if 0.5 * abs(z) <= EPS_AREA:
+        raise DegenerateTriangle(
+            f"triangle {Point2(ax, ay)}, {Point2(bx, by)}, {Point2(cx, cy)} has (near-)zero area"
+        )
+    atan2 = math.atan2
+    ux, uy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay
+    low = atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
+    ux, uy, wx, wy = cx - bx, cy - by, ax - bx, ay - by
+    at = atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
+    if at < low:
+        low = at
+    ux, uy, wx, wy = ax - cx, ay - cy, bx - cx, by - cy
+    at = atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
+    if at < low:
+        low = at
+    return low * _DEG
 
 
 def point_in_ring(p: Point2, ring: Sequence[Point2]) -> bool:

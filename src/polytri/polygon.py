@@ -14,6 +14,7 @@ import math
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .geom import (
+    _DEG,
     EPS_AREA,
     EPS_LEN,
     DegenerateVertex,
@@ -276,9 +277,7 @@ def refresh_node(node: VertexNode, strict: bool = False) -> None:
     else:
         z = wx * uy - wy * ux  # positive iff convex on a CCW ring
         if abs(z) > EPS_AREA:
-            node.interior_angle = (
-                math.degrees(math.atan2(uy, ux) - math.atan2(wy, wx)) % 360.0
-            )
+            node.interior_angle = (math.atan2(uy, ux) - math.atan2(wy, wx)) * _DEG % 360.0
         else:
             node.interior_angle = 180.0 if ux * wx + uy * wy < 0.0 else 360.0
         node.is_convex = z > EPS_AREA
@@ -371,17 +370,39 @@ def _crosses_any(
     return False
 
 
+def _revisits(points: Sequence[Point2]) -> bool:
+    """True iff two of ``points`` lie within EPS_LEN of each other.
+
+    Sorted by x, each point is compared only with the later ones whose x is
+    within EPS_LEN of its own; a pair farther apart in x is farther apart.
+    """
+    pts = sorted(points)
+    for i, p in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            q = pts[j]
+            if q.x - p.x > EPS_LEN:
+                break
+            if points_close(p, q):
+                return True
+    return False
+
+
 def validate_polygon(poly: PolygonWithHoles) -> list[str]:
     """Opt-in O(n^2) structural check; returns a list of problems (empty = ok).
 
-    Verifies that every hole lies strictly inside the outer ring and that no
-    two rings touch or cross. Assumes a normalized polygon.
+    Verifies that no ring revisits a vertex, that every hole lies strictly
+    inside the outer ring and that no two rings touch or cross. Assumes a
+    normalized polygon, in which no two consecutive vertices coincide.
     """
     problems: list[str] = []
     outer = poly.outer.points
+    if _revisits(outer):
+        problems.append("outer ring revisits a vertex")
     outer_edges = _boxed_edges(poly.outer)
     hole_edges = [_boxed_edges(h) for h in poly.holes]
     for i, h in enumerate(poly.holes):
+        if _revisits(h.points):
+            problems.append(f"hole {i} revisits a vertex")
         for p in h.points:
             if not point_in_ring(p, outer):
                 problems.append(f"hole {i}: vertex {p} outside the outer ring")

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geom import GeometryError, triangle_angles_xy
+from .geom import GeometryError, triangle_min_angle_xy
 from .earclip import Triangulation
 
 __all__ = ["EmptyInput", "QualityReport", "BIN_LABELS", "min_angles", "report", "pooled", "compare"]
@@ -52,7 +52,7 @@ def min_angles(tri: Triangulation) -> list[float]:
             out.append(t.min_angle)
         else:
             a, b, c = nodes
-            out.append(min(triangle_angles_xy(a.x, a.y, b.x, b.y, c.x, c.y)))
+            out.append(triangle_min_angle_xy(a.x, a.y, b.x, b.y, c.x, c.y))
     return out
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import logging
 from typing import Callable, Optional
 
-from .geom import EPS_AREA, DegenerateTriangle, triangle_angles_xy
+from .geom import EPS_AREA, DegenerateTriangle, triangle_angles_xy, triangle_min_angle_xy
 from .earclip import Triangle, Triangulation
 from .polygon import VertexNode
 
@@ -41,7 +41,8 @@ def _min_angle(t: Triangle) -> float:
     """``t``'s stored smallest angle, or a fresh one when it has none."""
     if t.angle_nodes is t.nodes:
         return t.min_angle
-    return min(_node_angles(t))
+    a, b, c = t.nodes
+    return triangle_min_angle_xy(a.x, a.y, b.x, b.y, c.x, c.y)
 
 
 def try_swap(
@@ -93,16 +94,23 @@ def try_swap(
         or (ux - x2) * (y1 - y2) - (uy - y2) * (x1 - x2) <= EPS_AREA
     ):
         return None
+    # Each min below is the builtin's comparison chain, ties and NaN alike.
     try:
-        old_min = min(_min_angle(t1), _min_angle(t2))
-        m1 = min(triangle_angles_xy(x1, y1, wx, wy, x2, y2))
+        old_min = _min_angle(t1)
+        m = _min_angle(t2)
+        if m < old_min:
+            old_min = m
+        m1 = triangle_min_angle_xy(x1, y1, wx, wy, x2, y2)
         # min(m1, m2) > old_min needs m1 > old_min, NaN included.
         if not m1 > old_min:
             return None
-        m2 = min(triangle_angles_xy(x2, y2, ux, uy, x1, y1))
+        m2 = triangle_min_angle_xy(x2, y2, ux, uy, x1, y1)
     except DegenerateTriangle:
         return None
-    if not min(m1, m2) > old_min:
+    m = m1
+    if m2 < m:
+        m = m2
+    if not m > old_min:
         return None
     t1.nodes = t1.angle_nodes = (a1, w, a2)
     t1.a, t1.b, t1.c = a1.original_index, w.original_index, a2.original_index
@@ -150,17 +158,23 @@ def sharp_swapper(bound: float) -> Callable[[Triangulation, int], None]:
         if t.degenerate:
             return
         try:
-            angles = _node_angles(t)
+            at_a, at_b, at_c = _node_angles(t)
         except DegenerateTriangle:
             return
-        t.min_angle = sharpest = min(angles)
+        # min and argmax as the builtins' comparison chains
+        sharpest = at_a
+        if at_b < sharpest:
+            sharpest = at_b
+        if at_c < sharpest:
+            sharpest = at_c
+        t.min_angle = sharpest
         t.angle_nodes = t.nodes
         if not sharpest < limit:
             return
-        k = 0
-        if angles[1] > angles[k]:
-            k = 1
-        if angles[2] > angles[k]:
+        k, widest = 0, at_a
+        if at_b > widest:
+            k, widest = 1, at_b
+        if at_c > widest:
             k = 2
         u = t.nodes[(k + 1) % 3]
         w = t.nodes[(k + 2) % 3]

@@ -226,6 +226,23 @@ class TestCliTriangulate:
         assert err == "polytri: invalid polygon: hole 0 touches the outer ring at a vertex\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [("ring 0,0 4,0 2,2 4,4 0,4 2,2\n", "outer ring revisits a vertex"),
+         ("ring 0,0 10,0 10,10 0,10\nring 2,2 5,5 8,2 8,8 5,5 2,8\n", "hole 0 revisits a vertex")],
+    )
+    def test_ring_revisiting_a_vertex_exit_3(self, tmp_path, capsys, text, problem):
+        import polytri.cli
+
+        src = tmp_path / "pinched.poly"
+        src.write_text(text)
+        out = tmp_path / "o.json"
+        args = ["triangulate", "--algorithm", "basic", "--validate", "--input", str(src),
+                "--output", str(out)]
+        assert polytri.cli.main(args) == 3
+        assert capsys.readouterr().err == f"polytri: invalid polygon: {problem}\n"
+        assert not out.exists()
+
     def test_usage_error_exit_4(self):
         r = cli("triangulate", "--algorithm", "nonsense", "--input", "x.poly")
         assert r.returncode == 4

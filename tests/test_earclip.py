@@ -388,6 +388,36 @@ def test_only_earclip_writes_the_ear_flag_state():
     assert writers == []
 
 
+# The per-cut kernels spell min and max as comparison chains and degrees as
+# one multiply by geom._DEG; the swap hook is nested in sharp_swapper.
+HOT_KERNELS = {
+    "earclip.py": {"is_ear"},
+    "polygon.py": {"refresh_node"},
+    "geom.py": {"triangle_angles_xy", "triangle_min_angle_xy"},
+    "swap.py": {"try_swap", "sharp_swapper", "_min_angle"},
+    "quality.py": {"min_angles"},
+}
+
+
+def test_hot_kernels_call_no_min_max_or_degrees():
+    src = pathlib.Path(earclip.__file__).parent
+    found, calls = set(), []
+    for name, kernels in HOT_KERNELS.items():
+        tree = ast.parse((src / name).read_text())
+        for fn in tree.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name in kernels):
+                continue
+            found.add((name, fn.name))
+            calls += [
+                f"{name}:{node.lineno} {fn.name}"
+                for node in ast.walk(fn)
+                if (isinstance(node, ast.Name) and node.id in ("min", "max", "degrees"))
+                or (isinstance(node, ast.Attribute) and node.attr == "degrees")
+            ]
+    assert calls == []
+    assert found == {(name, fn) for name, fns in HOT_KERNELS.items() for fn in fns}
+
+
 class TestUpdateAfterCut:
     def test_square_corner_cut_makes_45_degree_ears(self, unit_square):
         ring = build_ring(unit_square)

@@ -1,10 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polytri.geom import (
+    _DEG,
     EPS_AREA,
     EPS_LEN,
     DegenerateTriangle,
@@ -16,7 +17,10 @@ from polytri.geom import (
     point_on_segment,
     segments_properly_cross,
     signed_area,
+    triangle_angles_xy,
+    triangle_min_angle_xy,
 )
+from polytri.pipeline import triangulate_polygon
 from polytri.polygon import VertexNode, refresh_node
 from conftest import (
     oracle_segments_share_beyond_endpoint,
@@ -221,6 +225,59 @@ class TestTriangleAngles:
         oracle = tri_angles_oracle(a, b, c)
         for got, want in zip(angles, oracle):
             assert got == pytest.approx(want, abs=1e-2)
+
+
+def min_or_degenerate(kernel, *xy):
+    try:
+        return kernel(*xy)
+    except DegenerateTriangle:
+        return "degenerate"
+
+
+def min_of_all_three(*xy):
+    return min(triangle_angles_xy(*xy))
+
+
+# small integers make coincident and collinear corners common
+grid_coord = st.integers(min_value=-3, max_value=3).map(float)
+
+
+class TestExactKernels:
+    """The kernels that skip builtin calls give the same floats (``==``)."""
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(-5e-324)
+    @example(2.2250738585072014e-308)
+    @example(1.7976931348623157e308)
+    @example(-1.7976931348623157e308)
+    @example(math.pi)
+    def test_one_multiply_is_math_degrees(self, x):
+        got, want = x * _DEG, math.degrees(x)
+        assert got == want
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @given(st.tuples(*[st.one_of(grid_coord, finite_coord)] * 6))
+    @example((0.0, 0.0, 1.0, 0.0, 2.0, 0.0))
+    @example((0.0, 0.0, 0.0, 0.0, 1.0, 1.0))
+    def test_min_kernel_on_random_triangles(self, xy):
+        # equal minima, and DegenerateTriangle on exactly the same inputs
+        assert min_or_degenerate(triangle_min_angle_xy, *xy) == min_or_degenerate(
+            min_of_all_three, *xy
+        )
+
+    @pytest.mark.parametrize("algorithm", ["traditional", "basic", "improved"])
+    def test_min_kernel_on_every_corpus_triangle(self, small_corpus, quality_corpus, algorithm):
+        for poly in (*small_corpus, *quality_corpus):
+            tri, _ = triangulate_polygon(poly, algorithm)
+            for t in tri.triangles:
+                a, b, c = t.nodes
+                xy = (a.x, a.y, b.x, b.y, c.x, c.y)
+                assert min_or_degenerate(triangle_min_angle_xy, *xy) == min_or_degenerate(
+                    min_of_all_three, *xy
+                )
 
 
 class TestTolerances:

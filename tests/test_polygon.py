@@ -16,7 +16,7 @@ from polytri import (
 )
 from polytri.bridge import eliminate_holes
 from polytri.earclip import _select_fallback, _select_smallest_angle, is_ear, update_after_cut
-from polytri.geom import EPS_AREA, DegenerateVertex, Point2
+from polytri.geom import EPS_AREA, EPS_LEN, DegenerateVertex, Point2
 from polytri.polygon import VertexNode, refresh_node, remove_vertex, validate_polygon
 from polytri.reflexgrid import ReflexGrid
 from conftest import brute_force_is_ear, tri_angles_oracle
@@ -596,6 +596,34 @@ class TestValidatePolygon:
         # it every algorithm emits a clockwise triangle
         poly = normalize(PolygonWithHoles(Ring(outer), [Ring(hole)]))
         assert validate_polygon(poly) == ["hole 0 touches the outer ring at a vertex"]
+
+    @pytest.mark.parametrize(
+        "outer, holes, problems",
+        [
+            # (2, 2) twice, not consecutively: normalize keeps both, and every
+            # algorithm raises EarSearchFailed on it
+            ([(0, 0), (4, 0), (2, 2), (4, 4), (0, 4), (2, 2)], [],
+             ["outer ring revisits a vertex"]),
+            # the second copy within EPS_LEN of the first, then just beyond it
+            ([(0, 0), (4, 0), (2, 2), (4, 4), (0, 4), (2 + EPS_LEN / 2, 2)], [],
+             ["outer ring revisits a vertex"]),
+            ([(0, 0), (4, 0), (2, 2), (4, 4), (0, 4), (2 + 2 * EPS_LEN, 2)], [], []),
+            # two triangles of one hole meet at (5, 5)
+            ([(0, 0), (10, 0), (10, 10), (0, 10)],
+             [[(2, 2), (5, 5), (8, 2), (8, 8), (5, 5), (2, 8)]],
+             ["hole 0 revisits a vertex"]),
+        ],
+    )
+    def test_ring_revisiting_a_vertex(self, outer, holes, problems):
+        poly = normalize(PolygonWithHoles(Ring(outer), [Ring(h) for h in holes]))
+        assert validate_polygon(poly) == problems
+
+    def test_snapped_corpus_ring_revisits_a_vertex(self):
+        # rounded to integers, this ring repeats a point non-consecutively;
+        # every algorithm then emits a clockwise triangle
+        outer = generate_corpus(12, 1, (4, 40), (0, 0))[0].outer
+        poly = normalize(PolygonWithHoles(Ring([(round(x), round(y)) for x, y in outer])))
+        assert validate_polygon(poly) == ["outer ring revisits a vertex"]
 
     def test_corpus_polygons_valid(self, small_corpus):
         for poly in small_corpus:

@@ -279,16 +279,20 @@ class TestMeasureOnce:
 
     @pytest.fixture()
     def measured(self, monkeypatch):
-        """Count the angle measurements of ``swap`` and ``quality``."""
+        """Count the angle measurements of ``swap`` and ``quality``, by
+        either kernel: all three angles or only the smallest."""
         counts = Counter()
         for module in (swap_mod, quality_mod):
-            real = module.triangle_angles_xy
+            for kernel in ("triangle_angles_xy", "triangle_min_angle_xy"):
+                real = getattr(module, kernel, None)
+                if real is None:
+                    continue
 
-            def counting(*xy, name=module.__name__, real=real):
-                counts[name] += 1
-                return real(*xy)
+                def counting(*xy, name=module.__name__, real=real):
+                    counts[name] += 1
+                    return real(*xy)
 
-            monkeypatch.setattr(module, "triangle_angles_xy", counting)
+                monkeypatch.setattr(module, kernel, counting)
         return counts
 
     def test_improved_run_and_report(self, measured, swap_calls):
