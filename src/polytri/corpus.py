@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Sequence
 
+from .bridge import _box
 from .geom import GeometryError, Point2, point_in_ring
 from .polygon import PolygonWithHoles, Ring, _boxed_edges, _crosses_any, normalize
 
@@ -49,12 +49,6 @@ def star_ring(
     return Ring(pts)
 
 
-def _bbox(pts: Sequence[Point2]) -> tuple[float, float, float, float]:
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
-    return min(xs), min(ys), max(xs), max(ys)
-
-
 def _bboxes_disjoint(a, b, pad: float = 0.0) -> bool:
     return a[2] + pad < b[0] or b[2] + pad < a[0] or a[3] + pad < b[1] or b[3] + pad < a[1]
 
@@ -62,9 +56,9 @@ def _bboxes_disjoint(a, b, pad: float = 0.0) -> bool:
 def _hole_fits(hole: Ring, outer: Ring, outer_edges: list, placed: list[Ring]) -> bool:
     # Cheapest rejection first; the O(m) containment test of every hole
     # vertex runs only for a hole that passed the other two.
-    hb = _bbox(hole.points)
+    hb = _box(hole.points)
     for other in placed:
-        if not _bboxes_disjoint(hb, _bbox(other.points), pad=0.05):
+        if not _bboxes_disjoint(hb, _box(other.points), pad=0.05):
             return False
     # Outer edges whose padded box misses the hole's box cannot meet it.
     near = [e for e in outer_edges if not _bboxes_disjoint(hb, e)]

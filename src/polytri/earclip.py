@@ -106,8 +106,11 @@ class Triangle:
     ``nodes`` keeps the originating ring nodes, which tell apart the two
     copies of a vertex on a bridged ring; the improved pass keys its
     adjacency by them. ``degenerate`` marks a zero-area last triangle, left
-    over when a bridge slit collapses; it is excluded from quality
-    statistics.
+    over when a bridge slit collapses: one whose cross product at its
+    middle corner is within EPS_AREA of zero, where the angle kernels
+    raise DegenerateTriangle. It is excluded from quality statistics. Every
+    other emitted triangle has a convex middle corner, so the kernels
+    measure it.
 
     ``min_angle`` is the triangle's smallest angle, ``min`` of
     ``triangle_angles_xy`` over ``nodes`` in order, as measured by the
@@ -413,7 +416,10 @@ def _clip(
 ) -> Triangulation:
     """Shared clipping loop over a ring fresh from ``build_ring`` (every node
     stamped 0, so every convex one starts pending); emits n-2 triangles.
-    Clipping consumes the ring: a ring that was cut raises ValueError."""
+    Each clipped tip is convex, so its triangle is not degenerate by the
+    kernels' test (see :mod:`polytri.geom`); the last triangle is flagged
+    ``degenerate`` by that same test at its middle corner. Clipping
+    consumes the ring: a ring that was cut raises ValueError."""
     if ring.clock > 0:
         raise ValueError("ring was already clipped; build a new one with build_ring")
     tri = Triangulation(ring.table)
@@ -435,8 +441,8 @@ def _clip(
             post_emit(tri, tid)
     h = ring.head
     a, b, c = h, h.next, h.next.next
-    z = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-    tid = tri.add_triangle(a, b, c, degenerate=0.5 * abs(z) <= EPS_AREA)
+    ux, uy, wx, wy = c.x - b.x, c.y - b.y, a.x - b.x, a.y - b.y
+    tid = tri.add_triangle(a, b, c, degenerate=abs(ux * wy - uy * wx) <= EPS_AREA)
     if post_emit is not None:
         post_emit(tri, tid)
     return tri

@@ -4,6 +4,10 @@ Everything here is scalar float math over immutable points. One fixed
 tolerance policy serves the whole library, so nothing else compares raw
 floats: cross products are tested against the absolute area tolerance
 ``EPS_AREA``, point coincidence against the length tolerance ``EPS_LEN``.
+A triangle (a, b, c) is degenerate exactly when ``EPS_AREA`` bounds the
+cross product at its middle corner b, ``(c - b) x (a - b)``: the float that
+``polygon.refresh_node`` tests to call b convex, so a convex tip and its
+two neighbours never make a degenerate triangle.
 The absolute tolerances suit coordinates in roughly the unit-to-thousands
 range; rescale wilder inputs before use.
 
@@ -62,7 +66,7 @@ class Point2(NamedTuple):
     y: float
 
 
-# Bound on |cross product| below which three points count as collinear.
+# Bound on |cross product| at or below which three points count as collinear.
 EPS_AREA = 1e-12
 # Distance below which two points count as coincident.
 EPS_LEN = 1e-9
@@ -163,21 +167,23 @@ def triangle_angles_xy(
 
     Uses atan2 of (|cross|, dot) at each corner, which stays accurate for
     sliver triangles where acos-based formulas lose digits. Raises
-    DegenerateTriangle when the area is not above EPS_AREA. Hot loops pass
-    vertex coordinates here directly rather than building points.
+    DegenerateTriangle when EPS_AREA bounds the absolute cross product at
+    the middle corner (see the module docstring); that cross product then
+    gives the angle at (bx, by). Hot loops pass vertex coordinates here
+    directly rather than building points.
     """
-    z = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    if 0.5 * abs(z) <= EPS_AREA:
+    # At each corner v with neighbours p, q (in the order a-b-c, b-c-a, c-a-b):
+    # u = p - v, w = q - v, angle = atan2(|u x w|, u . w).
+    ux, uy, wx, wy = cx - bx, cy - by, ax - bx, ay - by
+    z = ux * wy - uy * wx
+    if abs(z) <= EPS_AREA:
         raise DegenerateTriangle(
             f"triangle {Point2(ax, ay)}, {Point2(bx, by)}, {Point2(cx, cy)} has (near-)zero area"
         )
     atan2 = math.atan2
-    # At each corner v with neighbours p, q (in the order a-b-c, b-c-a, c-a-b):
-    # u = p - v, w = q - v, angle = atan2(|u x w|, u . w).
+    at_b = atan2(abs(z), ux * wx + uy * wy) * _DEG
     ux, uy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay
     at_a = atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy) * _DEG
-    ux, uy, wx, wy = cx - bx, cy - by, ax - bx, ay - by
-    at_b = atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy) * _DEG
     ux, uy, wx, wy = ax - cx, ay - cy, bx - cx, by - cy
     at_c = atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy) * _DEG
     return at_a, at_b, at_c
@@ -188,23 +194,24 @@ def triangle_min_angle_xy(
 ) -> float:
     """The smallest interior angle in degrees, ``min(triangle_angles_xy(...))``.
 
-    Raises DegenerateTriangle exactly where ``triangle_angles_xy`` does. The
-    three radian angles are compared in the order the builtin ``min`` would
-    compare their degrees, and only the smallest is converted (see the
+    Raises DegenerateTriangle exactly where ``triangle_angles_xy`` does, by
+    the same cross product at the middle corner. The three radian angles
+    are compared in the order the builtin ``min`` would compare their
+    degrees, a then b then c, and only the smallest is converted (see the
     module docstring).
     """
-    z = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    if 0.5 * abs(z) <= EPS_AREA:
+    ux, uy, wx, wy = cx - bx, cy - by, ax - bx, ay - by
+    z = ux * wy - uy * wx
+    if abs(z) <= EPS_AREA:
         raise DegenerateTriangle(
             f"triangle {Point2(ax, ay)}, {Point2(bx, by)}, {Point2(cx, cy)} has (near-)zero area"
         )
     atan2 = math.atan2
+    at_b = atan2(abs(z), ux * wx + uy * wy)
     ux, uy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay
     low = atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
-    ux, uy, wx, wy = cx - bx, cy - by, ax - bx, ay - by
-    at = atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
-    if at < low:
-        low = at
+    if at_b < low:
+        low = at_b
     ux, uy, wx, wy = ax - cx, ay - cy, bx - cx, by - cy
     at = atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
     if at < low:

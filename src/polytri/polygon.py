@@ -370,59 +370,102 @@ def _crosses_any(
     return False
 
 
-def _revisits(points: Sequence[Point2]) -> bool:
-    """True iff two of ``points`` lie within EPS_LEN of each other.
-
-    Sorted by x, each point is compared only with the later ones whose x is
-    within EPS_LEN of its own; a pair farther apart in x is farther apart.
-    """
-    pts = sorted(points)
-    for i, p in enumerate(pts):
-        for j in range(i + 1, len(pts)):
-            q = pts[j]
-            if q.x - p.x > EPS_LEN:
+def _vertex_contacts(rings: Sequence[Sequence[Point2]]) -> set[tuple[int, int]]:
+    """The pairs ``(i, j)``, ``i <= j``, of rings with two vertices within
+    EPS_LEN of each other, ``(i, i)`` where ring ``i`` revisits a vertex. Sorted
+    by x, each vertex meets only the later ones within EPS_LEN of it in x."""
+    pts = sorted((p.x, p.y, k) for k, ring in enumerate(rings) for p in ring)
+    pairs = set()
+    for s, p in enumerate(pts):
+        for t in range(s + 1, len(pts)):
+            q = pts[t]
+            if q[0] - p[0] > EPS_LEN:
                 break
             if points_close(p, q):
-                return True
-    return False
+                pairs.add((p[2], q[2]) if p[2] <= q[2] else (q[2], p[2]))
+    return pairs
+
+
+def _edge_contacts(
+    rings: Sequence[Sequence[tuple[float, float, float, float, Point2, Point2]]]
+) -> set[tuple[int, int]]:
+    """The pairs ``(i, j)``, ``i <= j``, of rings, each given by its
+    :func:`_boxed_edges`, with two edges that share a point
+    (:func:`segments_properly_cross`); consecutive edges of one ring do not
+    count, so ``(i, i)`` means ring ``i`` crosses itself.
+
+    Sorted by the left side of their padded boxes, each edge is tested only
+    against the later ones whose box starts before its own ends and meets
+    it in y, and not for a pair of rings already found.
+    """
+    order = sorted((e[0], i, k) for i, edges in enumerate(rings) for k, e in enumerate(edges))
+    n = len(order)
+    pairs = set()
+    for s in range(n):
+        _, i, k = order[s]
+        _, y0, x1, y1, a, b = rings[i][k]
+        for t in range(s + 1, n):
+            left, j, m = order[t]
+            if left > x1:
+                break
+            _, ey0, _, ey1, c, d = rings[j][m]
+            if ey1 < y0 or ey0 > y1:
+                continue
+            if i == j and (k - m) % len(rings[i]) in (1, len(rings[i]) - 1):
+                continue
+            pair = (i, j) if i <= j else (j, i)
+            if pair not in pairs and segments_properly_cross(a, b, c, d):
+                pairs.add(pair)
+    return pairs
 
 
 def validate_polygon(poly: PolygonWithHoles) -> list[str]:
-    """Opt-in O(n^2) structural check; returns a list of problems (empty = ok).
+    """Opt-in structural check; returns a list of problems (empty = ok).
 
-    Verifies that no ring revisits a vertex, that every hole lies strictly
-    inside the outer ring and that no two rings touch or cross. Assumes a
-    normalized polygon, in which no two consecutive vertices coincide.
+    Verifies that no ring revisits a vertex or crosses itself, that every
+    hole lies strictly inside the outer ring and that no two rings touch or
+    cross. One sweep over all vertices finds every vertex contact
+    (:func:`_vertex_contacts`), and one over all edges every edge contact
+    (:func:`_edge_contacts`), within a ring or between two. A hole that
+    meets the outer ring neither at a vertex nor along an edge lies wholly
+    inside or wholly outside it, so its first vertex decides; a hole that
+    meets it has every vertex tested, to name the first one outside.
+    Assumes a normalized polygon, in which no two consecutive vertices
+    coincide.
     """
     problems: list[str] = []
     outer = poly.outer.points
-    if _revisits(outer):
+    holes = poly.holes
+    # ring 0 is the outer ring, ring i + 1 is hole i
+    contacts = _vertex_contacts([outer, *(h.points for h in holes)])
+    crossings = _edge_contacts([_boxed_edges(poly.outer), *(_boxed_edges(h) for h in holes)])
+    if (0, 0) in contacts:
         problems.append("outer ring revisits a vertex")
-    outer_edges = _boxed_edges(poly.outer)
-    hole_edges = [_boxed_edges(h) for h in poly.holes]
-    for i, h in enumerate(poly.holes):
-        if _revisits(h.points):
+    if (0, 0) in crossings:
+        problems.append("outer ring crosses itself")
+    for i, h in enumerate(holes):
+        k = i + 1
+        if (k, k) in contacts:
             problems.append(f"hole {i} revisits a vertex")
-        for p in h.points:
-            if not point_in_ring(p, outer):
-                problems.append(f"hole {i}: vertex {p} outside the outer ring")
+        if (k, k) in crossings:
+            problems.append(f"hole {i} crosses itself")
+        pts = h.points
+        meets = (0, k) in crossings or (0, k) in contacts
+        for t in range(len(pts) if meets else 1):
+            if not point_in_ring(pts[t], outer):
+                problems.append(f"hole {i}: vertex {pts[t]} outside the outer ring")
                 break
-        for *_, a, b in hole_edges[i]:
-            if _crosses_any(a, b, outer_edges):
-                problems.append(f"hole {i}: crosses the outer ring")
-                break
+        if (0, k) in crossings:
+            problems.append(f"hole {i}: crosses the outer ring")
         # a shared vertex is not a crossing, and ray casting may count it inside
-        if any(points_close(p, q) for p in h.points for q in outer):
+        if (0, k) in contacts:
             problems.append(f"hole {i} touches the outer ring at a vertex")
-    for i in range(len(poly.holes)):
-        for j in range(i + 1, len(poly.holes)):
-            crossing = any(_crosses_any(a, b, hole_edges[j]) for *_, a, b in hole_edges[i])
-            nested = point_in_ring(
-                poly.holes[i].points[0], poly.holes[j].points
-            ) or point_in_ring(poly.holes[j].points[0], poly.holes[i].points)
-            if crossing or nested:
+    for i in range(len(holes)):
+        for j in range(i + 1, len(holes)):
+            a, b = holes[i].points, holes[j].points
+            if (i + 1, j + 1) in crossings or point_in_ring(a[0], b) or point_in_ring(b[0], a):
                 problems.append(f"holes {i} and {j} overlap")
-            elif any(points_close(p, q) for p in poly.holes[i] for q in poly.holes[j]):
+            elif (i + 1, j + 1) in contacts:
                 # a shared vertex is not a crossing (segments_properly_cross)
                 problems.append(f"holes {i} and {j} touch at a vertex")
     return problems

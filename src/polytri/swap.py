@@ -139,6 +139,10 @@ def sharp_swapper(bound: float) -> Callable[[Triangulation, int], None]:
     identity so the twin nodes of a bridged ring stay distinct. Triangles
     are counter-clockwise, so the neighbour across ``u -> w`` owns
     ``(w, u)``.
+
+    Every triangle the clip emits unflagged has a convex middle corner, so
+    the angle kernels measure it without raising (see
+    :class:`~polytri.earclip.Triangle`).
     """
     limit = float(bound)
     if not limit >= 0.0:  # also rejects NaN
@@ -157,10 +161,7 @@ def sharp_swapper(bound: float) -> Callable[[Triangulation, int], None]:
         own(t)
         if t.degenerate:
             return
-        try:
-            at_a, at_b, at_c = _node_angles(t)
-        except DegenerateTriangle:
-            return
+        at_a, at_b, at_c = _node_angles(t)
         # min and argmax as the builtins' comparison chains
         sharpest = at_a
         if at_b < sharpest:

@@ -6,6 +6,7 @@ and prints a single PASS line with the measured numbers (run pytest with
 so all figures are reproducible.
 """
 
+import gc
 import json
 import math
 import os
@@ -265,9 +266,16 @@ def test_c09_quadratic_scaling():
         best = math.inf
         for _ in range(2 if n <= 1000 else 1):
             ring = build_ring(poly.outer)
-            t0 = time.perf_counter()
-            tri = triangulate_ring(ring, "basic")
-            best = min(best, time.perf_counter() - t0)
+            # timed with the cyclic collector off, as timeit does: otherwise a
+            # full collection of what earlier tests left alive can land in one
+            # run and be timed as triangulation
+            gc.disable()
+            try:
+                t0 = time.perf_counter()
+                tri = triangulate_ring(ring, "basic")
+                best = min(best, time.perf_counter() - t0)
+            finally:
+                gc.enable()
             assert len(tri.triangles) == n - 2
         times[n] = best
     ratio = times[2000] / times[500]

@@ -21,6 +21,9 @@ from polytri.pipeline import triangulate_polygon
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+sys.path.insert(0, str(REPO / "benchmarks"))
+
+from meshcheck import check_mesh  # noqa: E402
 
 
 def cli(*args, cwd=None):
@@ -242,6 +245,46 @@ class TestCliTriangulate:
         assert polytri.cli.main(args) == 3
         assert capsys.readouterr().err == f"polytri: invalid polygon: {problem}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        # a figure-8, which basic meshes with the clockwise triangle (0, 1, 3)
+        # when not validated; and a ring whose sixth vertex lies 2 EPS_LEN
+        # right of its third, so two pairs of its edges cross
+        ["ring 0,0 4,0 4,4 2,-1 0,4\n", "ring 0,0 4,0 2,2 4,4 0,4 2.000000002,2\n"],
+    )
+    def test_ring_crossing_itself_exit_3(self, tmp_path, capsys, text):
+        import polytri.cli
+
+        src = tmp_path / "crossed.poly"
+        src.write_text(text)
+        out = tmp_path / "o.json"
+        args = ["triangulate", "--algorithm", "basic", "--validate", "--input", str(src),
+                "--output", str(out)]
+        assert polytri.cli.main(args) == 3
+        assert capsys.readouterr().err == "polytri: invalid polygon: outer ring crosses itself\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm", ["traditional", "basic", "improved"])
+    def test_sliver_ear_exit_0(self, tmp_path, algorithm):
+        # the ear at (0.5, -1.5e-12) has a cross product of 1.5e-12 at its
+        # tip, above EPS_AREA, so it is clipped and measured as a proper
+        # triangle; the whole mesh passes the benchmark's mesh check
+        import polytri.cli
+
+        text = "ring 0.5,-1.5e-12 1,0 1,1 0.5,3 0,1 0,0\n"
+        src = tmp_path / "sliver.poly"
+        src.write_text(text)
+        out = tmp_path / "o.json"
+        args = ["triangulate", "--algorithm", algorithm, "--input", str(src),
+                "--output", str(out)]
+        assert polytri.cli.main(args) == 0
+        doc = json.loads(out.read_text())
+        assert len(doc["triangles"]) == 4 and doc["degenerate_count"] == 0
+        poly = parse_polygon(text)
+        tri, _ = triangulate_polygon(poly, algorithm)
+        assert check_mesh(tri, poly) == []
+        assert report(tri).triangle_count == 4
 
     def test_usage_error_exit_4(self):
         r = cli("triangulate", "--algorithm", "nonsense", "--input", "x.poly")

@@ -9,7 +9,7 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polytri import (
@@ -35,7 +35,7 @@ from polytri.earclip import (
     is_ear,
     update_after_cut,
 )
-from polytri.geom import Point2
+from polytri.geom import GeometryError, Point2
 from polytri.pipeline import ALGORITHMS
 from polytri.polygon import remove_vertex
 from conftest import (
@@ -776,6 +776,35 @@ def test_resolved_flags_equal_the_eager_engine(seed, holes):
     poly = generate_corpus(seed, 1, (4, 60), (holes, holes))[0]
     for algorithm in ALGORITHMS:
         clip_against_the_eager_engine(poly, algorithm)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    vertex=st.integers(0, 59),
+    t=st.floats(0.1, 0.9),
+    k=st.integers(-40, 40),
+    algorithm=st.sampled_from(ALGORITHMS),
+)
+# the tip's cross product is about 1.09e-12, above EPS_AREA but not above
+# 2 EPS_AREA: a convex tip whose triangle the kernels must still measure
+@example(seed=0, vertex=0, t=0.5, k=-6, algorithm="traditional")
+def test_near_collinear_vertex_never_fails_the_report(seed, vertex, t, k, algorithm):
+    # One vertex of a corpus ring moved onto the segment joining its two
+    # neighbours, then k * 1e-13 off it along the normal, so the cross product
+    # there lands within a few EPS_AREA of zero on either side. Every
+    # triangle the clip leaves unflagged is measured by report.
+    pts = list(generate_corpus(seed, 1, (5, 60))[0].outer.points)
+    i = vertex % len(pts)
+    a, c = pts[i - 1], pts[(i + 1) % len(pts)]
+    dx, dy = c.x - a.x, c.y - a.y
+    off = k * 1e-13 / math.hypot(dx, dy)
+    pts[i] = P(a.x + t * dx - dy * off, a.y + t * dy + dx * off)
+    try:
+        tri, _ = triangulate_polygon(PolygonWithHoles(Ring(pts)), algorithm)
+    except GeometryError:
+        return
+    report(tri)
 
 
 @pytest.mark.parametrize("name", ["spiral", "comb", "square_hole", "touching_holes"])

@@ -280,6 +280,35 @@ class TestExactKernels:
                 )
 
 
+def middle_corner_convex(ax, ay, bx, by, cx, cy):
+    """``refresh_node``'s verdict on b between neighbours a and c."""
+    a, b, c = VertexNode(ax, ay, 0, 0), VertexNode(bx, by, 1, 1), VertexNode(cx, cy, 2, 2)
+    b.prev, b.next = a, c
+    refresh_node(b)
+    return b.is_convex
+
+
+@settings(max_examples=500)
+@given(st.tuples(*[st.one_of(grid_coord, finite_coord)] * 4), st.integers(-3, 3))
+@example((0.0, 0.0, 1.0, 0.0), 1)
+@example((0.0, 0.0, 1.0, 0.0), 2)
+@example((0.0, 0.0, 1.0, 0.0), -2)
+def test_degenerate_exactly_where_the_middle_corner_is_not_convex(xy, k):
+    # b is the midpoint of a and c moved by k * EPS_AREA in y, so the middle
+    # corner's cross product often lands on the tolerance itself
+    ax, ay, cx, cy = xy
+    bx, by = (ax + cx) / 2, (ay + cy) / 2 - k * EPS_AREA
+    if math.hypot(ax - bx, ay - by) <= EPS_LEN or math.hypot(cx - bx, cy - by) <= EPS_LEN:
+        return  # refresh_node calls a coincident neighbour reflex either way
+    abc, cba = (ax, ay, bx, by, cx, cy), (cx, cy, bx, by, ax, ay)
+    flat = not middle_corner_convex(*abc) and not middle_corner_convex(*cba)
+    ux, uy, wx, wy = cx - bx, cy - by, ax - bx, ay - by
+    assert flat == (abs(ux * wy - uy * wx) <= EPS_AREA)
+    for corners in (abc, cba):
+        for kernel in (triangle_angles_xy, triangle_min_angle_xy):
+            assert (min_or_degenerate(kernel, *corners) == "degenerate") == flat
+
+
 class TestTolerances:
     def test_defaults(self):
         assert EPS_AREA == 1e-12

@@ -16,8 +16,23 @@ from polytri import (
 )
 from polytri.bridge import eliminate_holes
 from polytri.earclip import _select_fallback, _select_smallest_angle, is_ear, update_after_cut
-from polytri.geom import EPS_AREA, EPS_LEN, DegenerateVertex, Point2
-from polytri.polygon import VertexNode, refresh_node, remove_vertex, validate_polygon
+from polytri.geom import (
+    EPS_AREA,
+    EPS_LEN,
+    DegenerateVertex,
+    Point2,
+    points_close,
+    segments_properly_cross,
+)
+from polytri.polygon import (
+    VertexNode,
+    _boxed_edges,
+    _edge_contacts,
+    _vertex_contacts,
+    refresh_node,
+    remove_vertex,
+    validate_polygon,
+)
 from polytri.reflexgrid import ReflexGrid
 from conftest import brute_force_is_ear, tri_angles_oracle
 
@@ -604,10 +619,12 @@ class TestValidatePolygon:
             # algorithm raises EarSearchFailed on it
             ([(0, 0), (4, 0), (2, 2), (4, 4), (0, 4), (2, 2)], [],
              ["outer ring revisits a vertex"]),
-            # the second copy within EPS_LEN of the first, then just beyond it
+            # the second copy within EPS_LEN of the first, then just beyond it,
+            # where edges (4, 0)-(2, 2) and (2 + 2 EPS_LEN, 2)-(0, 0) cross
             ([(0, 0), (4, 0), (2, 2), (4, 4), (0, 4), (2 + EPS_LEN / 2, 2)], [],
              ["outer ring revisits a vertex"]),
-            ([(0, 0), (4, 0), (2, 2), (4, 4), (0, 4), (2 + 2 * EPS_LEN, 2)], [], []),
+            ([(0, 0), (4, 0), (2, 2), (4, 4), (0, 4), (2 + 2 * EPS_LEN, 2)], [],
+             ["outer ring crosses itself"]),
             # two triangles of one hole meet at (5, 5)
             ([(0, 0), (10, 0), (10, 10), (0, 10)],
              [[(2, 2), (5, 5), (8, 2), (8, 8), (5, 5), (2, 8)]],
@@ -615,6 +632,23 @@ class TestValidatePolygon:
         ],
     )
     def test_ring_revisiting_a_vertex(self, outer, holes, problems):
+        poly = normalize(PolygonWithHoles(Ring(outer), [Ring(h) for h in holes]))
+        assert validate_polygon(poly) == problems
+
+    @pytest.mark.parametrize(
+        "outer, holes, problems",
+        [
+            # a figure-8: edges (4, 0)-(4, 4) and (2, -1)-(0, 4) cross
+            ([(0, 0), (4, 0), (4, 4), (2, -1), (0, 4)], [], ["outer ring crosses itself"]),
+            # a bow tie inside the square: its edges (2, 2)-(8, 8) and
+            # (8, 2)-(2, 6) cross
+            ([(0, 0), (10, 0), (10, 10), (0, 10)], [[(2, 2), (8, 8), (8, 2), (2, 6)]],
+             ["hole 0 crosses itself"]),
+            # a vertex on the interior of a non-adjacent edge of its ring
+            ([(0, 0), (4, 0), (4, 4), (2, 0), (0, 4)], [], ["outer ring crosses itself"]),
+        ],
+    )
+    def test_ring_crossing_itself(self, outer, holes, problems):
         poly = normalize(PolygonWithHoles(Ring(outer), [Ring(h) for h in holes]))
         assert validate_polygon(poly) == problems
 
@@ -644,3 +678,78 @@ def test_normalize_idempotent_on_random_stars(seed, n):
     ring = star_ring(random.Random(seed), n)
     poly = normalize(PolygonWithHoles(ring))
     assert normalize(poly) == poly
+
+
+def snapped_rings(seed, grid, shift, twins):
+    """The rings of a corpus polygon snapped to multiples of ``grid`` (0 keeps
+    them as they are), which makes revisits, touches and crossings, shifted
+    by ``shift`` in x and y. Each ``(ring, vertex, dx, dy)`` of ``twins``
+    appends to ring ``ring`` a copy of vertex ``vertex`` of ring 0 moved by
+    ``(dx, dy)`` EPS_LEN, which lands on either side of the contact bound."""
+    poly = generate_corpus(seed, 1, (4, 40), (0, 3))[0]
+    rings = []
+    for ring in (poly.outer, *poly.holes):
+        pts = ring.points
+        if grid:
+            pts = [P(round(x / grid) * grid, round(y / grid) * grid) for x, y in pts]
+        rings.append([P(x + shift, y + shift) for x, y in pts])
+    for k, v, dx, dy in twins:
+        x, y = rings[0][v % len(rings[0])]
+        rings[k % len(rings)].append(P(x + dx * EPS_LEN, y + dy * EPS_LEN))
+    return rings
+
+
+SNAPPED = dict(
+    seed=st.integers(0, 10_000),
+    grid=st.sampled_from([0, 0.5, 1.0, 2.0]),
+    shift=st.sampled_from([0.0, 3.7, 1e3, 1e6]),
+    twins=st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.integers(0, 39),
+            st.sampled_from([0.0, 0.5, 0.7, 1.0, 1.5, -0.5, -0.7]),
+            st.sampled_from([0.0, 0.5, 0.7, -0.7]),
+        ),
+        max_size=3,
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**SNAPPED)
+def test_vertex_contacts_equal_the_all_pairs_scan(seed, grid, shift, twins):
+    rings = snapped_rings(seed, grid, shift, twins)
+    want = {
+        (i, j)
+        for i in range(len(rings))
+        for j in range(i, len(rings))
+        if any(
+            points_close(p, q)
+            for s, p in enumerate(rings[i])
+            for t, q in enumerate(rings[j])
+            if i != j or s < t
+        )
+    }
+    assert _vertex_contacts(rings) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(**SNAPPED)
+def test_edge_contacts_equal_the_all_pairs_scan(seed, grid, shift, twins):
+    rings = [_boxed_edges(Ring(pts)) for pts in snapped_rings(seed, grid, shift, twins)]
+
+    def meet(i, s, j, t):
+        n = len(rings[i])
+        if i == j and (s == t or (s - t) % n in (1, n - 1)):
+            return False
+        return segments_properly_cross(*rings[i][s][4:], *rings[j][t][4:])
+
+    want = {
+        (i, j)
+        for i in range(len(rings))
+        for j in range(i, len(rings))
+        if any(
+            meet(i, s, j, t) for s in range(len(rings[i])) for t in range(len(rings[j]))
+        )
+    }
+    assert _edge_contacts(rings) == want
