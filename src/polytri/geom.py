@@ -144,6 +144,12 @@ def segments_properly_cross(
         p = p1 if s21 or s22 else p2
         q = q1 if s12 or s22 else q2
         return point_on_segment(q1, q2, p) or point_on_segment(p1, p2, q)
+    return _segments_meet(p1, p2, q1, q2)
+
+
+def _segments_meet(p1: Point2, p2: Point2, q1: Point2, q2: Point2) -> bool:
+    """:func:`segments_properly_cross` for segments with no endpoint of one
+    within EPS_LEN of an endpoint of the other: True iff they share a point."""
     o1 = orientation(p1, p2, q1)
     o2 = orientation(p1, p2, q2)
     o3 = orientation(q1, q2, p1)

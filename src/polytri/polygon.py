@@ -20,6 +20,7 @@ from .geom import (
     DegenerateVertex,
     InvalidRing,
     Point2,
+    _segments_meet,
     point_in_ring,
     points_close,
     segments_properly_cross,
@@ -387,7 +388,8 @@ def _vertex_contacts(rings: Sequence[Sequence[Point2]]) -> set[tuple[int, int]]:
 
 
 def _edge_contacts(
-    rings: Sequence[Sequence[tuple[float, float, float, float, Point2, Point2]]]
+    rings: Sequence[Sequence[tuple[float, float, float, float, Point2, Point2]]],
+    contacts: Optional[set[tuple[int, int]]] = None,
 ) -> set[tuple[int, int]]:
     """The pairs ``(i, j)``, ``i <= j``, of rings, each given by its
     :func:`_boxed_edges`, with two edges that share a point
@@ -396,8 +398,14 @@ def _edge_contacts(
 
     Sorted by the left side of their padded boxes, each edge is tested only
     against the later ones whose box starts before its own ends and meets
-    it in y, and not for a pair of rings already found.
+    it in y, and not for a pair of rings already found. ``contacts``, the
+    rings' :func:`_vertex_contacts` (found here if not given), spares the
+    endpoint coincidence tests for a pair of rings not in it: no endpoint of
+    one edge is then within EPS_LEN of one of the other, since two edges of
+    one ring that are not consecutive have four distinct vertices.
     """
+    if contacts is None:
+        contacts = _vertex_contacts([[e[4] for e in edges] for edges in rings])
     order = sorted((e[0], i, k) for i, edges in enumerate(rings) for k, e in enumerate(edges))
     n = len(order)
     pairs = set()
@@ -414,7 +422,12 @@ def _edge_contacts(
             if i == j and (k - m) % len(rings[i]) in (1, len(rings[i]) - 1):
                 continue
             pair = (i, j) if i <= j else (j, i)
-            if pair not in pairs and segments_properly_cross(a, b, c, d):
+            if pair in pairs:
+                continue
+            if pair in contacts:
+                if segments_properly_cross(a, b, c, d):
+                    pairs.add(pair)
+            elif _segments_meet(a, b, c, d):
                 pairs.add(pair)
     return pairs
 
@@ -426,10 +439,11 @@ def validate_polygon(poly: PolygonWithHoles) -> list[str]:
     hole lies strictly inside the outer ring and that no two rings touch or
     cross. One sweep over all vertices finds every vertex contact
     (:func:`_vertex_contacts`), and one over all edges every edge contact
-    (:func:`_edge_contacts`), within a ring or between two. A hole that
-    meets the outer ring neither at a vertex nor along an edge lies wholly
-    inside or wholly outside it, so its first vertex decides; a hole that
-    meets it has every vertex tested, to name the first one outside.
+    (:func:`_edge_contacts`, told the vertex contacts), within a ring or
+    between two. A hole that meets the outer ring neither at a vertex nor
+    along an edge lies wholly inside or wholly outside it, so its first
+    vertex decides; a hole that meets it has every vertex tested, to name
+    the first one outside.
     Assumes a normalized polygon, in which no two consecutive vertices
     coincide.
     """
@@ -438,7 +452,9 @@ def validate_polygon(poly: PolygonWithHoles) -> list[str]:
     holes = poly.holes
     # ring 0 is the outer ring, ring i + 1 is hole i
     contacts = _vertex_contacts([outer, *(h.points for h in holes)])
-    crossings = _edge_contacts([_boxed_edges(poly.outer), *(_boxed_edges(h) for h in holes)])
+    crossings = _edge_contacts(
+        [_boxed_edges(poly.outer), *(_boxed_edges(h) for h in holes)], contacts
+    )
     if (0, 0) in contacts:
         problems.append("outer ring revisits a vertex")
     if (0, 0) in crossings:

@@ -38,10 +38,11 @@ class ReflexGrid(set):
     row function ``floor((y - y0) * inv)`` clamped to the rows; it is
     monotone in ``y``, so a query never misses a member inside its box. It
     is written out inline because it runs once per ear test. Each row also
-    keeps its members' y-extent, for the triangle clip of :meth:`query`.
+    keeps its members' y-extent, and the index a rounding ``guard``, for
+    the triangle clip of :meth:`query`.
     """
 
-    __slots__ = ("xs", "rows", "ylo", "yhi", "x0", "y0", "inv", "cell", "flat")
+    __slots__ = ("xs", "rows", "ylo", "yhi", "x0", "y0", "inv", "flat", "guard")
 
     def __init__(self, nodes: Sequence[VertexNode]):
         members = [node for node in nodes if not node.is_convex]
@@ -50,17 +51,20 @@ class ReflexGrid(set):
         ys = [node.y for node in nodes]
         self.x0 = x0 = min(xs)
         self.y0 = y0 = min(ys)
-        span = max(max(xs) - x0, max(ys) - y0)
+        x1, y1 = max(xs), max(ys)
+        span = max(x1 - x0, y1 - y0)
         k = math.ceil(math.sqrt(len(xs)))
         self.inv = inv = k / span if span > 0.0 else 0.0
-        self.cell = span / k
-        last = int((max(ys) - y0) * inv)
+        last = int((y1 - y0) * inv)
         # A row clip uses an edge only if its rise |dy| exceeds ``flat``: its
         # relaxation EPS_AREA / |dy| is then under a row height. No edge
         # qualifies unless a row is over 2**-40 of the largest coordinate
         # (see query), which ``reach`` measures in rows.
         reach = max(abs(x0), abs(y0)) * inv + k + 1
         self.flat = EPS_AREA * inv if reach < 2.0**40 else math.inf
+        # 32 times the clip's rounding bound, derived in query
+        big = max(abs(x0), abs(y0), abs(x1), abs(y1))
+        self.guard = 2.0**-44 * (big + 21.0 * span)
         self.rows = rows = [[] for _ in range(last + 1)]
         self.ylo = ylo = [math.inf] * (last + 1)
         self.yhi = yhi = [-math.inf] * (last + 1)
@@ -96,19 +100,38 @@ class ReflexGrid(set):
         box spans more columns (as tall as a row) than rows, and more than
         two, is clipped row by row first: each row keeps only the x-interval
         where the relaxed tests can hold for y in the row's member y-extent
-        within the box, widened by a row height each side. A box at least as
-        tall as wide is not clipped, so a comb on a vertical spine gains
-        nothing from the clip.
+        within the box, widened each side by ``guard``, a bound on rounding
+        that the index computes once from its nodes. A box at least as tall
+        as wide is not clipped, so a comb on a vertical spine gains nothing
+        from the clip.
 
-        Why the guard of one row height makes the clip a superset: each edge
-        line is linear in y, so its x-limit is taken at an end of that
-        extent; edges within ``flat`` of horizontal limit nothing. Solving
-        for the limit, and ``is_ear``'s evaluation of the same test, each
-        round by a few units in the last place of the largest coordinate,
-        box width or relaxation ``EPS_AREA / |dy|``: the last is under a row
-        height by the choice of ``flat``, and the index clips only where a
-        row is over 2**-40 of the largest coordinate. So the rounding stays
-        far below the guard.
+        Why the clip is a superset, for a triangle of the index's nodes, as
+        ``is_ear`` asks: take a rising edge (``ey > flat``; a falling one is
+        the mirror image, and one within ``flat`` of horizontal limits
+        nothing), its exact limit ``L(y) = ox + (ex * (y - oy) + EPS_AREA) / ey``
+        and ``c = EPS_AREA / ey``, under a row height by the choice of
+        ``flat``. Let ``u = 2**-53``, ``W`` the box width, ``big`` the
+        largest |coordinate| of the nodes and ``span`` the longer side of
+        their bounding box.
+
+        - ``is_ear``'s test ``ex * (py - oy) - ey * (px - ox) >= -EPS_AREA``
+          rounds by at most 3.01 u (|ex (py - oy)| + |ey (px - ox)|), so a
+          member that passes it has ``px <= L(py) + 3.01 u (2 W + c)``.
+        - ``L`` is linear, so ``L(py) <= L(Y)`` at the end ``Y`` of the
+          extent that the solve takes.
+        - The solve ``ox + (ex * (Y - oy) + EPS_AREA) / ey`` rounds by at
+          most 6.01 u (|ox| + |L(Y) - ox| + 2 c). A passing member puts
+          ``L(Y)`` above ``ox - W`` less the first bound, and where
+          ``L(Y) - ox`` exceeds 2 (W + c) the rounded solve still lands
+          past ``maxx``, within 6.01 u (big + 2 c).
+        - So a member passing the test lies within 10 u (big + 4 W + 5 c)
+          of the clipped interval. A convex tip's shortest edge exceeds
+          EPS_AREA over its longest, so the padding margin is under the
+          longest edge, at most sqrt(2) span, and ``W`` is at most
+          (1 + 2 sqrt(2)) span, under ``4 span``; ``c`` is under a row
+          height, at most ``span``. The rounding is thus under 2**-49 (big +
+          21 span), and ``guard`` is 32 times that, which also covers the
+          rounding of adding it.
         """
         y0, inv = self.y0, self.inv
         last = len(self.rows) - 1
@@ -138,7 +161,7 @@ class ReflexGrid(set):
         edges = (
             (ax, ay, bx - ax, by - ay), (bx, by, cx - bx, cy - by), (cx, cy, ax - cx, ay - cy)
         )
-        flat, ylo, yhi, cell = self.flat, self.ylo, self.yhi, self.cell
+        flat, ylo, yhi, guard = self.flat, self.ylo, self.yhi, self.guard
         for row in range(r0, r1 + 1):
             lo_y = ylo[row] if ylo[row] > miny else miny
             hi_y = yhi[row] if yhi[row] < maxy else maxy
@@ -154,8 +177,8 @@ class ReflexGrid(set):
                     t = ox + (ex * ((lo_y if ex < 0.0 else hi_y) - oy) + EPS_AREA) / ey
                     if t > lo:
                         lo = t
-            lo -= cell
-            hi += cell
+            lo -= guard
+            hi += guard
             row_xs = xs[row]
             i = bisect_left(row_xs, lo if lo > minx else minx)
             j = bisect_right(row_xs, hi if hi < maxx else maxx, i)

@@ -455,7 +455,8 @@ class TestReflexGrid:
     def test_fewer_members_per_ear_test_than_the_column_grid(self, monkeypatch):
         # members returned per ear test over a full basic clip, exactly; the
         # column grid that the rows replaced returned 45413 members over 1997
-        # ear tests on the star (22.7 each) and 6477 over 402 on the comb (16.1)
+        # ear tests on the star (22.7 each) and 6477 over 402 on the comb
+        # (16.1), and the rows with a guard of one row height 26990 and 2989
         counts = [0, 0]
         query = ReflexGrid.query
 
@@ -468,8 +469,8 @@ class TestReflexGrid:
         monkeypatch.setattr(ReflexGrid, "query", counted)
         star = generate_corpus(seed=909, count=1, vertex_range=(2000, 2000))[0]
         for poly, column_grid, rows in (
-            (star, (1997, 45413), (1997, 26990)),
-            (comb_polygon(100), (402, 6477), (402, 2989)),
+            (star, (1997, 45413), (1997, 23974)),
+            (comb_polygon(100), (402, 6477), (402, 1351)),
         ):
             counts[:] = [0, 0]
             triangulate_polygon(poly, "basic")
@@ -485,7 +486,7 @@ LATTICE = st.tuples(st.integers(0, 40), st.integers(0, 12))
     points=st.lists(LATTICE, min_size=1, max_size=60),
     twins=st.lists(st.integers(0, 59), max_size=10),
     convex=st.lists(st.integers(0, 69), max_size=20),
-    frame=st.sampled_from([(1.0, 0.0), (1e-6, 0.0), (1.0, 1e8), (1e-6, 1e8)]),
+    frame=st.sampled_from([(1.0, 0.0), (1e-6, 0.0), (1.0, 1e8), (1e-6, 1e8), (1e-5, 1e8)]),
     boxes=st.lists(st.tuples(LATTICE, LATTICE), max_size=10),
     triangles=st.lists(st.tuples(LATTICE, LATTICE, LATTICE), max_size=10),
 )
@@ -494,11 +495,29 @@ LATTICE = st.tuples(st.integers(0, 40), st.integers(0, 12))
     points=[(0, 0), (10, 0), (20, 0), (30, 0), (40, 0), (0, 5), (10, 5), (20, 5), (30, 5), (20, 11)],
     twins=[], convex=[9], frame=(1.0, 0.0), boxes=[], triangles=[((0, 9), (40, 9), (20, 12))],
 )
+# members on the edges of a wide triangle, and two in its box but outside it,
+# a shift of 1e8 from the origin: the rows are as short as the row clip allows
+@example(
+    points=[(5, 3), (10, 6), (15, 9), (25, 9), (30, 6), (35, 3), (20, 0), (2, 11), (38, 11),
+            (0, 0), (40, 0), (20, 12)],
+    twins=[], convex=[9, 10, 11], frame=(1e-5, 1e8), boxes=[],
+    triangles=[((0, 0), (40, 0), (20, 12))],
+)
+# a member one lattice unit outside an edge, which at scale 1e-6 is EPS_AREA:
+# on the relaxed boundary, where only the rounding guard keeps it in the clip
+@example(
+    points=[(26, 8), (9, 0), (39, 5), (9, 12), (35, 7)],
+    twins=[], convex=[2, 3, 4], frame=(1e-6, 0.0), boxes=[],
+    triangles=[((39, 5), (9, 12), (35, 7))],
+)
 def test_reflex_index_property(points, twins, convex, frame, boxes, triangles):
     # Members on a small lattice repeat x values and sit on triangle edges;
     # twins repeat a member's coordinates; the frame scales by 1e-6 or shifts
-    # by 1e8. The index is built over all the nodes; the ones at positions in
-    # ``convex`` are convex, so not members, but still set the bounds.
+    # by 1e8, or both, or scales by 1e-5 at a shift of 1e8, where a row of a
+    # dozen nodes is just over the 2**-40 of the largest coordinate that the
+    # row clip needs. The index is built over all the nodes; the ones at
+    # positions in ``convex`` are convex, so not members, but still set the
+    # bounds.
     scale, shift = frame
     pts = points + [points[i % len(points)] for i in twins]
 
