@@ -68,7 +68,7 @@ import logging
 import math
 from typing import Callable, Optional
 
-from .geom import EPS_AREA, EPS_LEN, GeometryError, Point2
+from .geom import EPS_AREA, EPS_LEN, GeometryError, Point2, triangle_min_angle_xy
 from .polygon import VertexNode, VertexRing, refresh_node, remove_vertex
 from .reflexgrid import ReflexGrid
 
@@ -77,6 +77,7 @@ __all__ = [
     "Triangle",
     "Triangulation",
     "is_ear",
+    "smallest_angle",
     "update_after_cut",
 ]
 
@@ -113,13 +114,13 @@ class Triangle:
     measure it.
 
     ``min_angle`` is the triangle's smallest angle, ``min`` of
-    ``triangle_angles_xy`` over ``nodes`` in order, as measured by the
-    improved pass. It holds only while ``angle_nodes`` is the very
-    ``nodes`` tuple it was measured on: code that assigns ``nodes`` makes
-    it stale, and readers then measure afresh.
+    ``triangle_angles_xy`` over ``nodes`` in order, which the improved pass
+    stores on every triangle it emits or rewrites, else None; read it with
+    :func:`smallest_angle`. No other library code assigns ``nodes``; code
+    that does so from outside sets ``min_angle`` too, or sets it to None.
     """
 
-    __slots__ = ("a", "b", "c", "nodes", "degenerate", "min_angle", "angle_nodes")
+    __slots__ = ("a", "b", "c", "nodes", "degenerate", "min_angle")
 
     def __init__(
         self, na: VertexNode, nb: VertexNode, nc: VertexNode, degenerate: bool = False
@@ -130,7 +131,6 @@ class Triangle:
         self.c = nc.original_index
         self.degenerate = degenerate
         self.min_angle: Optional[float] = None
-        self.angle_nodes: Optional[tuple[VertexNode, VertexNode, VertexNode]] = None
 
     def indices(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
@@ -142,6 +142,17 @@ class Triangle:
     def __repr__(self) -> str:
         flag = " degenerate" if self.degenerate else ""
         return f"Triangle({self.a},{self.b},{self.c}{flag})"
+
+
+def smallest_angle(t: Triangle) -> float:
+    """``t.min_angle`` when stored, else ``t``'s smallest angle measured by
+    ``triangle_min_angle_xy`` over its nodes in order, which raises
+    DegenerateTriangle where the angle kernels do."""
+    m = t.min_angle
+    if m is not None:
+        return m
+    a, b, c = t.nodes
+    return triangle_min_angle_xy(a.x, a.y, b.x, b.y, c.x, c.y)
 
 
 class Triangulation:

@@ -389,7 +389,7 @@ def _vertex_contacts(rings: Sequence[Sequence[Point2]]) -> set[tuple[int, int]]:
 
 def _edge_contacts(
     rings: Sequence[Sequence[tuple[float, float, float, float, Point2, Point2]]],
-    contacts: Optional[set[tuple[int, int]]] = None,
+    contacts: set[tuple[int, int]],
 ) -> set[tuple[int, int]]:
     """The pairs ``(i, j)``, ``i <= j``, of rings, each given by its
     :func:`_boxed_edges`, with two edges that share a point
@@ -399,13 +399,11 @@ def _edge_contacts(
     Sorted by the left side of their padded boxes, each edge is tested only
     against the later ones whose box starts before its own ends and meets
     it in y, and not for a pair of rings already found. ``contacts``, the
-    rings' :func:`_vertex_contacts` (found here if not given), spares the
-    endpoint coincidence tests for a pair of rings not in it: no endpoint of
-    one edge is then within EPS_LEN of one of the other, since two edges of
-    one ring that are not consecutive have four distinct vertices.
+    rings' :func:`_vertex_contacts`, spares the endpoint coincidence tests
+    for a pair of rings not in it: no endpoint of one edge is then within
+    EPS_LEN of one of the other, since two edges of one ring that are not
+    consecutive have four distinct vertices.
     """
-    if contacts is None:
-        contacts = _vertex_contacts([[e[4] for e in edges] for edges in rings])
     order = sorted((e[0], i, k) for i, edges in enumerate(rings) for k, e in enumerate(edges))
     n = len(order)
     pairs = set()

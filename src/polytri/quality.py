@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geom import GeometryError, triangle_min_angle_xy
-from .earclip import Triangulation
+from .geom import GeometryError
+from .earclip import Triangulation, smallest_angle
 
 __all__ = ["EmptyInput", "QualityReport", "BIN_LABELS", "min_angles", "report", "pooled", "compare"]
 
@@ -39,21 +39,11 @@ class QualityReport:
 def min_angles(tri: Triangulation) -> list[float]:
     """Minimum interior angle of every non-degenerate triangle, in degrees.
 
-    A triangle's stored ``min_angle`` is used while it is valid (see
-    :class:`~polytri.earclip.Triangle`); the improved pass leaves one on
-    every triangle it measured. Only the others are measured here.
+    Read by :func:`~polytri.earclip.smallest_angle`: the improved pass
+    leaves a stored ``min_angle`` on every triangle, and only the others
+    are measured here.
     """
-    out = []
-    for t in tri.triangles:
-        if t.degenerate:
-            continue
-        nodes = t.nodes
-        if t.angle_nodes is nodes:
-            out.append(t.min_angle)
-        else:
-            a, b, c = nodes
-            out.append(triangle_min_angle_xy(a.x, a.y, b.x, b.y, c.x, c.y))
-    return out
+    return [smallest_angle(t) for t in tri.triangles if not t.degenerate]
 
 
 def report(tri: Triangulation) -> QualityReport:

@@ -57,11 +57,9 @@ class ReflexGrid(set):
         self.inv = inv = k / span if span > 0.0 else 0.0
         last = int((y1 - y0) * inv)
         # A row clip uses an edge only if its rise |dy| exceeds ``flat``: its
-        # relaxation EPS_AREA / |dy| is then under a row height. No edge
-        # qualifies unless a row is over 2**-40 of the largest coordinate
-        # (see query), which ``reach`` measures in rows.
-        reach = max(abs(x0), abs(y0)) * inv + k + 1
-        self.flat = EPS_AREA * inv if reach < 2.0**40 else math.inf
+        # relaxation EPS_AREA / |dy| is then under a row height, which is
+        # all the rounding bound of query asks of it.
+        self.flat = EPS_AREA * inv
         # 32 times the clip's rounding bound, derived in query
         big = max(abs(x0), abs(y0), abs(x1), abs(y1))
         self.guard = 2.0**-44 * (big + 21.0 * span)

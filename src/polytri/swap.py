@@ -15,7 +15,7 @@ The pass measures each stored triangle once. The hook stores a fresh
 triangle's smallest angle on it (``Triangle.min_angle``); :func:`try_swap`
 reads the stored values of the pair and stores the minima of the two
 triangles a swap writes; :func:`polytri.quality.min_angles` reads them
-again for the report.
+again for the report. Both read with :func:`polytri.earclip.smallest_angle`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import logging
 from typing import Callable, Optional
 
 from .geom import EPS_AREA, DegenerateTriangle, triangle_angles_xy, triangle_min_angle_xy
-from .earclip import Triangle, Triangulation
+from .earclip import Triangle, Triangulation, smallest_angle
 from .polygon import VertexNode
 
 __all__ = ["sharp_swapper", "try_swap"]
@@ -37,30 +37,24 @@ def _node_angles(t: Triangle) -> tuple[float, float, float]:
     return triangle_angles_xy(a.x, a.y, b.x, b.y, c.x, c.y)
 
 
-def _min_angle(t: Triangle) -> float:
-    """``t``'s stored smallest angle, or a fresh one when it has none."""
-    if t.angle_nodes is t.nodes:
-        return t.min_angle
-    a, b, c = t.nodes
-    return triangle_min_angle_xy(a.x, a.y, b.x, b.y, c.x, c.y)
-
-
 def try_swap(
     t1: Triangle, t2: Triangle, tri: Triangulation
 ) -> Optional[tuple[Triangle, Triangle]]:
     """Swap the shared diagonal of ``t1``/``t2`` when it improves the pair.
 
     The four distinct corners form a quadrilateral; if it is not strictly
-    convex the other diagonal would leave it, so nothing happens. Otherwise
-    the pair minimum over six angles decides: swap only on strict
-    improvement. The old pair's minimum comes from each triangle's stored
-    ``min_angle`` (see :class:`~polytri.earclip.Triangle`), measured here
-    only for a triangle that has none. The first rewritten triangle is
-    measured next, and when its minimum is not above the old one the
-    answer is no without measuring the second. A swap stores the new minima
-    on the two rewritten triangles. Returns the re-diagonalized pair (the
-    same Triangle objects rewritten in place) or None when unchanged.
-    Raises ValueError unless the two triangles share exactly one edge.
+    convex the other diagonal would leave it, so nothing happens. The test
+    takes each new half's cross product at its middle corner as the angle
+    kernels do, so they measure both halves without raising. Otherwise the
+    pair minimum over six angles decides: swap only on strict improvement.
+    The old pair's minimum comes from :func:`~polytri.earclip.smallest_angle`,
+    and a triangle the kernel rejects there means no. The first rewritten
+    triangle is measured next, and when its minimum is not above the old
+    one the answer is no without measuring the second. A swap stores the
+    new minima on the two rewritten triangles. Returns the re-diagonalized
+    pair (the same Triangle objects rewritten in place) or None when
+    unchanged. Raises ValueError unless the two triangles share exactly one
+    edge.
     """
     if t1.degenerate or t2.degenerate:
         return None
@@ -86,36 +80,36 @@ def try_swap(
         a2, u, w = f, d, e
     x1, y1, x2, y2 = a1.x, a1.y, a2.x, a2.y
     ux, uy, wx, wy = u.x, u.y, w.x, w.y
-    # Both halves on the new diagonal must keep positive area (the cross
-    # products of (a1, w, a2) and (a2, u, a1)), otherwise the quad is
-    # non-convex and the swapped diagonal falls outside it.
+    # Both halves on the new diagonal, (a1, w, a2) and (a2, u, a1), need
+    # positive area, or the quad is non-convex; each cross product is the
+    # kernel's own, at the middle corner, so neither kernel raises below.
     if (
-        (wx - x1) * (y2 - y1) - (wy - y1) * (x2 - x1) <= EPS_AREA
-        or (ux - x2) * (y1 - y2) - (uy - y2) * (x1 - x2) <= EPS_AREA
+        (x2 - wx) * (y1 - wy) - (y2 - wy) * (x1 - wx) <= EPS_AREA
+        or (x1 - ux) * (y2 - uy) - (y1 - uy) * (x2 - ux) <= EPS_AREA
     ):
         return None
     # Each min below is the builtin's comparison chain, ties and NaN alike.
     try:
-        old_min = _min_angle(t1)
-        m = _min_angle(t2)
-        if m < old_min:
-            old_min = m
-        m1 = triangle_min_angle_xy(x1, y1, wx, wy, x2, y2)
-        # min(m1, m2) > old_min needs m1 > old_min, NaN included.
-        if not m1 > old_min:
-            return None
-        m2 = triangle_min_angle_xy(x2, y2, ux, uy, x1, y1)
+        old_min = smallest_angle(t1)
+        m = smallest_angle(t2)
     except DegenerateTriangle:
         return None
+    if m < old_min:
+        old_min = m
+    m1 = triangle_min_angle_xy(x1, y1, wx, wy, x2, y2)
+    # min(m1, m2) > old_min needs m1 > old_min, NaN included.
+    if not m1 > old_min:
+        return None
+    m2 = triangle_min_angle_xy(x2, y2, ux, uy, x1, y1)
     m = m1
     if m2 < m:
         m = m2
     if not m > old_min:
         return None
-    t1.nodes = t1.angle_nodes = (a1, w, a2)
+    t1.nodes = (a1, w, a2)
     t1.a, t1.b, t1.c = a1.original_index, w.original_index, a2.original_index
     t1.min_angle = m1
-    t2.nodes = t2.angle_nodes = (a2, u, a1)
+    t2.nodes = (a2, u, a1)
     t2.a, t2.b, t2.c = a2.original_index, u.original_index, a1.original_index
     t2.min_angle = m2
     tri.swap_count += 1
@@ -169,7 +163,6 @@ def sharp_swapper(bound: float) -> Callable[[Triangulation, int], None]:
         if at_c < sharpest:
             sharpest = at_c
         t.min_angle = sharpest
-        t.angle_nodes = t.nodes
         if not sharpest < limit:
             return
         k, widest = 0, at_a

@@ -391,10 +391,10 @@ def test_only_earclip_writes_the_ear_flag_state():
 # The per-cut kernels spell min and max as comparison chains and degrees as
 # one multiply by geom._DEG; the swap hook is nested in sharp_swapper.
 HOT_KERNELS = {
-    "earclip.py": {"is_ear"},
+    "earclip.py": {"is_ear", "smallest_angle"},
     "polygon.py": {"refresh_node"},
     "geom.py": {"triangle_angles_xy", "triangle_min_angle_xy"},
-    "swap.py": {"try_swap", "sharp_swapper", "_min_angle"},
+    "swap.py": {"try_swap", "sharp_swapper"},
     "quality.py": {"min_angles"},
 }
 

@@ -486,7 +486,9 @@ LATTICE = st.tuples(st.integers(0, 40), st.integers(0, 12))
     points=st.lists(LATTICE, min_size=1, max_size=60),
     twins=st.lists(st.integers(0, 59), max_size=10),
     convex=st.lists(st.integers(0, 69), max_size=20),
-    frame=st.sampled_from([(1.0, 0.0), (1e-6, 0.0), (1.0, 1e8), (1e-6, 1e8), (1e-5, 1e8)]),
+    frame=st.sampled_from(
+        [(1.0, 0.0), (1e-6, 0.0), (1.0, 1e8), (1e-6, 1e8), (1e-5, 1e8), (1.0, 1e14)]
+    ),
     boxes=st.lists(st.tuples(LATTICE, LATTICE), max_size=10),
     triangles=st.lists(st.tuples(LATTICE, LATTICE, LATTICE), max_size=10),
 )
@@ -513,11 +515,11 @@ LATTICE = st.tuples(st.integers(0, 40), st.integers(0, 12))
 def test_reflex_index_property(points, twins, convex, frame, boxes, triangles):
     # Members on a small lattice repeat x values and sit on triangle edges;
     # twins repeat a member's coordinates; the frame scales by 1e-6 or shifts
-    # by 1e8, or both, or scales by 1e-5 at a shift of 1e8, where a row of a
-    # dozen nodes is just over the 2**-40 of the largest coordinate that the
-    # row clip needs. The index is built over all the nodes; the ones at
-    # positions in ``convex`` are convex, so not members, but still set the
-    # bounds.
+    # by 1e8, or both, or scales by 1e-5 at a shift of 1e8, or shifts by
+    # 1e14, where the lattice is exact and a row is under 2**-40 of the
+    # largest coordinate, so the rounding guard spans several rows. The
+    # index is built over all the nodes; the ones at positions in ``convex``
+    # are convex, so not members, but still set the bounds.
     scale, shift = frame
     pts = points + [points[i % len(points)] for i in twins]
 
@@ -562,6 +564,25 @@ def test_reflex_index_property(points, twins, convex, frame, boxes, triangles):
         found, blockers, (minx, _, maxx, _) = query_and_blockers(grid, v)
         check(found, minx, maxx)
         assert blockers <= set(found)
+
+
+def test_row_clip_prunes_far_from_the_origin():
+    # Shifted by 1e14 a row of this lattice is under 2**-40 of the largest
+    # coordinate, and the clip still holds back the members in the wide
+    # triangle's box that lie outside it by more than the rounding guard.
+    shift = 1e14
+    points = [(5, 3), (10, 6), (15, 9), (25, 9), (30, 6), (35, 3), (20, 0), (2, 11), (38, 11),
+              (0, 0), (40, 0), (20, 12)]
+    nodes = [VertexNode(shift + x, shift + y, k, k) for k, (x, y) in enumerate(points)]
+    for node in nodes[-3:]:
+        node.is_convex = True
+    grid = ReflexGrid(nodes)
+    a, v, c = nodes[-3:]
+    v.prev, v.next = a, c
+    assert 2.0**40 / grid.inv < shift  # a row height, under 2**-40 of the shift
+    found, blockers, box = query_and_blockers(grid, v)
+    assert blockers <= set(found)
+    assert len(found) < len(grid.query(*box))
 
 
 class TestValidatePolygon:
@@ -755,7 +776,8 @@ def test_vertex_contacts_equal_the_all_pairs_scan(seed, grid, shift, twins):
 @settings(max_examples=100, deadline=None)
 @given(**SNAPPED)
 def test_edge_contacts_equal_the_all_pairs_scan(seed, grid, shift, twins):
-    rings = [_boxed_edges(Ring(pts)) for pts in snapped_rings(seed, grid, shift, twins)]
+    polys = [Ring(pts) for pts in snapped_rings(seed, grid, shift, twins)]
+    rings = [_boxed_edges(r) for r in polys]
 
     def meet(i, s, j, t):
         n = len(rings[i])
@@ -771,4 +793,4 @@ def test_edge_contacts_equal_the_all_pairs_scan(seed, grid, shift, twins):
             meet(i, s, j, t) for s in range(len(rings[i])) for t in range(len(rings[j]))
         )
     }
-    assert _edge_contacts(rings) == want
+    assert _edge_contacts(rings, _vertex_contacts([r.points for r in polys])) == want

@@ -4,7 +4,10 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import polytri.earclip as earclip_mod
 import polytri.quality as quality_mod
 import polytri.swap as swap_mod
 from polytri import (
@@ -17,7 +20,13 @@ from polytri import (
 )
 from polytri.earclip import Triangulation, _clip
 from polytri.polygon import VertexNode
-from polytri.geom import DegenerateTriangle, Point2, triangle_angles_xy
+from polytri.geom import (
+    EPS_AREA,
+    DegenerateTriangle,
+    Point2,
+    triangle_angles_xy,
+    triangle_min_angle_xy,
+)
 from polytri.quality import min_angles
 from polytri.swap import sharp_swapper, try_swap
 from conftest import (
@@ -226,6 +235,48 @@ class TestTrySwap:
             agree += 1
         assert agree == 1000
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        corners=st.lists(
+            st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=4, max_size=4, unique=True
+        ),
+        ulps=st.integers(-4, 4),
+        shift=st.sampled_from([0.0, 1.0, -3.0]),
+    )
+    # the apex cross product of (p1, p2, p3) exceeds EPS_AREA, but not the
+    # one at its middle corner, where the kernel tests it
+    @example(corners=[(2, 2), (2, 5), (-3, 2), (-5, -3)], ulps=0, shift=0.0)
+    def test_kernels_measure_every_new_half_the_convexity_test_admits(
+        self, corners, ulps, shift
+    ):
+        # A lattice quad scaled so that twice the area of the new half
+        # (p1, p2, p3) is EPS_AREA within a few ulps, where the convexity
+        # test and the kernels' degeneracy test are closest to disagreeing.
+        # The old pair's stored minimum is 0, so a quad the test admits has
+        # both new halves measured, and none may be rejected by the kernel.
+        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = corners
+        doubled = (x3 - x2) * (y1 - y2) - (y3 - y2) * (x1 - x2)
+        assume(doubled > 0)
+        scale = math.sqrt(EPS_AREA / doubled) * (1.0 + ulps * 2.0**-52)
+        tri, _ = quad_triangulation(*(P(shift + scale * x, shift + scale * y) for x, y in corners))
+        t0, t1 = tri.triangles
+        t0.min_angle = t1.min_angle = 0.0
+        measured, rejected = [], []
+
+        def kernel(*xy):
+            measured.append(xy)
+            try:
+                return triangle_min_angle_xy(*xy)
+            except DegenerateTriangle:
+                rejected.append(xy)
+                raise
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(swap_mod, "triangle_min_angle_xy", kernel)
+            out = try_swap(t0, t1, tri)
+        assert rejected == []
+        assert len(measured) == (0 if out is None else 2)
+
 
 class TestTriangulateImproved:
     def test_bound_zero_identical_to_basic(self, small_corpus):
@@ -279,10 +330,11 @@ class TestMeasureOnce:
 
     @pytest.fixture()
     def measured(self, monkeypatch):
-        """Count the angle measurements of ``swap`` and ``quality``, by
-        either kernel: all three angles or only the smallest."""
+        """Count the angle measurements of ``swap``, ``quality`` and
+        ``earclip`` (whose ``smallest_angle`` both read through), by either
+        kernel: all three angles or only the smallest."""
         counts = Counter()
-        for module in (swap_mod, quality_mod):
+        for module in (swap_mod, quality_mod, earclip_mod):
             for kernel in ("triangle_angles_xy", "triangle_min_angle_xy"):
                 real = getattr(module, kernel, None)
                 if real is None:
@@ -304,17 +356,20 @@ class TestMeasureOnce:
         assert rep.triangle_count == len(kept)
         assert tri.swap_count > 0 and swap_calls
         assert measured["polytri.swap"] <= len(tri.triangles) + 2 * len(swap_calls)
-        assert all(t.angle_nodes is t.nodes for t in kept)
-        assert measured["polytri.quality"] == 0
+        assert all(t.min_angle is not None for t in kept)
+        assert measured["polytri.quality"] == measured["polytri.earclip"] == 0
 
     def test_nodes_rewritten_from_outside_are_measured_afresh(self, measured):
+        # code that assigns ``nodes`` from outside clears ``min_angle``, and
+        # the report then measures that triangle, and only that one
         poly = generate_corpus(3, 1, (60, 60), (1, 1))[0]
         tri, _ = triangulate_polygon(poly, "improved", 30.0)
         t1, t2 = tri.triangles[0], tri.triangles[-1]
         stale = t1.min_angle
         t1.nodes = (t1.nodes[0], t1.nodes[1], t2.nodes[2])
+        t1.min_angle = None
         a, b, c = t1.nodes
         fresh = min(triangle_angles_xy(a.x, a.y, b.x, b.y, c.x, c.y))
         assert fresh != stale
         assert min_angles(tri)[0] == fresh
-        assert measured["polytri.quality"] == 1
+        assert measured["polytri.earclip"] == 1
