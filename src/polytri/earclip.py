@@ -47,7 +47,12 @@ rebuilt. Between restarts the reflex set only shrinks, so every flag is
 exact as of its stamp.
 
 This module alone writes these fields and the ear flags;
-``polygon.refresh_node`` computes only a node's angle and convexity.
+``polygon.refresh_node`` computes only a node's convexity, and clears its
+cached interior angle unless the corner is straight or collapsed. Only
+``_ear_key`` reads an angle, filling the cache inline, and only the
+angle-aware policy and the fallback call it, on convex nodes; so the
+traditional policy computes no angle outside the fallback, and the clip
+none of a reflex node.
 
 Worst-case time stays quadratic: an ear whose box holds most reflex
 vertices still visits them all unless the triangle clip cuts them away,
@@ -68,7 +73,7 @@ import logging
 import math
 from typing import Callable, Optional
 
-from .geom import EPS_AREA, EPS_LEN, GeometryError, Point2, triangle_min_angle_xy
+from .geom import _DEG, EPS_AREA, EPS_LEN, GeometryError, Point2, triangle_min_angle_xy
 from .polygon import VertexNode, VertexRing, refresh_node, remove_vertex
 from .reflexgrid import ReflexGrid
 
@@ -291,7 +296,7 @@ def is_ear(
 def update_after_cut(
     ring: VertexRing, left: VertexNode, right: VertexNode
 ) -> None:
-    """Refresh the two neighbours of a cut: angle, convexity, ear status.
+    """Refresh the two neighbours of a cut: convexity, ear status.
 
     Counts the cut in ``ring.clock``, then refreshes both nodes, and keeps
     their books, before either flag is set. Each node is stamped with the
@@ -342,8 +347,17 @@ def _start_flags(ring: VertexRing) -> None:
 
 def _ear_key(node: VertexNode) -> tuple[float, int, int]:
     """Selection order: smallest interior angle, then smallest original
-    index, then earliest ring position, so runs are reproducible."""
-    return (node.interior_angle, node.original_index, node.seq)
+    index, then earliest ring position, so runs are reproducible.
+
+    The angle is ``node.interior_angle``, filled into its cache here with
+    the property's own expression rather than by a call to it."""
+    angle = node._angle
+    if angle is None:
+        p, n = node.prev, node.next
+        ux, uy = p.x - node.x, p.y - node.y
+        wx, wy = n.x - node.x, n.y - node.y
+        angle = node._angle = (math.atan2(uy, ux) - math.atan2(wy, wx)) * _DEG % 360.0
+    return (angle, node.original_index, node.seq)
 
 
 def _select_smallest_angle(ring: VertexRing) -> Optional[VertexNode]:
@@ -352,7 +366,9 @@ def _select_smallest_angle(ring: VertexRing) -> Optional[VertexNode]:
     Reads the top of ``ring.ears``, a heap of ``(*key, node)`` entries for
     the nodes flagged as ears or pending, built from the flags on the first
     call and fed by :func:`update_after_cut`, popping stale entries: those
-    whose node lost the flag, changed angle or left the ring. A pending flag
+    whose node lost the flag, changed angle or left the ring. The angle check
+    reads the node's cache: a node refreshed since its entry was pushed has
+    either a new entry, which filled the cache, or no flag. A pending flag
     at the top is resolved by an ear test as of its stamp and popped when
     that fails. Every live node flagged or pending has a current entry, so
     the first live entry that passes is the ear with the minimal key, as a
@@ -371,7 +387,7 @@ def _select_smallest_angle(ring: VertexRing) -> Optional[VertexNode]:
     while ears:
         angle, _, _, node = ears[0]
         flag = node.is_ear
-        if flag is not False and node.interior_angle == angle and node.prev.next is node:
+        if flag is not False and node._angle == angle and node.prev.next is node:
             if flag is None:
                 flag = node.is_ear = is_ear(ring, node, stamp=node.stamp)
             if flag:

@@ -110,9 +110,13 @@ def _parse_geojson(text: str) -> PolygonWithHoles:
 
 
 def parse_polygon(data: str | bytes, fmt: str = "text") -> PolygonWithHoles:
-    """Parse and normalize a polygon from ``text`` or ``geojson`` input."""
+    """Parse and normalize a polygon from ``text`` or ``geojson`` input.
+
+    One leading byte-order mark (U+FEFF), which some editors write at the
+    start of a UTF-8 file, is dropped before parsing."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
+    data = data.removeprefix("\ufeff")
     if fmt == "text":
         poly = _parse_text(data)
     elif fmt == "geojson":

@@ -188,9 +188,18 @@ class VertexNode:
 
     Carries its coordinates inline (hot loops read ``x``/``y`` directly),
     the index of the vertex in the flattened input table, its ring position
-    ``seq``, and the interior angle and convexity from :func:`refresh_node`.
-    ``is_ear``, ``stamp`` and ``gone_at`` are the ear-flag state that
+    ``seq``, and the convexity from :func:`refresh_node`. ``is_ear``,
+    ``stamp`` and ``gone_at`` are the ear-flag state that
     :mod:`polytri.earclip` keeps (see its module docstring).
+
+    The interior angle is computed on first read, from the current
+    neighbours, and cached in ``_angle`` (0.0 before the first refresh):
+    :func:`refresh_node` sets it for a straight or collapsed corner and
+    clears it (None) otherwise. Only
+    :func:`refresh_node` clears it, and it runs after every change of
+    neighbours, so a cached angle is always the current one. Read it as
+    ``interior_angle``; ``earclip._ear_key`` fills the cache inline with
+    the same expression.
     """
 
     __slots__ = (
@@ -199,7 +208,7 @@ class VertexNode:
         "original_index",
         "prev",
         "next",
-        "interior_angle",
+        "_angle",
         "is_convex",
         "is_ear",
         "seq",
@@ -213,7 +222,7 @@ class VertexNode:
         self.original_index = original_index
         self.prev: "VertexNode" = self
         self.next: "VertexNode" = self
-        self.interior_angle = 0.0
+        self._angle: Optional[float] = 0.0
         self.is_convex = False
         self.is_ear: Optional[bool] = False
         self.seq = seq
@@ -223,6 +232,18 @@ class VertexNode:
     @property
     def point(self) -> Point2:
         return Point2(self.x, self.y)
+
+    @property
+    def interior_angle(self) -> float:
+        """Interior angle in degrees, 360 at a collapsed corner; computed
+        on the first read since :func:`refresh_node` cleared it."""
+        angle = self._angle
+        if angle is None:
+            p, n = self.prev, self.next
+            ux, uy = p.x - self.x, p.y - self.y
+            wx, wy = n.x - self.x, n.y - self.y
+            angle = self._angle = (math.atan2(uy, ux) - math.atan2(wy, wx)) * _DEG % 360.0
+        return angle
 
     def __repr__(self) -> str:
         return (
@@ -258,30 +279,45 @@ class VertexRing:
 
 
 def refresh_node(node: VertexNode, strict: bool = False) -> None:
-    """Recompute ``interior_angle`` and ``is_convex`` of ``node`` from its
-    current neighbours; the ear-flag state is :mod:`polytri.earclip`'s.
+    """Recompute ``is_convex`` of ``node`` from its current neighbours, and
+    set or clear its cached interior angle; the ear-flag state is
+    :mod:`polytri.earclip`'s.
 
     Convexity comes from the turn direction (a left turn is convex on a CCW
-    ring); exactly straight or spiked vertices are reflex. With ``strict`` a
-    coincident neighbour raises DegenerateVertex (build time, where it means
-    broken input). Without it the node is marked reflex with a 360 degree
-    angle so a collapsed edge mid-run is never clipped as an ear.
+    ring); exactly straight or spiked vertices are reflex, with an angle of
+    180 or 360 degrees. With ``strict`` a coincident neighbour raises
+    DegenerateVertex (build time, where it means broken input). Without it
+    the node is marked reflex with a 360 degree angle so a collapsed edge
+    mid-run is never clipped as an ear. Any other angle is left for the
+    first read of ``interior_angle`` (see :class:`VertexNode`).
+
+    A leg is coincident when its ``hypot`` is at most EPS_LEN. ``hypot`` is
+    faithfully rounded (Python 3.10 on), so it is never below the larger
+    absolute coordinate, and a leg with a coordinate outside
+    [-EPS_LEN, EPS_LEN] is not coincident without the call.
     """
     p, n = node.prev, node.next
     ux, uy = p.x - node.x, p.y - node.y
     wx, wy = n.x - node.x, n.y - node.y
-    if math.hypot(ux, uy) <= EPS_LEN or math.hypot(wx, wy) <= EPS_LEN:
+    t = EPS_LEN
+    if (-t <= ux <= t and -t <= uy <= t and math.hypot(ux, uy) <= t) or (
+        -t <= wx <= t and -t <= wy <= t and math.hypot(wx, wy) <= t
+    ):
         if strict:
             raise DegenerateVertex(f"coincident neighbours at {node!r}")
-        node.interior_angle = 360.0
+        node._angle = 360.0
+        node.is_convex = False
+        return
+    z = wx * uy - wy * ux  # positive iff convex on a CCW ring
+    if z > EPS_AREA:
+        node._angle = None
+        node.is_convex = True
+    elif z < -EPS_AREA:
+        node._angle = None
         node.is_convex = False
     else:
-        z = wx * uy - wy * ux  # positive iff convex on a CCW ring
-        if abs(z) > EPS_AREA:
-            node.interior_angle = (math.atan2(uy, ux) - math.atan2(wy, wx)) * _DEG % 360.0
-        else:
-            node.interior_angle = 180.0 if ux * wx + uy * wy < 0.0 else 360.0
-        node.is_convex = z > EPS_AREA
+        node._angle = 180.0 if ux * wx + uy * wy < 0.0 else 360.0
+        node.is_convex = False
 
 
 def build_ring(
@@ -293,8 +329,8 @@ def build_ring(
 
     ``indices`` maps each position to its index in the flattened vertex
     table (bridged rings repeat indices for duplicated vertices); it
-    defaults to 0..n-1 with the ring's own points as the table. Interior
-    angles and convexity are computed for every node. Then ``reflex`` is
+    defaults to 0..n-1 with the ring's own points as the table. Every
+    node's convexity is computed by :func:`refresh_node`. Then ``reflex`` is
     built over the nodes' bounding box and filled with the reflex nodes by
     one sort.
     """

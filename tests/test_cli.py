@@ -169,6 +169,26 @@ class TestCliTriangulate:
         assert r.returncode == 2
         assert b"line 2: non-finite" in r.stderr
 
+    @pytest.mark.parametrize(
+        "fmt, doc",
+        [
+            ("text", (FIXTURES / "square_hole.poly").read_bytes()),
+            ("geojson", b'{"type": "Polygon", "coordinates": [[[0, 0], [4, 0], [4, 4], [0, 4]]]}'),
+        ],
+        ids=["text", "geojson"],
+    )
+    def test_byte_order_mark_input(self, tmp_path, fmt, doc):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_bytes(doc)
+        marked.write_bytes(b"\xef\xbb\xbf" + doc)
+        runs = [
+            cli("triangulate", "--algorithm", "basic", "--format", fmt, "--input", str(f))
+            for f in (plain, marked)
+        ]
+        assert [r.returncode for r in runs] == [0, 0], runs[1].stderr
+        assert runs[1].stdout == runs[0].stdout
+        assert json.loads(runs[1].stdout)["triangles"]
+
     def test_non_utf8_input_exit_2(self, tmp_path):
         bad = tmp_path / "bad.poly"
         bad.write_bytes(b"ring 0,0 1,0 \xff\xfe\n")

@@ -391,7 +391,7 @@ def test_only_earclip_writes_the_ear_flag_state():
 # The per-cut kernels spell min and max as comparison chains and degrees as
 # one multiply by geom._DEG; the swap hook is nested in sharp_swapper.
 HOT_KERNELS = {
-    "earclip.py": {"is_ear", "smallest_angle"},
+    "earclip.py": {"is_ear", "smallest_angle", "_ear_key"},
     "polygon.py": {"refresh_node"},
     "geom.py": {"triangle_angles_xy", "triangle_min_angle_xy"},
     "swap.py": {"try_swap", "sharp_swapper"},
@@ -416,6 +416,50 @@ def test_hot_kernels_call_no_min_max_or_degrees():
             ]
     assert calls == []
     assert found == {(name, fn) for name, fns in HOT_KERNELS.items() for fn in fns}
+
+
+def count_angle_work(monkeypatch, poly, algorithm):
+    """``atan2`` calls made by :mod:`polytri.polygon` and
+    :mod:`polytri.earclip` while triangulating ``poly``, and the heap keys
+    built for a node whose cached angle was empty."""
+    counts = Counter()
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def atan2(self, y, x):
+            counts["atan2"] += 1
+            return math.atan2(y, x)
+
+    def ear_key(node):
+        counts["empty_keys"] += node._angle is None
+        return _ear_key(node)
+
+    monkeypatch.setattr(earclip, "_ear_key", ear_key)
+    for module in (earclip, sys.modules["polytri.polygon"]):
+        monkeypatch.setattr(module, "math", CountingMath())
+    triangulate_polygon(poly, algorithm)
+    return counts["atan2"], counts["empty_keys"]
+
+
+class TestAngleWork:
+    """A node's angle is computed only when the selection keys it."""
+
+    @pytest.fixture
+    def star(self):
+        return generate_corpus(seed=11, count=1, vertex_range=(300, 300))[0]
+
+    def test_traditional_computes_no_node_angle(self, monkeypatch, star):
+        assert not star.holes
+        assert count_angle_work(monkeypatch, star, "traditional") == (0, 0)
+
+    def test_basic_computes_one_angle_per_key_built_on_an_empty_cache(self, monkeypatch, star):
+        atan2, empty_keys = count_angle_work(monkeypatch, star, "basic")
+        assert atan2 == 2 * empty_keys
+        assert (atan2, empty_keys) == (1028, 514)
+        # the same work every run
+        assert count_angle_work(monkeypatch, star, "basic") == (atan2, empty_keys)
 
 
 class TestUpdateAfterCut:

@@ -144,6 +144,22 @@ class TestRoundTrip:
         poly = parse_polygon(b"ring 0,0 1,0 1,1 0,1\n")
         assert len(poly.outer) == 4
 
+    @pytest.mark.parametrize(
+        "fmt, doc",
+        [
+            ("text", "ring 0,0 4,0 4,4 0,4\nring 1,1 1,3 3,3 3,1\n"),
+            ("geojson", '{"type": "Polygon", "coordinates": [[[0, 0], [4, 0], [4, 4], [0, 4]]]}'),
+        ],
+        ids=["text", "geojson"],
+    )
+    def test_leading_byte_order_mark_dropped(self, fmt, doc):
+        want = parse_polygon(doc, fmt=fmt)
+        assert parse_polygon("\ufeff" + doc, fmt=fmt) == want
+        assert parse_polygon(b"\xef\xbb\xbf" + doc.encode(), fmt=fmt) == want
+        # only one mark is a byte-order mark; a second is content
+        with pytest.raises(ParseError):
+            parse_polygon("\ufeff\ufeff" + doc, fmt=fmt)
+
 
 class TestJsonOutput:
     def test_schema_and_indices(self, small_corpus):

@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,8 +16,15 @@ from polytri import (
     triangulate_polygon,
 )
 from polytri.bridge import eliminate_holes
-from polytri.earclip import _select_fallback, _select_smallest_angle, is_ear, update_after_cut
+from polytri.earclip import (
+    _ear_key,
+    _select_fallback,
+    _select_smallest_angle,
+    is_ear,
+    update_after_cut,
+)
 from polytri.geom import (
+    _DEG,
     EPS_AREA,
     EPS_LEN,
     DegenerateVertex,
@@ -244,6 +252,106 @@ class TestRefreshNode:
         refresh_node(nodes[1])
         assert not nodes[1].is_convex
         assert nodes[1].interior_angle == 360.0
+
+
+def eager_refresh_node(node, strict=False):
+    """``refresh_node`` as it was when it computed every node's angle,
+    verbatim, as an oracle. It writes ``interior_angle`` and ``is_convex``,
+    so ``node`` is a plain object with ``x``, ``y``, ``prev`` and ``next``."""
+    p, n = node.prev, node.next
+    ux, uy = p.x - node.x, p.y - node.y
+    wx, wy = n.x - node.x, n.y - node.y
+    if math.hypot(ux, uy) <= EPS_LEN or math.hypot(wx, wy) <= EPS_LEN:
+        if strict:
+            raise DegenerateVertex(f"coincident neighbours at {node!r}")
+        node.interior_angle = 360.0
+        node.is_convex = False
+    else:
+        z = wx * uy - wy * ux  # positive iff convex on a CCW ring
+        if abs(z) > EPS_AREA:
+            node.interior_angle = (math.atan2(uy, ux) - math.atan2(wy, wx)) * _DEG % 360.0
+        else:
+            node.interior_angle = 180.0 if ux * wx + uy * wy < 0.0 else 360.0
+        node.is_convex = z > EPS_AREA
+
+
+def nudged(x, ulps):
+    """``x`` moved by ``ulps`` units in the last place (down if negative)."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.inf if ulps > 0 else -math.inf)
+    return x
+
+
+SIGN = st.sampled_from([-1.0, 1.0])
+ULPS = st.integers(-4, 4)
+# a leg coordinate: a few ulps from +-EPS_LEN, where the hypot skip and the
+# coincidence bound meet, or zero, or anything
+LEG_COORD = st.one_of(
+    st.builds(lambda s, k: s * nudged(EPS_LEN, k), SIGN, ULPS),
+    st.just(0.0),
+    st.floats(-2.0, 2.0),
+)
+
+
+@st.composite
+def near_flat_legs(draw):
+    """Legs ``(ux, uy), (wx, wy)`` whose cross product ``wx * uy - wy * ux`` is
+    exactly a few ulps from +-EPS_AREA, or exactly zero: one factor of the
+    surviving product is a power of two, and one coordinate of the other
+    product is zero."""
+    z = draw(st.one_of(st.builds(lambda s, k: s * nudged(EPS_AREA, k), SIGN, ULPS), st.just(0.0)))
+    a = draw(SIGN) * 2.0 ** draw(st.integers(-40, 2))
+    b = z / a
+    free = draw(LEG_COORD)
+    a, b = draw(st.permutations([a, b]))
+    case = draw(st.integers(0, 3))
+    if case == 0:  # ux = 0: z = wx * uy
+        return (0.0, a), (b, free)
+    if case == 1:  # wy = 0: z = wx * uy
+        return (free, a), (b, 0.0)
+    if case == 2:  # uy = 0: z = -wy * ux
+        return (a, 0.0), (free, -b)
+    return (a, free), (0.0, -b)  # wx = 0: z = -wy * ux
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    legs=st.one_of(
+        near_flat_legs(),
+        st.tuples(st.tuples(LEG_COORD, LEG_COORD), st.tuples(LEG_COORD, LEG_COORD)),
+    ),
+    center=st.one_of(st.just((0.0, 0.0)), st.tuples(st.floats(-100, 100), st.floats(-100, 100))),
+    strict=st.booleans(),
+)
+# a leg exactly EPS_LEN long is coincident; one ulp longer, hypot is skipped
+@example(legs=((EPS_LEN, 0.0), (0.0, 1.0)), center=(0.0, 0.0), strict=False)
+@example(legs=((nudged(EPS_LEN, 1), 0.0), (0.0, 1.0)), center=(0.0, 0.0), strict=True)
+# a cross product of exactly EPS_AREA is flat; one ulp more is convex
+@example(legs=((0.0, 1.0), (EPS_AREA, 1.0)), center=(0.0, 0.0), strict=False)
+@example(legs=((0.0, 1.0), (nudged(EPS_AREA, 1), 1.0)), center=(0.0, 0.0), strict=False)
+@example(legs=((0.0, 1.0), (-nudged(EPS_AREA, 1), -1.0)), center=(0.0, 0.0), strict=False)
+def test_refresh_node_matches_the_eager_oracle(legs, center, strict):
+    (ux, uy), (wx, wy) = legs
+    cx, cy = center
+    points = [(cx + ux, cy + uy), (cx, cy), (cx + wx, cy + wy)]
+    nodes = [VertexNode(x, y, i, i) for i, (x, y) in enumerate(points)]
+    want = [SimpleNamespace(x=x, y=y) for x, y in points]
+    for ring in (nodes, want):
+        for i in range(3):
+            ring[i].prev, ring[i].next = ring[i - 1], ring[(i + 1) % 3]
+    node, ref = nodes[1], want[1]
+    try:
+        eager_refresh_node(ref, strict)
+    except DegenerateVertex:
+        with pytest.raises(DegenerateVertex):
+            refresh_node(node, strict)
+        return
+    refresh_node(node, strict)
+    assert node.is_convex == ref.is_convex
+    assert node.interior_angle == ref.interior_angle
+    # the heap key fills an empty cache with the same float
+    refresh_node(node, strict)
+    assert _ear_key(node)[0] == node.interior_angle == ref.interior_angle
 
 
 def clip_steps(ring):
