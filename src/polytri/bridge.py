@@ -38,7 +38,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .geom import EPS_LEN, GeometryError, Point2
+from .geom import EPS_LEN, GeometryError, Point2, _box
 from .polygon import PolygonWithHoles, Ring, _boxed_edge, _boxed_edges, _crosses_any
 
 __all__ = ["NoValidBridge", "BridgeEdge", "DegenerateRing", "find_bridge", "eliminate_holes"]
@@ -90,13 +90,6 @@ def _in_wedge(v: Point2, toward_next: Point2, toward_prev: Point2, target: Point
     size = (a_prev - a_next) % (2.0 * math.pi)
     off = (a_prev - a_t) % (2.0 * math.pi)
     return 0.0 < off < size
-
-
-def _box(pts: Sequence[Point2]) -> tuple[float, float, float, float]:
-    """``(min x, min y, max x, max y)`` of ``pts``."""
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
-    return min(xs), min(ys), max(xs), max(ys)
 
 
 def _pairs_by_length(

@@ -4,9 +4,14 @@ Polygons are star shaped: vertex angles are jittered around an even spacing
 and sorted radii pull each vertex between an inner and outer radius, which
 makes the boundary simple by construction while still producing plenty of
 reflex vertices. Holes are shrunken star polygons dropped inside the outer
-ring by rejection sampling. Star polygons cannot reproduce every
-pathological simple polygon (spirals, combs); hand-written fixture files
-cover those in the test suite.
+ring by rejection sampling: a candidate is kept when its box, padded by
+0.05, is clear of every placed hole's box, no edge of it meets an outer
+edge, and its first vertex lies inside the outer ring. That is the rule of
+``validate_polygon``: a hole that meets the outer ring nowhere lies wholly
+inside or wholly outside it, so one vertex decides. It cannot see a hole
+vertex touching an outer vertex; see ``_hole_fits``.
+Star polygons cannot reproduce every pathological simple polygon (spirals,
+combs); hand-written fixture files cover those in the test suite.
 """
 
 from __future__ import annotations
@@ -14,8 +19,7 @@ from __future__ import annotations
 import math
 import random
 
-from .bridge import _box
-from .geom import GeometryError, Point2, point_in_ring
+from .geom import GeometryError, Point2, _box, point_in_ring
 from .polygon import PolygonWithHoles, Ring, _boxed_edges, _crosses_any, normalize
 
 __all__ = ["GenerationFailed", "star_ring", "generate_polygon", "generate_corpus"]
@@ -54,8 +58,10 @@ def _bboxes_disjoint(a, b, pad: float = 0.0) -> bool:
 
 
 def _hole_fits(hole: Ring, outer: Ring, outer_edges: list, placed: list[Ring]) -> bool:
-    # Cheapest rejection first; the O(m) containment test of every hole
-    # vertex runs only for a hole that passed the other two.
+    # The rule of the module docstring. A hole vertex within EPS_LEN of an
+    # outer vertex, with no collinear overlap, passes the crossing test (one
+    # shared endpoint does not count), and ray casting is unreliable there:
+    # only validate_polygon's vertex-contact sweep rejects such a contact.
     hb = _box(hole.points)
     for other in placed:
         if not _bboxes_disjoint(hb, _box(other.points), pad=0.05):
@@ -66,7 +72,7 @@ def _hole_fits(hole: Ring, outer: Ring, outer_edges: list, placed: list[Ring]) -
     k = len(hpts)
     if any(_crosses_any(hpts[i], hpts[(i + 1) % k], near) for i in range(k)):
         return False
-    return all(point_in_ring(p, outer.points) for p in hpts)
+    return point_in_ring(hpts[0], outer.points)
 
 
 def generate_polygon(

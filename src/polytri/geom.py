@@ -225,6 +225,13 @@ def triangle_min_angle_xy(
     return low * _DEG
 
 
+def _box(pts: Sequence[Point2]) -> tuple[float, float, float, float]:
+    """``(min x, min y, max x, max y)`` of ``pts``, which need ``x`` and ``y``."""
+    xs = [p.x for p in pts]
+    ys = [p.y for p in pts]
+    return min(xs), min(ys), max(xs), max(ys)
+
+
 def point_in_ring(p: Point2, ring: Sequence[Point2]) -> bool:
     """Even-odd ray casting containment test; boundary points are unreliable."""
     px, py = p

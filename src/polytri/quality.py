@@ -110,13 +110,13 @@ def compare(rows: Sequence[tuple[str, QualityReport]], fmt: str = "text") -> str
                 str(r.triangle_count),
             ]
         )
+    widths = [max(len(header[i]), *(len(r[i]) for r in body)) for i in range(len(header))]
     if fmt == "csv":
         lines = [",".join(header)]
         for row in body:
             lines.append(",".join(cell.rstrip("%") for cell in row))
         return "\n".join(lines) + "\n"
     if fmt == "md":
-        widths = [max(len(header[i]), *(len(r[i]) for r in body)) for i in range(len(header))]
         out = [
             "| " + " | ".join(h.ljust(w) for h, w in zip(header, widths)) + " |",
             "|" + "|".join("-" * (w + 2) for w in widths) + "|",
@@ -125,7 +125,6 @@ def compare(rows: Sequence[tuple[str, QualityReport]], fmt: str = "text") -> str
             out.append("| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |")
         return "\n".join(out) + "\n"
     if fmt == "text":
-        widths = [max(len(header[i]), *(len(r[i]) for r in body)) for i in range(len(header))]
         out = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
         for row in body:
             out.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))

@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from operator import attrgetter
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .geom import EPS_AREA
+from .geom import EPS_AREA, _box
 
 if TYPE_CHECKING:
     from .polygon import VertexNode
@@ -22,7 +22,7 @@ if TYPE_CHECKING:
 __all__ = ["ReflexGrid"]
 
 
-class ReflexGrid(set):
+class ReflexGrid:
     """The reflex nodes of a ring when it was built, in rows sorted by x.
 
     Built from ``nodes``, the ring's nodes at that moment, it keeps the
@@ -31,29 +31,24 @@ class ReflexGrid(set):
     cells along the longer side (the uniform grid of Held's FIST, without
     its columns). Row ``k`` keeps two parallel lists: ``xs[k]``, its
     members' x-coordinates in ascending order, and ``rows[k]``, the members
-    in the same order. Membership, iteration and ``len`` are the set's. The
-    index never changes once built: the ear test filters the members it
-    reads (see :func:`polytri.earclip.is_ear`), and a ring whose reflex set
-    grows gets a new index. :meth:`query` places a coordinate ``y`` by the
-    row function ``floor((y - y0) * inv)`` clamped to the rows; it is
-    monotone in ``y``, so a query never misses a member inside its box. It
-    is written out inline because it runs once per ear test. Each row also
-    keeps its members' y-extent, and the index a rounding ``guard``, for
-    the triangle clip of :meth:`query`.
+    in the same order. The index never changes once built: the ear test
+    filters the members it reads (see :func:`polytri.earclip.is_ear`), and
+    a ring whose reflex set grows gets a new index. :meth:`query` places a
+    coordinate ``y`` by the row function ``floor((y - y0) * inv)`` clamped
+    to the rows; it is monotone in ``y``, so a query never misses a member
+    inside its box. It is written out inline because it runs once per ear
+    test. Each row also keeps its members' y-extent, and the index a
+    rounding ``guard``, for the triangle clip of :meth:`query`.
     """
 
     __slots__ = ("xs", "rows", "ylo", "yhi", "x0", "y0", "inv", "flat", "guard")
 
     def __init__(self, nodes: Sequence[VertexNode]):
         members = [node for node in nodes if not node.is_convex]
-        super().__init__(members)
-        xs = [node.x for node in nodes]
-        ys = [node.y for node in nodes]
-        self.x0 = x0 = min(xs)
-        self.y0 = y0 = min(ys)
-        x1, y1 = max(xs), max(ys)
+        x0, y0, x1, y1 = _box(nodes)
+        self.x0, self.y0 = x0, y0
         span = max(x1 - x0, y1 - y0)
-        k = math.ceil(math.sqrt(len(xs)))
+        k = math.ceil(math.sqrt(len(nodes)))
         self.inv = inv = k / span if span > 0.0 else 0.0
         last = int((y1 - y0) * inv)
         # A row clip uses an edge only if its rise |dy| exceeds ``flat``: its

@@ -10,6 +10,7 @@ deterministic for identical input.
 from __future__ import annotations
 
 from .earclip import Triangulation
+from .geom import _box
 from .polygon import PolygonWithHoles
 
 __all__ = ["render_svg"]
@@ -33,10 +34,7 @@ def _path(points) -> str:
 
 def render_svg(poly: PolygonWithHoles, tri: Triangulation) -> bytes:
     """Render the polygon outline and its triangulation as SVG bytes."""
-    xs = [p.x for p in tri.vertex_table]
-    ys = [p.y for p in tri.vertex_table]
-    minx, maxx = min(xs), max(xs)
-    miny, maxy = min(ys), max(ys)
+    minx, miny, maxx, maxy = _box(tri.vertex_table)
     span = max(maxx - minx, maxy - miny) or 1.0
     margin = 0.05 * span
     vb = (

@@ -261,6 +261,12 @@ def brute_force_is_ear(ring, v, corner_twins=False) -> bool:
     return True
 
 
+def reflex_members(grid) -> set:
+    """The members of a :class:`polytri.reflexgrid.ReflexGrid`, read from
+    its rows."""
+    return {m for row in grid.rows for m in row}
+
+
 def ring_adjacent_edges(tri) -> set:
     """Boundary edges of a ring triangulation, re-derived from ring order.
 

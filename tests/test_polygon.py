@@ -42,7 +42,7 @@ from polytri.polygon import (
     validate_polygon,
 )
 from polytri.reflexgrid import ReflexGrid
-from conftest import brute_force_is_ear, tri_angles_oracle
+from conftest import brute_force_is_ear, reflex_members, tri_angles_oracle
 
 P = Point2
 
@@ -136,7 +136,7 @@ class TestBuildRing:
             assert node.interior_angle == pytest.approx(90.0)
             assert node.is_convex
             assert not node.is_ear
-        assert not ring.reflex
+        assert not reflex_members(ring.reflex)
 
     def test_l_shape_single_reflex(self, l_shape):
         ring = build_ring(l_shape)
@@ -177,7 +177,7 @@ class TestBuildRing:
         mid = next(n for n in ring if n.point == P(1, 0))
         assert mid.interior_angle == 180.0
         assert not mid.is_convex
-        assert mid in ring.reflex
+        assert mid in reflex_members(ring.reflex)
 
     def test_spike_vertex_is_full_turn(self):
         # both neighbours leave the tip along the same ray: zero-width spike
@@ -185,7 +185,7 @@ class TestBuildRing:
         tip = next(n for n in ring if n.point == P(0, 0))
         assert tip.interior_angle == 360.0
         assert not tip.is_convex
-        assert tip in ring.reflex
+        assert tip in reflex_members(ring.reflex)
 
     def test_linkage(self, unit_square):
         ring = build_ring(unit_square)
@@ -414,7 +414,7 @@ def query_and_blockers(grid, v):
     box = tip_box(v)
     minx, miny, maxx, maxy = box
     blockers = {
-        m for m in grid
+        m for m in reflex_members(grid)
         if minx <= m.x <= maxx and miny <= m.y <= maxy
         and abx * (m.y - ay) - aby * (m.x - ax) >= -EPS_AREA
         and bcx * (m.y - by) - bcy * (m.x - bx) >= -EPS_AREA
@@ -444,19 +444,21 @@ class TestReflexGrid:
         def check(minx, miny, maxx, maxy):
             nonlocal pruned
             found = list(grid.query(minx, miny, maxx, maxy))
+            members = reflex_members(grid)
             assert len(found) == len(set(found))
-            assert set(found) <= set(grid)
-            pruned += len(found) < len(grid)
-            for m in grid:
+            assert set(found) <= members
+            pruned += len(found) < len(members)
+            for m in members:
                 if minx <= m.x <= maxx and miny <= m.y <= maxy:
                     assert m in found, (m, (minx, miny, maxx, maxy))
 
         checked = 0
-        size = len(grid)
+        size = len(reflex_members(grid))
         for ring in clip_steps(ring):
-            assert {m for m in grid if not m.is_convex} == {n for n in ring if not n.is_convex}
-            assert len(grid) >= size
-            size = len(grid)
+            members = reflex_members(grid)
+            assert {m for m in members if not m.is_convex} == {n for n in ring if not n.is_convex}
+            assert len(members) >= size
+            size = len(members)
             x = rng.uniform(lo_x - 2 * cell, hi_x + 2 * cell)
             y = rng.uniform(lo_y - 2 * cell, hi_y + 2 * cell)
             check(x, y, x + rng.uniform(0, 3 * cell), y + rng.uniform(0, 3 * cell))
@@ -469,7 +471,7 @@ class TestReflexGrid:
                 grid.x0 + (i + w) * cell,
                 grid.y0 + (j + w) * cell,
             )
-            m = rng.choice(list(grid))
+            m = rng.choice(list(reflex_members(grid)))
             check(m.x, m.y, m.x, m.y)
             checked += 1
         assert checked > 1000
@@ -505,7 +507,7 @@ class TestReflexGrid:
             for k in range(600)
         ]
         grid = ReflexGrid(nodes)  # a bare node is not convex, so a member
-        assert len(grid) == 600 and len(grid.rows) == 2
+        assert len(reflex_members(grid)) == 600 and len(grid.rows) == 2
         clipped = 0
         for k in range(3000):
             y = rng.randrange(-2, 12)
@@ -551,7 +553,7 @@ class TestReflexGrid:
                 clipped += len(found) < len(list(grid.query(*box)))
                 if node is tip:
                     fan_found += len(found)
-                    fan_members += len(grid)
+                    fan_members += len(reflex_members(grid))
         assert checked > 1000
         # the star-shaped bridged ring has few boxes wider than tall
         assert clipped > (10 if shape == "bridged" else 100), clipped
@@ -641,13 +643,13 @@ def test_reflex_index_property(points, twins, convex, frame, boxes, triangles):
     grid = ReflexGrid(nodes)
 
     members = {m for m in nodes if not m.is_convex}
-    assert grid == members
-    assert sum(map(len, grid.rows)) == len(members) and set().union(*grid.rows) == grid
+    assert reflex_members(grid) == members
+    assert sum(map(len, grid.rows)) == len(members)
     for xs, row in zip(grid.xs, grid.rows, strict=True):
         assert xs == sorted(xs) == [m.x for m in row]
 
     def check(found, minx, maxx):
-        assert len(found) == len(set(found)) and set(found) <= grid
+        assert len(found) == len(set(found)) and set(found) <= members
         # is_ear has no x test of its own: it relies on this promise
         assert all(minx <= m.x <= maxx for m in found)
 
