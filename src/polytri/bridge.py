@@ -100,19 +100,20 @@ def _pairs_by_length(
 ) -> Iterator[tuple[float, int, int]]:
     """Every ``(length, i, j)`` of ring position i and hole position j, in
     the order ``sorted()`` gives all of them, produced nearest first.
-    ``box`` is ``_box(cpts)`` when the caller has it, computed otherwise.
+    ``box``, by default ``_box(cpts)``, is any box containing ``cpts``.
 
     Ring vertices fall in rows as tall as about 1/sqrt(m) of the longer side
-    of their bounding box. Each round takes a radius r, from one row height,
-    doubling. It files the ring vertices in the hole's bounding box grown by
-    r into rows sorted as ``(x, i, y)``, and each hole vertex takes one
-    slice of x within r, by bisection, from every row within r of it,
-    clamped to the ring's rows. It yields, sorted, the pairs longer than the
-    previous radius and at most r. Once r spans both rings, the last round
-    yields every pair left. Each pair falls in one round and rounds ascend,
-    so the stream equals the full sort, ties included. Rounding drops no
-    vertex: a computed length of at most r means coordinates within
-    r(1 + 2^-50), the bounds grow by r(1 + 2^-32), and rounding is monotone.
+    of ``box``, each in one of its rows. Each round takes a radius r, from
+    one row height, doubling. It files the ring vertices in the hole's
+    bounding box grown by r into rows sorted as ``(x, i, y)``, and each hole
+    vertex takes one slice of x within r, by bisection, from every row
+    within r of it, clamped to the rows of ``box``. It yields, sorted, the
+    pairs longer than the previous radius and at most r. Once r spans both
+    rings, the last round yields every pair left. Each pair falls in one
+    round and rounds ascend, so the stream equals the full sort, ties
+    included. Rounding drops no vertex: a computed length of at most r means
+    coordinates within r(1 + 2^-50), the bounds grow by r(1 + 2^-32), and
+    rounding is monotone.
     """
     x0, y0, x1, y1 = _box(cpts) if box is None else box
     height = max(x1 - x0, y1 - y0) / math.ceil(math.sqrt(len(cpts)))
@@ -172,8 +173,8 @@ def find_bridge(
     are ever measured and sorted. Zero-length candidates, where a ring
     vertex coincides with a hole vertex, are skipped: they would create a
     null slit. Raises NoValidBridge if every candidate is obstructed.
-    ``box`` is the bounding box of ``cpts`` as ``(x0, y0, x1, y1)`` when the
-    caller keeps it; it is computed otherwise.
+    ``box`` is any ``(x0, y0, x1, y1)`` containing ``cpts``, by default
+    their bounding box.
     """
     m = len(cpts)
     k = len(hpts)
@@ -219,8 +220,8 @@ def eliminate_holes(poly: PolygonWithHoles) -> DegenerateRing:
     directions are kept because the crossing test's orientation signs can
     round differently for the two.
 
-    The merged ring's bounding box is the outer ring's grown by the box of
-    each merged hole, kept here rather than recomputed per bridge search.
+    Each search is given the box of the whole vertex table: it contains
+    every merged ring and, on valid input, equals the merged ring's box.
     """
     outer = poly.outer
     cpts, cur_idx = outer.points, tuple(range(len(outer)))
@@ -229,7 +230,7 @@ def eliminate_holes(poly: PolygonWithHoles) -> DegenerateRing:
     edges = [e for ring in (outer, *poly.holes) for e in _boxed_edges(ring)]
     off = len(outer)  # table index of the current hole's first vertex
     bridges = []
-    box = _box(cpts)
+    box = _box(poly.vertex_table())
     for h, hole in enumerate(poly.holes, start=1):
         hpts = hole.points
         length, i, j = find_bridge(cpts, hpts, edges, box=box)
@@ -238,7 +239,5 @@ def eliminate_holes(poly: PolygonWithHoles) -> DegenerateRing:
         cpts = _splice(cpts, hpts, i, j)
         cur_idx = _splice(cur_idx, tuple(range(off, off + len(hpts))), i, j)
         off += len(hpts)
-        hx0, hy0, hx1, hy1 = _box(hpts)
-        box = (min(box[0], hx0), min(box[1], hy0), max(box[2], hx1), max(box[3], hy1))
         bridges.append(BridgeEdge((0, i), (h, j), length))
     return DegenerateRing(Ring._trusted(cpts), cur_idx, tuple(bridges))

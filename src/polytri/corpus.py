@@ -53,22 +53,19 @@ def star_ring(
     return Ring(pts)
 
 
-def _bboxes_disjoint(a, b, pad: float = 0.0) -> bool:
-    return a[2] + pad < b[0] or b[2] + pad < a[0] or a[3] + pad < b[1] or b[3] + pad < a[1]
-
-
 def _hole_fits(hole: Ring, outer: Ring, outer_edges: list, placed: list[Ring]) -> bool:
     # The rule of the module docstring. A hole vertex within EPS_LEN of an
     # outer vertex, with no collinear overlap, passes the crossing test (one
     # shared endpoint does not count), and ray casting is unreliable there:
     # only validate_polygon's vertex-contact sweep rejects such a contact.
-    hb = _box(hole.points)
+    hpts = hole.points
+    hx0, hy0, hx1, hy1 = _box(hpts)
     for other in placed:
-        if not _bboxes_disjoint(hb, _box(other.points), pad=0.05):
+        ox0, oy0, ox1, oy1 = _box(other.points)
+        if ox0 <= hx1 + 0.05 and hx0 <= ox1 + 0.05 and oy0 <= hy1 + 0.05 and hy0 <= oy1 + 0.05:
             return False
     # Outer edges whose padded box misses the hole's box cannot meet it.
-    near = [e for e in outer_edges if not _bboxes_disjoint(hb, e)]
-    hpts = hole.points
+    near = [e for e in outer_edges if e[0] <= hx1 and hx0 <= e[2] and e[1] <= hy1 and hy0 <= e[3]]
     k = len(hpts)
     if any(_crosses_any(hpts[i], hpts[(i + 1) % k], near) for i in range(k)):
         return False

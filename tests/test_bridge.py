@@ -151,6 +151,18 @@ class TestCandidateOrder:
         hpts = [P(h.x + 20.0 * side.x, h.y + 20.0 * side.y) for h in hpts]
         assert list(_pairs_by_length(cpts, hpts)) == all_pairs_sorted(cpts, hpts)
 
+    @settings(max_examples=200)
+    @given(
+        st.lists(grid_points(-6, 6), min_size=3, max_size=40),
+        st.lists(grid_points(-12, 12), min_size=3, max_size=10),
+        st.lists(grid_points(-30, 30), min_size=1, max_size=4),
+    )
+    def test_any_box_containing_the_ring(self, cpts, hpts, extra):
+        # eliminate_holes passes the box of the whole vertex table, which
+        # can be larger than the ring's own
+        box = _box(cpts + extra)
+        assert list(_pairs_by_length(cpts, hpts, box=box)) == all_pairs_sorted(cpts, hpts)
+
     @settings(max_examples=100)
     @given(
         st.lists(grid_points(-6, 6), min_size=3, max_size=40),
@@ -329,21 +341,37 @@ class TestEliminateHoles:
                 searches += 1
         assert searches > 40
 
-    def test_carried_box_equals_the_merged_ring_box(self, monkeypatch):
-        # The outer ring's box grown by each merged hole's is, float for
-        # float, the box of the merged ring that each search is given.
+    def test_search_box_contains_the_merged_ring(self, monkeypatch):
+        # Every search is given the box of the whole vertex table. It
+        # contains the ring being searched, the bridge is the one found with
+        # the ring's own box, and on valid input the two boxes are equal.
         real = bridge.find_bridge
         boxes = []
 
         def recorder(cpts, hpts, edges, *, box=None):
-            boxes.append((box, _box(cpts)))
-            return real(cpts, hpts, edges, box=box)
+            fresh = _box(cpts)
+            assert box[0] <= fresh[0] and box[1] <= fresh[1]
+            assert fresh[2] <= box[2] and fresh[3] <= box[3]
+            result = real(cpts, hpts, edges, box=box)
+            assert result == real(cpts, hpts, edges, box=fresh)
+            boxes.append((box, fresh))
+            return result
 
         monkeypatch.setattr(bridge, "find_bridge", recorder)
         for poly in generate_corpus(7, 40, (4, 120), (1, 3)):
             eliminate_holes(normalize(poly))
         assert len(boxes) > 40
-        assert all(carried == fresh for carried, fresh in boxes)
+        assert all(given == fresh for given, fresh in boxes)
+
+        # Not valid: the first hole pokes out through the right side of
+        # the outer ring's box, yet can still be bridged. The first search
+        # gets a box wider than its ring, the second the merged ring's.
+        boxes.clear()
+        outer = Ring([(0, 0), (10, 0), (10, 10), (0, 10)])
+        poking = Ring([(8, 4), (8, 6), (12, 6), (12, 4)])
+        square = Ring([(2, 2), (2, 3), (3, 3), (3, 2)])
+        eliminate_holes(normalize(PolygonWithHoles(outer, [poking, square])))
+        assert boxes == [((0, 0, 12, 10), (0, 0, 10, 10)), ((0, 0, 12, 10), (0, 0, 12, 10))]
 
     def test_duplicates_share_original_index(self):
         poly = normalize(PolygonWithHoles(OUTER, [HOLE]))

@@ -1,6 +1,7 @@
 """Hole placement in the random corpus: one case per verdict of
 ``corpus._hole_fits``, and a property over generated polygons."""
 
+import math
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from polytri import Ring, generate_polygon
 from polytri.corpus import _hole_fits
-from polytri.geom import point_in_ring
+from polytri.geom import EPS_LEN, _box, point_in_ring
 from polytri.polygon import _boxed_edges, validate_polygon
 
 OUTER = Ring([(0, 0), (10, 0), (10, 10), (0, 10)])
@@ -21,6 +22,19 @@ def square(x, y, side=1.0):
 
 def fits(hole, placed=()):
     return _hole_fits(hole, OUTER, _boxed_edges(OUTER), list(placed))
+
+
+def rotated(points, quarter_turns):
+    """``points`` turned by quarter_turns * 90 degrees about the origin,
+    exactly: each turn swaps the coordinates and negates one."""
+    for _ in range(quarter_turns):
+        points = [(-y, x) for x, y in points]
+    return Ring(points)
+
+
+# An L-shaped outer ring whose edge (6, 10)-(6, 5) points down into the
+# interior, for a hole below it whose tip is on that edge's line.
+L_OUTER = [(0, 0), (10, 0), (10, 10), (6, 10), (6, 5), (0, 5)]
 
 
 class TestHoleFits:
@@ -44,6 +58,35 @@ class TestHoleFits:
         # disjoint, so only the 0.05 pad around a placed hole refuses it
         placed = square(4, 4).reversed()
         assert fits(square(5 + gap, 4), [placed]) is ok
+
+    @pytest.mark.parametrize("hole_side", ["left", "right", "below", "above"])
+    def test_gap_equal_to_the_pad_is_refused(self, hole_side):
+        # The lower square ends at 5.0 and the upper one starts at the float
+        # sum 5.0 + 0.05 that the pad test computes: the comparison for that
+        # side sees equal values and refuses; one ulp further apart, it fits.
+        for start, ok in [(5.0 + 0.05, False), (math.nextafter(5.0 + 0.05, 6.0), True)]:
+            low = square(4.0, 4.0)
+            high = square(start, 4.0) if hole_side in ("left", "right") else square(4.0, start)
+            hole, placed = (low, high) if hole_side in ("left", "below") else (high, low)
+            assert fits(hole, [placed.reversed()]) is ok
+
+    @pytest.mark.parametrize("quarter_turns", range(4))
+    def test_outer_edge_whose_padded_box_touches_the_hole_box_is_tested(self, quarter_turns):
+        # The tip at 5 - EPS_LEN lies on the edge by point_on_segment's
+        # padded test, and the hole's box side equals the edge's padded box
+        # side: the near-edge filter must keep the edge for the crossing
+        # test to refuse the hole. One ulp further down, the edge misses and
+        # the hole fits. Each quarter turn puts the touching sides on
+        # another comparison of the filter.
+        outer = rotated(L_OUTER, quarter_turns)
+        edges = _boxed_edges(outer)
+        for tip, ok in [(5 - EPS_LEN, False), (math.nextafter(5 - EPS_LEN, 0.0), True)]:
+            hole = rotated([(6, 3), (7, 4), (6, tip), (5, 4)], quarter_turns)
+            if not ok:
+                hx0, hy0, hx1, hy1 = _box(hole.points)
+                ex0, ey0, ex1, ey1 = edges[3][:4]  # the edge (6, 10)-(6, 5), turned
+                assert [ex0 == hx1, hx0 == ex1, ey0 == hy1, hy0 == ey1].count(True) == 1
+            assert _hole_fits(hole, outer, edges, []) is ok
 
 
 def all_vertices_inside(hole, outer):
