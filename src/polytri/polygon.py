@@ -109,14 +109,16 @@ class PolygonWithHoles:
 
     After :func:`normalize` the outer ring is counter-clockwise and every
     hole is clockwise. Hole containment and disjointness are not checked
-    here; that is the opt-in :func:`validate_polygon` pass.
+    here; that is the opt-in :func:`validate_polygon` pass. ``_normal`` is
+    :func:`normalize`'s record (see there), else None.
     """
 
-    __slots__ = ("outer", "holes")
+    __slots__ = ("outer", "holes", "_normal")
 
     def __init__(self, outer: Ring, holes: Iterable[Ring] = ()):
         self.outer = outer
         self.holes = tuple(holes)
+        self._normal: Optional[tuple[tuple[Point2, ...], ...]] = None
 
     def vertex_table(self) -> tuple[Point2, ...]:
         """Flattened vertex list: outer vertices first, then each hole's."""
@@ -171,16 +173,25 @@ def _normalize_ring(ring: Ring, want_ccw: bool, label: str) -> Ring:
 def normalize(poly: PolygonWithHoles) -> PolygonWithHoles:
     """Canonical form: outer CCW, holes CW, consecutive duplicates removed.
 
-    Idempotent; point order is otherwise preserved. Raises InvalidRing when
-    a ring collapses below 3 points or encloses no area.
+    Point order is otherwise preserved. Raises InvalidRing when a ring
+    collapses below 3 points or encloses no area. Idempotent, to the
+    object: no two neighbours of a deduplicated ring are within EPS_LEN,
+    and a reversed ring's shoelace terms are the exact negations of the
+    original's, so a second pass changes nothing. The result records its
+    rings' points in ``_normal`` and comes back at once while they are
+    unchanged, as when the CLI's parsed polygon is triangulated.
     """
+    points = (poly.outer.points, *(h.points for h in poly.holes))
+    if poly._normal == points:
+        return poly
     outer = _normalize_ring(poly.outer, True, "outer ring")
     holes = tuple(
         _normalize_ring(h, False, f"hole {i}") for i, h in enumerate(poly.holes)
     )
-    if outer is poly.outer and all(a is b for a, b in zip(holes, poly.holes)):
-        return poly
-    return PolygonWithHoles(outer, holes)
+    if not (outer is poly.outer and all(a is b for a, b in zip(holes, poly.holes))):
+        poly = PolygonWithHoles(outer, holes)
+    poly._normal = (poly.outer.points, *(h.points for h in poly.holes))
+    return poly
 
 
 class VertexNode:

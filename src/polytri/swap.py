@@ -11,6 +11,11 @@ proceed as if nothing happened.
 Each new triangle gets exactly one swap attempt; swapped-in triangles are
 not re-tested and no flip cascades are chased.
 
+The hook's adjacency is one entry per live ring edge: the triangle outside
+it, found under the edge's start node. A fresh triangle can border an
+emitted one only across the ring edges its cut consumed, so the hook
+depends on ``_clip``'s emission order and is not a general mesh index.
+
 The pass measures each stored triangle once. The hook stores a fresh
 triangle's smallest angle on it (``Triangle.min_angle``); :func:`try_swap`
 reads the stored values of the pair and stores the minima of the two
@@ -30,11 +35,6 @@ from .polygon import VertexNode
 __all__ = ["sharp_swapper", "try_swap"]
 
 log = logging.getLogger("polytri")
-
-
-def _node_angles(t: Triangle) -> tuple[float, float, float]:
-    a, b, c = t.nodes
-    return triangle_angles_xy(a.x, a.y, b.x, b.y, c.x, c.y)
 
 
 def try_swap(
@@ -128,11 +128,18 @@ def sharp_swapper(bound: float) -> Callable[[Triangulation, int], None]:
     because the test is strict. Raises ValueError for a negative or NaN
     bound.
 
-    The hook keeps the only adjacency of the run: every emitted triangle
-    owns its three directed edges ``(a, b), (b, c), (c, a)``, keyed by node
-    identity so the twin nodes of a bridged ring stay distinct. Triangles
-    are counter-clockwise, so the neighbour across ``u -> w`` owns
-    ``(w, u)``.
+    The hook keeps the only adjacency of the run, and it relies on getting
+    the triangles in ``_clip``'s emission order. A triangle cut from the
+    ring is ``(left, tip, right)``; the only triangles emitted before it
+    that it can border lie across the two ring edges it consumes,
+    ``left -> tip`` and ``tip -> right``, never across the new ring edge
+    ``left -> right``. The last triangle's three edges are all ring edges;
+    the hook tells it by ``right.next is left``, which no earlier cut
+    leaves, as at least three nodes stay linked after it. So the hook maps the start node of each live ring edge to the triangle
+    outside that edge, keyed by node identity so the twin nodes of a
+    bridged ring stay distinct, and each cut stores its triangle under
+    ``left``. A swap keeps the outer edges of the pair; the rewritten
+    triangle that owns ``right -> left`` takes over ``left``'s entry.
 
     Every triangle the clip emits unflagged has a convex middle corner, so
     the angle kernels measure it without raising (see
@@ -144,18 +151,14 @@ def sharp_swapper(bound: float) -> Callable[[Triangulation, int], None]:
     if limit > 60.0:
         log.warning("angle bound %.6g clamped to 60", limit)
         limit = 60.0
-    half: dict[tuple[VertexNode, VertexNode], Triangle] = {}
-
-    def own(t: Triangle) -> None:
-        a, b, c = t.nodes
-        half[a, b] = half[b, c] = half[c, a] = t
+    outside: dict[VertexNode, Triangle] = {}
 
     def post_emit(tri: Triangulation, tid: int) -> None:
         t = tri.triangles[tid]
-        own(t)
         if t.degenerate:
             return
-        at_a, at_b, at_c = _node_angles(t)
+        left, tip, right = t.nodes
+        at_a, at_b, at_c = triangle_angles_xy(left.x, left.y, tip.x, tip.y, right.x, right.y)
         # min and argmax as the builtins' comparison chains
         sharpest = at_a
         if at_b < sharpest:
@@ -164,18 +167,21 @@ def sharp_swapper(bound: float) -> Callable[[Triangulation, int], None]:
             sharpest = at_c
         t.min_angle = sharpest
         if not sharpest < limit:
+            outside[left] = t
             return
         k, widest = 0, at_a
         if at_b > widest:
             k, widest = 1, at_b
         if at_c > widest:
             k = 2
-        u = t.nodes[(k + 1) % 3]
-        w = t.nodes[(k + 2) % 3]
-        neighbor = half.get((w, u))
-        if neighbor is not None and try_swap(t, neighbor, tri) is not None:
-            del half[u, w], half[w, u]
-            own(t)
-            own(neighbor)
+        # the longest edge starts at tip, right or left; right -> left is a
+        # ring edge only in the last triangle
+        if k != 1 or right.next is left:
+            neighbor = outside.get(t.nodes[(k + 1) % 3])
+        else:
+            neighbor = None
+        outside[left] = t
+        if neighbor is not None and try_swap(t, neighbor, tri) is not None and k == 0:
+            outside[left] = neighbor  # rewritten to (apex, right, left)
 
     return post_emit

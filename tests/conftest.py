@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from polytri import Ring, PolygonWithHoles, generate_corpus
+from polytri import PolygonWithHoles, Ring, build_ring, eliminate_holes, generate_corpus, normalize
 from polytri.geom import EPS_AREA, EPS_LEN, Point2, triangle_angles_xy
 
 
@@ -376,6 +376,27 @@ def quality_corpus():
 @pytest.fixture(scope="session")
 def small_corpus():
     return generate_corpus(seed=7, count=25, vertex_range=(5, 60), holes_range=(0, 2))
+
+
+# An octagon with two holes that meet at the vertex (15, 3), which each hole
+# lists. Under the traditional scan a cut leaves the outer vertex (58, 50)
+# between the two copies: it turns into a zero-width spike, reflex at 360
+# degrees, mid-run, and blocks a tip that is still flagged as an ear.
+TOUCHING_HOLES = PolygonWithHoles(
+    Ring([(79, 1), (58, 50), (3, 80), (-52, 56), (-92, 5), (-62, -54), (-10, -76), (68, -65)]),
+    [
+        Ring([(5, -13), (2, -10), (-1, -7), (-3, -3), (15, 3)]),
+        Ring([(48, -1), (47, -9), (43, -15), (38, -21), (15, 3)]),
+    ],
+)
+
+
+def bridged_ring(poly):
+    """The clipping ring of ``poly`` with its holes bridged in, as
+    ``triangulate_polygon`` builds it."""
+    poly = normalize(poly)
+    degen = eliminate_holes(poly)
+    return build_ring(degen.ring, indices=degen.indices, table=poly.vertex_table())
 
 
 @pytest.fixture()

@@ -29,7 +29,7 @@ from polytri import (
     triangulate_ring,
 )
 from polytri.earclip import is_ear
-from polytri.geom import Point2
+from polytri.geom import Point2, triangle_angles_xy
 from polytri.swap import try_swap
 from polytri.formats import serialize_polygon, triangulation_to_json
 from conftest import (
@@ -162,12 +162,17 @@ def test_c05_swap_verdict_oracle(quality_corpus, monkeypatch):
     observed = []
     original = swap_mod.try_swap
 
+    def pair_min(t1, t2):
+        return min(
+            min(triangle_angles_xy(a.x, a.y, b.x, b.y, c.x, c.y))
+            for a, b, c in (t1.nodes, t2.nodes)
+        )
+
     def recording(t1, t2, tri, *measured):
-        before = min(min(swap_mod._node_angles(t1)), min(swap_mod._node_angles(t2)))
+        before = pair_min(t1, t2)
         out = original(t1, t2, tri, *measured)
         if out is not None:
-            after = min(min(swap_mod._node_angles(out[0])), min(swap_mod._node_angles(out[1])))
-            observed.append((before, after))
+            observed.append((before, pair_min(*out)))
         return out
 
     monkeypatch.setattr(swap_mod, "try_swap", recording)

@@ -372,6 +372,34 @@ class TestCliTriangulate:
         tri, _ = triangulate_polygon(poly, "basic")
         assert svg.read_bytes() == render_svg(original(poly), tri)
 
+    def test_triangulate_normalizes_once(self, monkeypatch, tmp_path):
+        # parse_polygon normalizes, and triangulate_polygon's normalize
+        # returns the parsed polygon as it is: each of the two rings is
+        # deduplicated once
+        import polytri.cli
+        import polytri.polygon
+
+        deduped = []
+        dedupe = polytri.polygon._dedupe
+
+        def counting(points):
+            deduped.append(points)
+            return dedupe(points)
+
+        monkeypatch.setattr(polytri.polygon, "_dedupe", counting)
+        src = FIXTURES / "square_hole.poly"
+        out = tmp_path / "o.json"
+        args = ["triangulate", "--algorithm", "improved", "--input", str(src), "--output", str(out)]
+        assert polytri.cli.main(args) == 0
+        assert len(deduped) == 2
+        # the same mesh as from the file's rings normalized afresh
+        poly = PolygonWithHoles(
+            Ring([(0, 0), (4, 0), (4, 4), (0, 4)]), [Ring([(1, 1), (1, 3), (3, 3), (3, 1)])]
+        )
+        tri, _ = triangulate_polygon(poly, "improved")
+        assert len(deduped) == 4
+        assert out.read_text() == triangulation_to_json(tri, report(tri))
+
     def test_repeated_in_process_calls_share_no_state(self, tmp_path):
         import polytri.cli
 

@@ -39,6 +39,8 @@ from polytri.geom import GeometryError, Point2
 from polytri.pipeline import ALGORITHMS
 from polytri.polygon import remove_vertex
 from conftest import (
+    TOUCHING_HOLES,
+    bridged_ring,
     brute_force_is_ear,
     cross2,
     edge_counts,
@@ -556,24 +558,6 @@ class TestUpdateAfterCut:
 
 
 SELECTION = ("_select_smallest_angle", "_select_next_sequential")
-
-# An octagon with two holes that meet at the vertex (15, 3), which each hole
-# lists. Under the traditional scan a cut leaves the outer vertex (58, 50)
-# between the two copies: it turns into a zero-width spike, reflex at 360
-# degrees, mid-run, and blocks a tip that is still flagged as an ear.
-TOUCHING_HOLES = PolygonWithHoles(
-    Ring([(79, 1), (58, 50), (3, 80), (-52, 56), (-92, 5), (-62, -54), (-10, -76), (68, -65)]),
-    [
-        Ring([(5, -13), (2, -10), (-1, -7), (-3, -3), (15, 3)]),
-        Ring([(48, -1), (47, -9), (43, -15), (38, -21), (15, 3)]),
-    ],
-)
-
-
-def bridged_ring(poly):
-    poly = normalize(poly)
-    degen = eliminate_holes(poly)
-    return build_ring(degen.ring, indices=degen.indices, table=poly.vertex_table())
 
 
 def as_of(ring, grid, v, stamp):

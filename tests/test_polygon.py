@@ -104,6 +104,47 @@ class TestNormalize:
         twice = normalize(once)
         assert once == twice
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=3, max_size=12
+        ),
+        scale=st.sampled_from([1.0, 1e-9, 4e-10, 1e-6, 1e8]),
+        shift=st.sampled_from([0.0, 0.1, 1e8]),
+        clockwise=st.booleans(),
+    )
+    def test_a_second_pass_changes_nothing(self, steps, scale, shift, clockwise):
+        # What lets normalize return a polygon it made at once: a full
+        # second pass over its rings keeps every ring object. Lattice walks
+        # scaled to the EPS_LEN and EPS_AREA tolerances, and far from the
+        # origin, hit near-duplicate points and near-zero areas; the outer
+        # ring doubles as a hole, which is normalized the other way round.
+        pts = [(shift + scale * x, shift + scale * y) for x, y in steps]
+        if clockwise:
+            pts.reverse()
+        try:
+            once = normalize(PolygonWithHoles(Ring(pts), [Ring(pts)]))
+        except InvalidRing:
+            return
+        assert normalize(once) is once
+        again = PolygonWithHoles(once.outer, once.holes)  # no record: a full pass
+        assert normalize(again) is again
+
+    def test_a_ring_changed_after_normalizing_is_normalized_again(self):
+        poly = normalize(
+            PolygonWithHoles(
+                Ring([(0, 0), (4, 0), (4, 4), (0, 4)]), [Ring([(1, 1), (1, 3), (3, 3), (3, 1)])]
+            )
+        )
+        hole = poly.holes[0]
+        hole.points = hole.points[::-1]  # counter-clockwise
+        again = normalize(poly)
+        assert again is not poly
+        assert again.holes[0].signed_area() < 0
+        assert normalize(again) is again
+        poly.holes = (*poly.holes, Ring([(1, 1), (1, 1), (2, 1), (2, 2)]))
+        assert len(normalize(poly).holes[1]) == 3
+
     def test_already_normalized_unchanged(self):
         poly = PolygonWithHoles(Ring([(0, 0), (4, 0), (4, 4), (0, 4)]))
         assert normalize(poly) == poly

@@ -19,7 +19,7 @@ from polytri import (
     triangulate_ring,
 )
 from polytri.earclip import Triangulation, _clip
-from polytri.polygon import VertexNode
+from polytri.polygon import Ring, VertexNode, remove_vertex
 from polytri.geom import (
     EPS_AREA,
     DegenerateTriangle,
@@ -30,6 +30,8 @@ from polytri.geom import (
 from polytri.quality import min_angles
 from polytri.swap import sharp_swapper, try_swap
 from conftest import (
+    TOUCHING_HOLES,
+    bridged_ring,
     cross2,
     edge_counts,
     quad_pair_min6,
@@ -92,18 +94,60 @@ class TestAngleBound:
             assert len(tri.triangles) == 2
 
 
+def clip_checking_neighbors(ring, bound, swap_calls, smallest_angle=True):
+    """Clip ``ring`` with the improved hook, and around each emit re-derive
+    the neighbour across the fresh triangle's longest edge by scanning every
+    stored triangle for both of its endpoints: the hook must pair the fresh
+    triangle with exactly that one. Returns the triangulation and, for each
+    triangle the hook looks a neighbour up for, ``(t, (u, w), i, owner)``:
+    ``u -> w`` is the longest edge as emitted, ``i`` the position of ``u``
+    in the emitted triangle, and ``owner`` None where there is none."""
+    hook = sharp_swapper(bound)
+    looked_up = []
+
+    def checked(tri, tid):
+        t = tri.triangles[tid]
+        owners = []
+        if not t.degenerate:
+            a, b, c = t.nodes
+            angles = triangle_angles_xy(a.x, a.y, b.x, b.y, c.x, c.y)
+            if min(angles) < bound:
+                k = max(range(3), key=lambda i: (angles[i], -i))
+                i = (k + 1) % 3
+                u, w = t.nodes[i], t.nodes[(k + 2) % 3]
+                owners = [o for o in tri.triangles if o is not t and u in o.nodes and w in o.nodes]
+                assert len(owners) <= 1
+                looked_up.append((t, (u, w), i, owners[0] if owners else None))
+        swap_calls.clear()
+        hook(tri, tid)
+        assert swap_calls == [(t, o) for o in owners]
+
+    return _clip(ring, smallest_angle=smallest_angle, post_emit=checked), looked_up
+
+
 class TestFindNeighbor:
     """The hook pairs a sharp fresh triangle with the one across its longest edge."""
 
-    def test_across_square_diagonal(self, swap_calls):
-        p = (P(0, 0), P(1, 0), P(1, 1), P(0, 1))
-        for first, second in (((0, 1, 2), (0, 2, 3)), ((0, 2, 3), (0, 1, 2))):
-            nodes = [VertexNode(q.x, q.y, i, i) for i, q in enumerate(p)]
-            tri, hook = Triangulation(p), sharp_swapper(60.0)
-            t0 = emit(tri, hook, *(nodes[i] for i in first))
+    def test_across_square_diagonal(self, unit_square, swap_calls):
+        # Both right triangles of a unit square are sharp (45 degrees) and
+        # their longest edge is the diagonal. Cut by hand as the engine
+        # does: the first cut finds no neighbour across the new ring edge,
+        # and the last triangle is paired with it across whichever of its
+        # three ring edges is the diagonal (first cutting tip 0, 1, 2 or 3
+        # puts it at the last triangle's third, first, second and third edge).
+        for first_tip in range(4):
+            ring = build_ring(unit_square)
+            tri, hook = Triangulation(ring.table), sharp_swapper(60.0)
+            v = list(ring)[first_tip]
+            left, right = v.prev, v.next
+            tid = tri.add_triangle(left, v, right)
+            remove_vertex(ring, v)
+            hook(tri, tid)
             assert swap_calls == []  # nothing across the diagonal yet
-            t1 = emit(tri, hook, *(nodes[i] for i in second))
-            assert swap_calls == [(t1, t0)]
+            h = ring.head
+            last = emit(tri, hook, h, h.next, h.next.next)
+            assert swap_calls == [(last, tri.triangles[tid])]
+            assert {left, right} <= set(last.nodes)
             swap_calls.clear()
 
     def test_first_clipped_ear_has_no_neighbor(self, unit_square, swap_calls):
@@ -116,57 +160,66 @@ class TestFindNeighbor:
         assert swap_calls == []
 
     def test_longest_edge_on_boundary_gives_none(self, swap_calls):
-        # an obtuse sliver whose longest edge a-b is a boundary edge; its
-        # neighbour across the shorter edge b-c is emitted first
-        a, b, c, d = P(0, 0), P(10, 0), P(5, 1), P(10, 5)
-        nodes = [VertexNode(q.x, q.y, i, i) for i, q in enumerate((a, b, c, d))]
-        tri, hook = Triangulation((a, b, c, d)), sharp_swapper(60.0)
-        emit(tri, hook, nodes[2], nodes[1], nodes[3])
-        emit(tri, hook, nodes[0], nodes[1], nodes[2])
+        # an obtuse sliver (a, b, c) whose longest edge a-b is a boundary
+        # edge; its neighbour across the shorter edge b-c is cut first, at
+        # the tip d of the ring a -> b -> d -> c
+        ring = build_ring(Ring([(0, 0), (10, 0), (10, 5), (5, 1)]))
+        a, b, d, c = list(ring)
+        tri, hook = Triangulation(ring.table), sharp_swapper(60.0)
+        tid = tri.add_triangle(b, d, c)
+        remove_vertex(ring, d)
+        hook(tri, tid)
+        assert ring.head is a
+        emit(tri, hook, a, b, c)
         assert swap_calls == []
 
     def test_matches_brute_force_on_bridged_rings(self, swap_calls):
-        # Around each emit, re-derive the neighbour by scanning every stored
-        # triangle for both endpoints of the fresh triangle's longest edge.
         # Bridged rings hold twin nodes with equal coordinates and index, and
         # earlier swaps have rewritten stored triangles.
-        def longest_edge(t):
-            if t.degenerate:
-                return None
-            try:
-                angles = swap_mod._node_angles(t)
-            except DegenerateTriangle:
-                return None
-            if not min(angles) < 30.0:
-                return None
-            k = max(range(3), key=lambda i: (angles[i], -i))
-            return t.nodes[(k + 1) % 3], t.nodes[(k + 2) % 3]
-
         sharp = twins = swaps = 0
         for poly in generate_corpus(31, 12, (16, 48), (1, 3)):
             degen = eliminate_holes(poly)
             ring = build_ring(degen.ring, indices=degen.indices, table=poly.vertex_table())
-            hook = sharp_swapper(30.0)
             twinned = {i for i in degen.indices if degen.indices.count(i) > 1}
-
-            def checked(tri, tid):
-                nonlocal sharp, twins
-                t = tri.triangles[tid]
-                edge = longest_edge(t)
-                owners = []
-                if edge is not None:
-                    u, w = edge
-                    owners = [o for o in tri.triangles if o is not t and u in o.nodes and w in o.nodes]
-                    assert len(owners) <= 1
-                    sharp += 1
-                    twins += not twinned.isdisjoint((u.original_index, w.original_index))
-                swap_calls.clear()
-                hook(tri, tid)
-                assert swap_calls == [(t, o) for o in owners]
-
-            tri = _clip(ring, smallest_angle=True, post_emit=checked)
+            tri, looked_up = clip_checking_neighbors(ring, 30.0, swap_calls)
+            sharp += len(looked_up)
+            twins += sum(
+                not twinned.isdisjoint((u.original_index, w.original_index))
+                for _, (u, w), _, _ in looked_up
+            )
             swaps += tri.swap_count
         assert sharp > 0 and twins > 0 and swaps > 0
+
+    @pytest.mark.parametrize("smallest_angle", [True, False], ids=["basic", "traditional"])
+    def test_matches_brute_force_on_hole_free_rings(self, swap_calls, smallest_angle):
+        # At bound 60 every triangle that is not equilateral is looked up,
+        # in either clip order. Only the last triangle may find a neighbour
+        # across its third edge, and over these rings every edge finds one.
+        found = Counter()
+        for poly in generate_corpus(17, 30, (4, 60), (0, 0)):
+            tri, looked_up = clip_checking_neighbors(
+                build_ring(poly.outer), 60.0, swap_calls, smallest_angle
+            )
+            assert len(looked_up) == len(tri.triangles)
+            last = tri.triangles[-1]
+            for t, _, i, owner in looked_up:
+                if owner is not None:
+                    assert i < 2 or t is last
+                    found[i] += 1
+        assert set(found) == {0, 1, 2}
+
+    @pytest.mark.parametrize("bound", [30.0, 60.0])
+    @pytest.mark.parametrize("smallest_angle", [True, False], ids=["basic", "traditional"])
+    def test_matches_brute_force_through_a_restart(self, swap_calls, smallest_angle, bound):
+        # the two-hole octagon's ring grows mid-clip in either clip order,
+        # which rebuilds the ear flags but leaves the hook's ring edges be
+        ring = bridged_ring(TOUCHING_HOLES)
+        grid = ring.reflex
+        tri, looked_up = clip_checking_neighbors(ring, bound, swap_calls, smallest_angle)
+        assert ring.reflex is not grid
+        assert any(owner is not None for *_, owner in looked_up)
+        if bound == 60.0:
+            assert len(looked_up) == len(tri.triangles) - tri.degenerate_count
 
 
 class TestTrySwap:
