@@ -10,11 +10,12 @@ triangles for an n-vertex ring.
 
 An ear is three consecutive vertices whose tip is convex and whose triangle
 closure contains no reflex vertex of the current ring other than the tip's
-own neighbours. The ear test asks the ring's reflex index for the reflex
-vertices near the triangle instead of visiting all of them: each row of the
-index that the triangle's box spans is bisected to the box's x-range, and a
-triangle wider than tall is clipped to the triangle row by row (see
-``ReflexGrid``).
+own neighbours. The ear test walks the rows of the ring's reflex index
+instead of visiting every reflex vertex: each row that the triangle's box
+spans is bisected to the box's x-range, a triangle wider than tall is first
+clipped to the triangle row by row, and each member reached is tested in
+place, so the first blocker ends the test (see ``ReflexGrid`` and
+``is_ear``).
 
 Ear flags are tested on demand. Removing an ear changes the ear status of
 its two neighbours only (Eberly, "Triangulation by Ear Clipping", 2002), so
@@ -71,10 +72,11 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+from bisect import bisect_left, bisect_right
 from typing import Callable, Optional
 
 from .geom import _DEG, EPS_AREA, EPS_LEN, GeometryError, Point2, triangle_min_angle_xy
-from .polygon import VertexNode, VertexRing, refresh_node, remove_vertex
+from .polygon import VertexNode, VertexRing, refresh_node
 from .reflexgrid import ReflexGrid
 
 __all__ = [
@@ -172,13 +174,6 @@ class Triangulation:
         self.triangles: list[Triangle] = []
         self.swap_count = 0
 
-    def add_triangle(
-        self, na: VertexNode, nb: VertexNode, nc: VertexNode, degenerate: bool = False
-    ) -> int:
-        """Append the triangle and return its position in ``triangles``."""
-        self.triangles.append(Triangle(na, nb, nc, degenerate))
-        return len(self.triangles) - 1
-
     @property
     def degenerate_count(self) -> int:
         return sum(1 for t in self.triangles if t.degenerate)
@@ -201,9 +196,10 @@ def is_ear(
     True iff ``v`` is convex and no reflex vertex of the ring, other than
     ``v.prev`` and ``v.next``, lies in the closure of the tip triangle: in
     its bounding box padded by EPS_AREA over the shortest side, and on the
-    inner side of each edge up to EPS_AREA. Only the members that
-    ``ring.reflex`` returns for that box and tip, a superset of the ones
-    passing those tests, are tested, against the live ring state. The index
+    inner side of each edge up to EPS_AREA. Only the members of
+    ``ring.reflex`` that the row walk below reaches for that box and tip, a
+    superset of the ones passing those tests, are tested, against the live
+    ring state, and the first that passes them ends the walk. The index
     keeps members that are no longer reflex, so one filter picks the reflex
     set as of cut ``stamp``, by default the current cut ``ring.clock``: the
     members whose ``gone_at`` exceeds it. It runs first, before the box and
@@ -266,30 +262,109 @@ def is_ear(
         hi = cy
     miny = lo - margin
     maxy = hi + margin
-    # the query returns only members with minx <= x <= maxx; a member
-    # turned convex by the stamp, the most common exemption, goes first
-    for r in ring.reflex.query(minx, miny, maxx, maxy, v):
-        if r.gone_at <= stamp:
+    # The walk over the rows of the reflex index. Each row the box spans is
+    # bisected to its members in the box's x-range, so every member reached
+    # has minx <= x <= maxx. A triangle whose box spans more columns (as
+    # tall as a row) than rows, and more than two, is clipped row by row
+    # first: each row keeps only the x-interval where the three relaxed
+    # closure tests can hold for y in the row's member y-extent within the
+    # box, widened each side by ``guard``, a bound on rounding that the
+    # index computes once from its nodes. A box at least as tall as wide is
+    # not clipped, so a comb on a vertical spine gains nothing from it.
+    #
+    # Why the clip reaches every member that passes the tests, for a
+    # triangle of the index's nodes: take a rising edge (ey > flat; a
+    # falling one is the mirror image, and one within ``flat`` of
+    # horizontal limits nothing), its exact limit
+    # L(y) = ox + (ex * (y - oy) + EPS_AREA) / ey and c = EPS_AREA / ey,
+    # under a row height by the choice of ``flat``. Let u = 2**-53, W the
+    # box width, big the largest |coordinate| of the nodes and span the
+    # longer side of their bounding box.
+    # - The closure test ex * (py - oy) - ey * (px - ox) >= -EPS_AREA
+    #   rounds by at most 3.01 u (|ex (py - oy)| + |ey (px - ox)|), so a
+    #   member that passes it has px <= L(py) + 3.01 u (2 W + c).
+    # - L is linear, so L(py) <= L(Y) at the end Y of the extent that the
+    #   solve takes.
+    # - The solve ox + (ex * (Y - oy) + EPS_AREA) / ey rounds by at most
+    #   6.01 u (|ox| + |L(Y) - ox| + 2 c). A passing member puts L(Y) above
+    #   ox - W less the first bound, and where L(Y) - ox exceeds 2 (W + c)
+    #   the rounded solve still lands past maxx, within 6.01 u (big + 2 c).
+    # - So a member passing the test lies within 10 u (big + 4 W + 5 c) of
+    #   the clipped interval. A convex tip's shortest edge exceeds EPS_AREA
+    #   over its longest, so the padding margin is under the longest edge,
+    #   at most sqrt(2) span, and W is at most (1 + 2 sqrt(2)) span, under
+    #   4 span; c is under a row height, at most span. The rounding is thus
+    #   under 2**-49 (big + 21 span), and ``guard`` is 32 times that, which
+    #   also covers the rounding of adding it.
+    grid = ring.reflex
+    y0, inv = grid.y0, grid.inv
+    last = len(grid.rows) - 1
+    # the row function; int() truncates toward zero, which agrees with
+    # floor() once clamped
+    r0 = int((miny - y0) * inv)
+    r0 = 0 if r0 < 0 else last if r0 > last else r0
+    r1 = int((maxy - y0) * inv)
+    r1 = 0 if r1 < 0 else last if r1 > last else r1
+    x0 = grid.x0
+    cols = int((maxx - x0) * inv) - int((minx - x0) * inv)
+    clip = cols > r1 - r0 and cols > 2
+    if clip:
+        # Each edge (ox, oy) + t (ex, ey) of the triangle keeps the points
+        # with ex * (y - oy) - ey * (x - ox) >= -EPS_AREA: an upper x bound
+        # when it rises, a lower one when it falls.
+        edges = ((ax, ay, abx, aby), (bx, by, bcx, bcy), (cx, cy, cax, cay))
+        flat, ylo, yhi, guard = grid.flat, grid.ylo, grid.yhi, grid.guard
+    xs, rows = grid.xs, grid.rows
+    for k in range(r0, r1 + 1):
+        row_xs = xs[k]
+        if clip:
+            lo_y = ylo[k] if ylo[k] > miny else miny
+            hi_y = yhi[k] if yhi[k] < maxy else maxy
+            if lo_y > hi_y:
+                continue
+            lo, hi = minx, maxx
+            for ox, oy, ex, ey in edges:
+                if ey > flat:
+                    t = ox + (ex * ((hi_y if ex > 0.0 else lo_y) - oy) + EPS_AREA) / ey
+                    if t < hi:
+                        hi = t
+                elif ey < -flat:
+                    t = ox + (ex * ((lo_y if ex < 0.0 else hi_y) - oy) + EPS_AREA) / ey
+                    if t > lo:
+                        lo = t
+            lo -= guard
+            hi += guard
+            i = bisect_left(row_xs, lo if lo > minx else minx)
+            j = bisect_right(row_xs, hi if hi < maxx else maxx, i)
+        else:
+            i = bisect_left(row_xs, minx)
+            j = bisect_right(row_xs, maxx, i)
+        if i == j:
             continue
-        if r is p or r is n:
-            continue
-        px = r.x
-        py = r.y
-        if py < miny or py > maxy:
-            continue
-        if abx * (py - ay) - aby * (px - ax) < neg:
-            continue
-        if bcx * (py - by) - bcy * (px - bx) < neg:
-            continue
-        if cax * (py - cy) - cay * (px - cx) < neg:
-            continue
-        if corner_twins and (
-            math.hypot(px - ax, py - ay) <= EPS_LEN
-            or math.hypot(px - bx, py - by) <= EPS_LEN
-            or math.hypot(px - cx, py - cy) <= EPS_LEN
-        ):
-            continue
-        return False
+        # a member turned convex by the stamp, the most common exemption,
+        # goes first
+        for r in rows[k][i:j]:
+            if r.gone_at <= stamp:
+                continue
+            if r is p or r is n:
+                continue
+            px = r.x
+            py = r.y
+            if py < miny or py > maxy:
+                continue
+            if abx * (py - ay) - aby * (px - ax) < neg:
+                continue
+            if bcx * (py - by) - bcy * (px - bx) < neg:
+                continue
+            if cax * (py - cy) - cay * (px - cx) < neg:
+                continue
+            if corner_twins and (
+                math.hypot(px - ax, py - ay) <= EPS_LEN
+                or math.hypot(px - bx, py - by) <= EPS_LEN
+                or math.hypot(px - cx, py - cy) <= EPS_LEN
+            ):
+                continue
+            return False
     return True
 
 
@@ -310,28 +385,41 @@ def update_after_cut(
     """
     clock = ring.clock = ring.clock + 1
     grown = False
-    for node in (left, right):
-        was_convex = node.is_convex
-        refresh_node(node)
-        node.stamp = clock
-        if node.is_convex:
-            if not was_convex:
-                node.gone_at = clock
-        else:
-            node.is_ear = False
-            if was_convex:
-                node.gone_at = math.inf
-                grown = True
+    was_convex = left.is_convex
+    refresh_node(left)
+    left.stamp = clock
+    if left.is_convex:
+        if not was_convex:
+            left.gone_at = clock
+    else:
+        left.is_ear = False
+        if was_convex:
+            left.gone_at = math.inf
+            grown = True
+    was_convex = right.is_convex
+    refresh_node(right)
+    right.stamp = clock
+    if right.is_convex:
+        if not was_convex:
+            right.gone_at = clock
+    else:
+        right.is_ear = False
+        if was_convex:
+            right.gone_at = math.inf
+            grown = True
     if grown:
         ring.reflex = ReflexGrid(list(ring))
         _start_flags(ring)
         return
     ears = ring.ears
-    for node in (left, right):
-        if node.is_convex:
-            node.is_ear = None
-            if ears is not None:
-                heapq.heappush(ears, (*_ear_key(node), node))
+    if left.is_convex:
+        left.is_ear = None
+        if ears is not None:
+            heapq.heappush(ears, (*_ear_key(left), left))
+    if right.is_convex:
+        right.is_ear = None
+        if ears is not None:
+            heapq.heappush(ears, (*_ear_key(right), right))
 
 
 def _start_flags(ring: VertexRing) -> None:
@@ -445,11 +533,17 @@ def _clip(
     stamped 0, so every convex one starts pending); emits n-2 triangles.
     Each clipped tip is convex, so its triangle is not degenerate by the
     kernels' test (see :mod:`polytri.geom`); the last triangle is flagged
-    ``degenerate`` by that same test at its middle corner. Clipping
-    consumes the ring: a ring that was cut raises ValueError."""
+    ``degenerate`` by that same test at its middle corner. Each cut appends
+    its triangle to ``triangles``, unlinks the tip (which keeps its own
+    ``prev`` and ``next`` for the triangle), refreshes the two neighbours,
+    then hands ``post_emit`` the triangle's position. Only convex tips are
+    cut, which the ear test skips among the members of ``ring.reflex`` by
+    their ``gone_at``, so the index needs no change. Clipping consumes the
+    ring: a ring that was cut raises ValueError."""
     if ring.clock > 0:
         raise ValueError("ring was already clipped; build a new one with build_ring")
     tri = Triangulation(ring.table)
+    triangles = tri.triangles
     _start_flags(ring)
     cursor = ring.head
     while ring.count > 3:
@@ -460,17 +554,21 @@ def _clip(
         if v is None:
             v = _select_fallback(ring)
         left, right = v.prev, v.next
-        tid = tri.add_triangle(left, v, right)
-        remove_vertex(ring, v)
+        triangles.append(Triangle(left, v, right))
+        left.next = right
+        right.prev = left
+        if ring.head is v:
+            ring.head = right
+        ring.count -= 1
         update_after_cut(ring, left, right)
         cursor = right
         if post_emit is not None:
-            post_emit(tri, tid)
+            post_emit(tri, len(triangles) - 1)
     h = ring.head
     a, b, c = h, h.next, h.next.next
     ux, uy, wx, wy = c.x - b.x, c.y - b.y, a.x - b.x, a.y - b.y
-    tid = tri.add_triangle(a, b, c, degenerate=abs(ux * wy - uy * wx) <= EPS_AREA)
+    triangles.append(Triangle(a, b, c, abs(ux * wy - uy * wx) <= EPS_AREA))
     if post_emit is not None:
-        post_emit(tri, tid)
+        post_emit(tri, len(triangles) - 1)
     return tri
 

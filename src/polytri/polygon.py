@@ -35,7 +35,6 @@ __all__ = [
     "VertexRing",
     "normalize",
     "build_ring",
-    "remove_vertex",
     "refresh_node",
     "validate_polygon",
 ]
@@ -352,33 +351,16 @@ def build_ring(
     if table is None:
         table = pts
     nodes = [VertexNode(p.x, p.y, idx, seq) for seq, (p, idx) in enumerate(zip(pts, indices))]
-    for i, node in enumerate(nodes):
-        node.prev = nodes[i - 1]
-        node.next = nodes[(i + 1) % n]
+    prev = nodes[-1]
+    for node in nodes:
+        node.prev = prev
+        prev.next = node
+        prev = node
     vring = VertexRing(nodes[0], n, table)
     for node in nodes:
         refresh_node(node, strict=True)
     vring.reflex = ReflexGrid(nodes)
     return vring
-
-
-def remove_vertex(ring: VertexRing, v: VertexNode) -> VertexRing:
-    """Unlink ``v`` from the ring; neighbour angles are NOT recomputed here.
-
-    The caller (the clipping loop) refreshes the two neighbours afterwards.
-    ``v`` keeps its own prev/next pointers so an emitted triangle can still
-    reference them. The clip removes only convex tips, which the ear test
-    skips among the members of ``ring.reflex`` by their ``gone_at``, so the
-    index needs no change.
-    """
-    if ring.count < 3:
-        raise InvalidRing("cannot remove from a ring with fewer than 3 vertices")
-    v.prev.next = v.next
-    v.next.prev = v.prev
-    if ring.head is v:
-        ring.head = v.next
-    ring.count -= 1
-    return ring
 
 
 def _boxed_edge(a: Point2, b: Point2) -> tuple[float, float, float, float, Point2, Point2]:

@@ -135,11 +135,12 @@ def sharp_swapper(bound: float) -> Callable[[Triangulation, int], None]:
     ``left -> tip`` and ``tip -> right``, never across the new ring edge
     ``left -> right``. The last triangle's three edges are all ring edges;
     the hook tells it by ``right.next is left``, which no earlier cut
-    leaves, as at least three nodes stay linked after it. So the hook maps the start node of each live ring edge to the triangle
-    outside that edge, keyed by node identity so the twin nodes of a
-    bridged ring stay distinct, and each cut stores its triangle under
-    ``left``. A swap keeps the outer edges of the pair; the rewritten
-    triangle that owns ``right -> left`` takes over ``left``'s entry.
+    leaves, as at least three nodes stay linked after it. So the hook maps
+    the start node of each live ring edge to the triangle outside that
+    edge, keyed by node identity so the twin nodes of a bridged ring stay
+    distinct, and each cut stores its triangle under ``left``. A swap keeps
+    the outer edges of the pair; the rewritten triangle that owns
+    ``right -> left`` takes over ``left``'s entry.
 
     Every triangle the clip emits unflagged has a convex middle corner, so
     the angle kernels measure it without raising (see

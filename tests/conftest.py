@@ -13,6 +13,7 @@ from collections import Counter
 import pytest
 
 from polytri import PolygonWithHoles, Ring, build_ring, eliminate_holes, generate_corpus, normalize
+from polytri.earclip import Triangle
 from polytri.geom import EPS_AREA, EPS_LEN, Point2, triangle_angles_xy
 
 
@@ -259,6 +260,26 @@ def brute_force_is_ear(ring, v, corner_twins=False) -> bool:
         if point_in_triangle_closure(r.point, a, b, c):
             return False
     return True
+
+
+def add_triangle(tri, na, nb, nc, degenerate=False) -> int:
+    """Append ``Triangle(na, nb, nc, degenerate)`` to ``tri`` and return its
+    position in ``tri.triangles``, as ``earclip._clip`` does for a cut."""
+    tri.triangles.append(Triangle(na, nb, nc, degenerate))
+    return len(tri.triangles) - 1
+
+
+def remove_vertex(ring, v) -> None:
+    """Unlink ``v`` from ``ring`` as ``earclip._clip`` does for a cut tip.
+
+    ``v`` keeps its own ``prev`` and ``next``; the neighbours are not
+    refreshed, and the reflex index is left as it is.
+    """
+    v.prev.next = v.next
+    v.next.prev = v.prev
+    if ring.head is v:
+        ring.head = v.next
+    ring.count -= 1
 
 
 def reflex_members(grid) -> set:

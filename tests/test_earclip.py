@@ -37,7 +37,6 @@ from polytri.earclip import (
 )
 from polytri.geom import GeometryError, Point2
 from polytri.pipeline import ALGORITHMS
-from polytri.polygon import remove_vertex
 from conftest import (
     TOUCHING_HOLES,
     bridged_ring,
@@ -48,6 +47,7 @@ from conftest import (
     oracle_inside,
     point_in_triangle_closure,
     reflex_members,
+    remove_vertex,
     ring_adjacent_edges,
     triangulation_area,
 )
@@ -721,20 +721,20 @@ def clip_against_the_eager_engine(poly, algorithm):
     for each convex neighbour right after any other cut. Checks that every
     flag the selection resolves equals the shadow's verdict for that node
     and stamp, that no (node, stamp) is tested twice, that a restart's index
-    holds exactly the live reflex nodes, and that every tip clipped outside
-    the fallback passes the from-scratch oracle on the ring as it is at the
-    moment of its cut. Returns the ring, the number of resolutions and the
-    number of restarts.
+    holds exactly the live reflex nodes, and that every tip the selection
+    returns passes the from-scratch oracle on the ring as it is then, right
+    before its cut; the fallback's tips are exempt. Returns the ring, the
+    number of resolutions and the number of restarts.
     """
     real_is_ear = earclip.is_ear
     real_clip = pipeline._clip
     real_update = earclip.update_after_cut
-    real_remove = earclip.remove_vertex
+    real_smallest = earclip._select_smallest_angle
+    real_sequential = earclip._select_next_sequential
     real_fallback = earclip._select_fallback
     shadow = {}
     resolved = set()
     rings = []
-    fallback = []
     cut = []
     restarts = []
 
@@ -769,21 +769,29 @@ def clip_against_the_eager_engine(poly, algorithm):
             assert ok == shadow[v, stamp], (v, stamp)
         return ok
 
-    def recording_fallback(ring):
-        fallback.append(real_fallback(ring))
-        return fallback[-1]
-
-    def checked_remove(ring, v):
-        if not (fallback and fallback[-1] is v):
+    def checked(v, ring):
+        if v is not None:
             assert brute_force_is_ear(ring, v), (len(cut), v)
+            cut.append(v)
+        return v
+
+    def checked_smallest(ring):
+        return checked(real_smallest(ring), ring)
+
+    def checked_sequential(ring, start):
+        return checked(real_sequential(ring, start), ring)
+
+    def recording_fallback(ring):
+        v = real_fallback(ring)
         cut.append(v)
-        return real_remove(ring, v)
+        return v
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "_clip", shadowed_clip)
         mp.setattr(earclip, "update_after_cut", shadowed_update)
         mp.setattr(earclip, "is_ear", resolving)
-        mp.setattr(earclip, "remove_vertex", checked_remove)
+        mp.setattr(earclip, "_select_smallest_angle", checked_smallest)
+        mp.setattr(earclip, "_select_next_sequential", checked_sequential)
         mp.setattr(earclip, "_select_fallback", recording_fallback)
         tri, degen = triangulate_polygon(poly, algorithm)
     assert len(tri.triangles) == len(degen.ring) - 2

@@ -1,5 +1,6 @@
 import math
 import random
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import pytest
@@ -15,8 +16,10 @@ from polytri import (
     normalize,
     triangulate_polygon,
 )
+from polytri import earclip
 from polytri.bridge import eliminate_holes
 from polytri.earclip import (
+    _clip,
     _ear_key,
     _select_fallback,
     _select_smallest_angle,
@@ -38,11 +41,10 @@ from polytri.polygon import (
     _edge_contacts,
     _vertex_contacts,
     refresh_node,
-    remove_vertex,
     validate_polygon,
 )
 from polytri.reflexgrid import ReflexGrid
-from conftest import brute_force_is_ear, reflex_members, tri_angles_oracle
+from conftest import brute_force_is_ear, reflex_members, remove_vertex, tri_angles_oracle
 
 P = Point2
 
@@ -243,6 +245,9 @@ class TestBuildRing:
 
 
 class TestRemoveVertex:
+    # conftest.remove_vertex is the cut that tests which drive a ring by hand
+    # make; the last test holds _clip's own unlink to the same contract
+
     def test_square_to_triangle(self, unit_square):
         ring = build_ring(unit_square)
         remove_vertex(ring, ring.head)
@@ -272,6 +277,33 @@ class TestRemoveVertex:
         old_head = ring.head
         remove_vertex(ring, old_head)
         assert ring.head is not old_head
+
+    @pytest.mark.parametrize("smallest_angle", [False, True])
+    def test_the_clip_unlinks_each_tip(self, smallest_angle):
+        # after each cut the tip is out of the ring, which stays linked both
+        # ways with a live head and the right count, and the tip keeps its
+        # own prev and next for its triangle; the traditional scan cuts the
+        # head first
+        ring = build_ring(Ring([(0, 0), (4, 0), (5, 3), (3, 2), (2, 5), (-1, 3)]))
+        n = ring.count
+        head = ring.head
+
+        def check(tri, tid):
+            live = list(ring)
+            assert len(live) == ring.count == max(n - 1 - tid, 3)
+            assert ring.head in live
+            for node in live:
+                assert node.prev.next is node and node.next.prev is node
+            if tid < n - 3:
+                left, tip, right = tri.triangles[tid].nodes
+                assert tip not in live
+                assert tip.prev is left and tip.next is right
+                assert left.next is right and right.prev is left
+
+        tri = _clip(ring, smallest_angle, post_emit=check)
+        assert len(tri) == n - 2
+        if not smallest_angle:
+            assert tri.triangles[0].nodes[1] is head and ring.head is not head
 
 
 class TestRefreshNode:
@@ -445,36 +477,189 @@ def tip_box(v):
             max(ax, bx, cx) + margin, max(ay, by, cy) + margin)
 
 
-def query_and_blockers(grid, v):
-    """The grid's answer for the CCW triangle ``v.prev, v, v.next``, and the
-    members that pass ``is_ear``'s padded-box test and its three closure
-    tests, recomputed here with the same float expressions."""
+def single_member_index(grid, m):
+    """``grid`` holding one member only: a stand-in node at member ``m``'s
+    coordinates, in ``m``'s row. The frame, ``flat``, ``guard`` and row
+    y-extents stay ``grid``'s, so ``is_ear``'s walk takes the rows and
+    x-intervals that it takes over ``grid``. The stand-in is no tip's
+    neighbour and never turned convex, so ``is_ear`` exempts it only by its
+    box and closure tests, and no other member can block in its place."""
+    single = ReflexGrid.__new__(ReflexGrid)
+    for name in ReflexGrid.__slots__:
+        setattr(single, name, getattr(grid, name))
+    (row,) = [k for k, members in enumerate(grid.rows) if any(r is m for r in members)]
+    stand_in = VertexNode(m.x, m.y, m.original_index, m.seq)
+    single.rows = [[stand_in] if k == row else [] for k in range(len(grid.rows))]
+    single.xs = [[m.x] if k == row else [] for k in range(len(grid.rows))]
+    return single
+
+
+class OneMemberIndexes(dict):
+    """``single_member_index(grid, m)`` by member ``m``, built on first use."""
+
+    def __init__(self, grid):
+        super().__init__()
+        self.grid = grid
+
+    def __missing__(self, m):
+        single = self[m] = single_member_index(self.grid, m)
+        return single
+
+
+def walk_verdicts(grid, v, singles):
+    """Checks ``is_ear``'s walk over ``grid`` for the convex tip ``v``, one
+    member at a time, each alone in its index (``singles``, the
+    ``OneMemberIndexes`` of ``grid``). A member that passes ``is_ear``'s
+    padded-box test and its three closure tests, recomputed here with the
+    same float expressions, must make the tip no ear: the walk reaches it.
+    One that fails only the box's x-range must leave the tip an ear: the
+    walk does not reach it, since ``is_ear`` has no x test of its own.
+    Every other member is exempt whether reached or not. Returns the
+    blockers."""
     a, c = v.prev, v.next
     ax, ay, bx, by, cx, cy = a.x, a.y, v.x, v.y, c.x, c.y
     abx, aby, bcx, bcy, cax, cay = bx - ax, by - ay, cx - bx, cy - by, ax - cx, ay - cy
-    box = tip_box(v)
-    minx, miny, maxx, maxy = box
-    blockers = {
-        m for m in reflex_members(grid)
-        if minx <= m.x <= maxx and miny <= m.y <= maxy
-        and abx * (m.y - ay) - aby * (m.x - ax) >= -EPS_AREA
-        and bcx * (m.y - by) - bcy * (m.x - bx) >= -EPS_AREA
-        and cax * (m.y - cy) - cay * (m.x - cx) >= -EPS_AREA
-    }
-    return list(grid.query(*box, v)), blockers, box
+    minx, miny, maxx, maxy = tip_box(v)
+    blockers = set()
+    for m in reflex_members(grid):
+        if not (
+            miny <= m.y <= maxy
+            and abx * (m.y - ay) - aby * (m.x - ax) >= -EPS_AREA
+            and bcx * (m.y - by) - bcy * (m.x - bx) >= -EPS_AREA
+            and cax * (m.y - cy) - cay * (m.x - cx) >= -EPS_AREA
+        ):
+            continue
+        inside = minx <= m.x <= maxx
+        assert is_ear(SimpleNamespace(reflex=singles[m]), v, stamp=0) is not inside, (m, inside)
+        if inside:
+            blockers.add(m)
+    return blockers
+
+
+@contextmanager
+def walk_counter():
+    """Counts the members that ``is_ear``'s row walks reach while active,
+    in ``counts[0]``: the walk bisects row ``k`` of the index to its
+    members ``i`` to ``j``, and ``earclip.bisect_right``, wrapped here,
+    returns ``j`` given ``lo = i``; the count sums ``j - i``."""
+    counts = [0]
+    real = earclip.bisect_right
+
+    def counted(a, x, lo):
+        j = real(a, x, lo)
+        counts[0] += j - lo
+        return j
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(earclip, "bisect_right", counted)
+        yield counts
+
+
+class RecordedRow(list):
+    """A row of the index that records, in ``log``, every member read from
+    it."""
+
+    __slots__ = ("log",)
+
+    def __getitem__(self, key):
+        part = super().__getitem__(key)
+        if isinstance(key, slice):
+            self.log.extend(part)
+        else:
+            self.log.append(part)
+        return part
+
+
+def recording_index(grid):
+    """A copy of ``grid`` whose rows record the members that ``is_ear``'s
+    walk reads, and the list they go to."""
+    log = []
+    copy = ReflexGrid.__new__(ReflexGrid)
+    for name in ReflexGrid.__slots__:
+        setattr(copy, name, getattr(grid, name))
+    copy.rows = []
+    for members in grid.rows:
+        row = RecordedRow(members)
+        row.log = log
+        copy.rows.append(row)
+    return copy, log
+
+
+def walked(recorder, v):
+    """How many members ``is_ear``'s walk reaches for the convex tip ``v``
+    over ``recorder``, a ``recording_index``. The test runs as of stamp inf,
+    by which every member is dead, so the walk visits every row it spans
+    and no member ends it. Checks that the walk reaches each member at most
+    once, and only inside ``tip_box(v)``'s x-range: ``is_ear`` has no x test
+    of its own and relies on that."""
+    index, log = recorder
+    log.clear()
+    assert is_ear(SimpleNamespace(reflex=index), v, stamp=math.inf)
+    minx, _, maxx, _ = tip_box(v)
+    assert len(set(log)) == len(log)
+    assert all(minx <= m.x <= maxx for m in log), v
+    return len(log)
+
+
+def in_box_rows(grid, v):
+    """How many members the walk for tip ``v`` would reach without its row
+    clip: the members in ``tip_box(v)``'s x-range, in the rows its y-range
+    spans by the row function, ``floor((y - y0) * inv)`` clamped to the
+    rows."""
+    minx, miny, maxx, maxy = tip_box(v)
+    last = len(grid.rows) - 1
+
+    def row(y):
+        return min(max(math.floor((y - grid.y0) * grid.inv), 0), last)
+
+    return sum(
+        minx <= m.x <= maxx for k in range(row(miny), row(maxy) + 1) for m in grid.rows[k]
+    )
+
+
+def box_tips(minx, miny, maxx, maxy):
+    """The convex tips of the two CCW right triangles that split the box,
+    of positive width and height, along its rising diagonal; each point of
+    the box lies in the closure of one of them, and the box of each is the
+    box."""
+    lo, hi = VertexNode(minx, miny, 0, 0), VertexNode(maxx, maxy, 0, 0)
+    tips = VertexNode(maxx, miny, 0, 0), VertexNode(minx, maxy, 0, 0)
+    tips[0].prev, tips[0].next = lo, hi
+    tips[1].prev, tips[1].next = hi, lo
+    for tip in tips:
+        tip.is_convex = True
+    return tips
+
+
+def check_box(grid, singles, recorder, minx, miny, maxx, maxy):
+    """The box form of the walk's promise: every member inside the box
+    blocks one of its two ``box_tips``, through ``walk_verdicts``, which
+    also holds each tip's walk to its own box and closure, and neither
+    tip's walk reaches a member outside its x-range (``walked``). Returns
+    how many members the first tip's walk reaches."""
+    tips = box_tips(minx, miny, maxx, maxy)
+    blockers = walk_verdicts(grid, tips[0], singles) | walk_verdicts(grid, tips[1], singles)
+    for m in reflex_members(grid):
+        if minx <= m.x <= maxx and miny <= m.y <= maxy:
+            assert m in blockers, (m, (minx, miny, maxx, maxy))
+    walked(recorder, tips[1])
+    return walked(recorder, tips[0])
 
 
 class TestReflexGrid:
     def test_index_invariants_through_a_full_clip(self):
         # after every cut of a 2000-vertex star the grid's non-convex members
-        # are exactly the live non-convex nodes, the grid never shrinks, and
-        # a box query returns every member inside
-        # the box and no non-member: for random boxes a few cells wide that
+        # are exactly the live non-convex nodes, and the grid never shrinks;
+        # and the walk over it reaches every member inside a box, for the
+        # two tips that split the box: random boxes a few cells wide that
         # may reach past the ring's bounding box, boxes with edges exactly
-        # on cell boundaries, and point boxes on a member
+        # on cell boundaries, and boxes one cell wide with a corner on a
+        # member
         poly = generate_corpus(seed=909, count=1, vertex_range=(2000, 2000))[0]
         ring = build_ring(poly.outer)
         grid = ring.reflex
+        singles = OneMemberIndexes(grid)
+        recorder = recording_index(grid)
         xs = [p.x for p in poly.outer]
         ys = [p.y for p in poly.outer]
         lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
@@ -484,14 +669,9 @@ class TestReflexGrid:
 
         def check(minx, miny, maxx, maxy):
             nonlocal pruned
-            found = list(grid.query(minx, miny, maxx, maxy))
-            members = reflex_members(grid)
-            assert len(found) == len(set(found))
-            assert set(found) <= members
-            pruned += len(found) < len(members)
-            for m in members:
-                if minx <= m.x <= maxx and miny <= m.y <= maxy:
-                    assert m in found, (m, (minx, miny, maxx, maxy))
+            pruned += check_box(grid, singles, recorder, minx, miny, maxx, maxy) < len(
+                reflex_members(grid)
+            )
 
         checked = 0
         size = len(reflex_members(grid))
@@ -513,7 +693,8 @@ class TestReflexGrid:
                 grid.y0 + (j + w) * cell,
             )
             m = rng.choice(list(reflex_members(grid)))
-            check(m.x, m.y, m.x, m.y)
+            check(m.x, m.y, m.x + cell, m.y + cell)
+            check(m.x - cell, m.y - cell, m.x, m.y)
             checked += 1
         assert checked > 1000
         assert pruned > checked
@@ -521,20 +702,20 @@ class TestReflexGrid:
     def test_is_ear_matches_brute_force_through_a_full_clip(self):
         # a 400-vertex star is large enough that the grid prunes most reflex
         # vertices; wide triangles of both rings, the comb's fans among them,
-        # take the row clip, which returns fewer members than the box alone;
-        # every convex node is tested after every cut
+        # take the row clip, whose walk reaches fewer members than the box
+        # alone; every convex node is tested after every cut
         star = generate_corpus(seed=404, count=1, vertex_range=(400, 400))[0]
         for poly, floor, clip_floor in ((star, 10000, 4000), (comb_polygon(60), 5000, 200)):
             compared = clipped = 0
             ring = build_ring(poly.outer)
             grid = ring.reflex
+            recorder = recording_index(grid)
             for ring in clip_steps(ring):
                 for node in ring:
                     if node.is_convex:
                         assert is_ear(ring, node) == brute_force_is_ear(ring, node), node
                         compared += 1
-                        box = tip_box(node)
-                        clipped += len(grid.query(*box, node)) < len(grid.query(*box))
+                        clipped += walked(recorder, node) < in_box_rows(grid, node)
             assert compared > floor
             assert clipped > clip_floor, clipped
 
@@ -549,6 +730,8 @@ class TestReflexGrid:
         ]
         grid = ReflexGrid(nodes)  # a bare node is not convex, so a member
         assert len(reflex_members(grid)) == 600 and len(grid.rows) == 2
+        singles = OneMemberIndexes(grid)
+        recorder = recording_index(grid)
         clipped = 0
         for k in range(3000):
             y = rng.randrange(-2, 12)
@@ -562,17 +745,17 @@ class TestReflexGrid:
             if z < 0.0:
                 a, c = c, a
             v.prev, v.next = a, c
-            found, blockers, box = query_and_blockers(grid, v)
-            assert blockers <= set(found), (k, blockers - set(found))
-            clipped += len(found) < len(list(grid.query(*box)))
+            v.is_convex = True
+            walk_verdicts(grid, v, singles)
+            clipped += walked(recorder, v) < in_box_rows(grid, v)
         assert clipped > 1000
 
     @pytest.mark.parametrize("shape", ["comb", "bridged", "holed_comb"])
     def test_triangle_query_is_a_superset_through_a_full_clip(self, shape):
-        # after every cut, for every convex node, the query with its
-        # triangle returns every member that passes is_ear's box and closure
-        # tests; bridged rings add coincident twins, and a comb with holes
-        # has twins on a grid dense enough for the row clip
+        # after every cut, for every convex node, the walk with its triangle
+        # reaches every member that passes is_ear's box and closure tests;
+        # bridged rings add coincident twins, and a comb with holes has
+        # twins on a grid dense enough for the row clip
         if shape == "comb":
             ring = build_ring(comb_polygon(100).outer)
         elif shape == "bridged":
@@ -580,6 +763,8 @@ class TestReflexGrid:
         else:
             ring = bridged_ring(comb_polygon(60, holes=True))
         grid = ring.reflex
+        singles = OneMemberIndexes(grid)
+        recorder = recording_index(grid)
         checked = clipped = 0
         fan_found = fan_members = 0
         for ring in clip_steps(ring):
@@ -588,45 +773,44 @@ class TestReflexGrid:
             for node in ring:
                 if not node.is_convex:
                     continue
-                found, blockers, box = query_and_blockers(grid, node)
-                assert blockers <= set(found), (node, blockers - set(found))
+                walk_verdicts(grid, node, singles)
                 checked += 1
-                clipped += len(found) < len(list(grid.query(*box)))
+                found = walked(recorder, node)
+                clipped += found < in_box_rows(grid, node)
                 if node is tip:
-                    fan_found += len(found)
+                    fan_found += found
                     fan_members += len(reflex_members(grid))
         assert checked > 1000
         # the star-shaped bridged ring has few boxes wider than tall
         assert clipped > (10 if shape == "bridged" else 100), clipped
         if shape == "comb":
-            # the fan tips' slivers span the spine, yet their queries return
+            # the fan tips' slivers span the spine, yet their walks reach
             # under a quarter of the members
             assert 0 < 4 * fan_found < fan_members, (fan_found, fan_members)
 
     def test_fewer_members_per_ear_test_than_the_column_grid(self, monkeypatch):
-        # members returned per ear test over a full basic clip, exactly; the
+        # members reached per ear test over a full basic clip, exactly; the
         # column grid that the rows replaced returned 45413 members over 1997
         # ear tests on the star (22.7 each) and 6477 over 402 on the comb
         # (16.1), and the rows with a guard of one row height 26990 and 2989
-        counts = [0, 0]
-        query = ReflexGrid.query
+        tests = [0]
+        real = earclip.is_ear
 
-        def counted(grid, *args):
-            found = query(grid, *args)
-            counts[0] += 1
-            counts[1] += len(found)
-            return found
+        def counted(ring, v, *args, **kwargs):
+            tests[0] += v.is_convex
+            return real(ring, v, *args, **kwargs)
 
-        monkeypatch.setattr(ReflexGrid, "query", counted)
+        monkeypatch.setattr(earclip, "is_ear", counted)
         star = generate_corpus(seed=909, count=1, vertex_range=(2000, 2000))[0]
         for poly, column_grid, rows in (
             (star, (1997, 45413), (1997, 23974)),
             (comb_polygon(100), (402, 6477), (402, 1351)),
         ):
-            counts[:] = [0, 0]
-            triangulate_polygon(poly, "basic")
-            assert tuple(counts) == rows
-            assert counts[1] / counts[0] < column_grid[1] / column_grid[0]
+            tests[0] = 0
+            with walk_counter() as counts:
+                triangulate_polygon(poly, "basic")
+            assert (tests[0], counts[0]) == rows
+            assert counts[0] / tests[0] < column_grid[1] / column_grid[0]
 
 
 LATTICE = st.tuples(st.integers(0, 40), st.integers(0, 12))
@@ -689,21 +873,21 @@ def test_reflex_index_property(points, twins, convex, frame, boxes, triangles):
     for xs, row in zip(grid.xs, grid.rows, strict=True):
         assert xs == sorted(xs) == [m.x for m in row]
 
-    def check(found, minx, maxx):
-        assert len(found) == len(set(found)) and set(found) <= members
-        # is_ear has no x test of its own: it relies on this promise
-        assert all(minx <= m.x <= maxx for m in found)
-
-    point_boxes = [(m.x, m.y, m.x, m.y) for m in nodes[:5]]
-    lattice_boxes = [
-        (min(u[0], v[0]), min(u[1], v[1]), max(u[0], v[0]), max(u[1], v[1]))
-        for u, v in ((at(p), at(q)) for p, q in boxes)
+    # boxes one lattice unit wide with a corner on a node, and the lattice
+    # boxes, a flat one made one unit wide or tall so that its tips have area
+    singles = OneMemberIndexes(grid)
+    recorder = recording_index(grid)
+    corner_boxes = [
+        (*at((x + lo, y + lo)), *at((x + hi, y + hi)))
+        for x, y in pts[:5]
+        for lo, hi in ((0, 1), (-1, 0))
     ]
-    for minx, miny, maxx, maxy in point_boxes + lattice_boxes:
-        found = grid.query(minx, miny, maxx, maxy)
-        check(found, minx, maxx)
-        inside = {m for m in members if minx <= m.x <= maxx and miny <= m.y <= maxy}
-        assert inside <= set(found)
+    lattice_boxes = []
+    for p, q in boxes:
+        (x0, x1), (y0, y1) = sorted((p[0], q[0])), sorted((p[1], q[1]))
+        lattice_boxes.append((*at((x0, y0)), *at((x1 + (x1 == x0), y1 + (y1 == y0)))))
+    for box in corner_boxes + lattice_boxes:
+        check_box(grid, singles, recorder, *box)
     for corners in triangles:
         a, v, c = (VertexNode(*at(p), 0, 0) for p in corners)
         z = (v.x - a.x) * (c.y - a.y) - (v.y - a.y) * (c.x - a.x)
@@ -712,9 +896,9 @@ def test_reflex_index_property(points, twins, convex, frame, boxes, triangles):
         if z < 0.0:
             a, c = c, a
         v.prev, v.next = a, c
-        found, blockers, (minx, _, maxx, _) = query_and_blockers(grid, v)
-        check(found, minx, maxx)
-        assert blockers <= set(found)
+        v.is_convex = True
+        walk_verdicts(grid, v, singles)
+        walked(recorder, v)
 
 
 def test_row_clip_prunes_far_from_the_origin():
@@ -731,9 +915,8 @@ def test_row_clip_prunes_far_from_the_origin():
     a, v, c = nodes[-3:]
     v.prev, v.next = a, c
     assert 2.0**40 / grid.inv < shift  # a row height, under 2**-40 of the shift
-    found, blockers, box = query_and_blockers(grid, v)
-    assert blockers <= set(found)
-    assert len(found) < len(grid.query(*box))
+    walk_verdicts(grid, v, OneMemberIndexes(grid))
+    assert walked(recording_index(grid), v) < in_box_rows(grid, v)
 
 
 class TestValidatePolygon:

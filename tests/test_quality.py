@@ -17,7 +17,7 @@ from polytri.geom import EPS_AREA, Point2, triangle_angles_xy
 from polytri.polygon import VertexNode
 from polytri.quality import QualityReport, min_angles
 from polytri.swap import try_swap
-from conftest import triangle_angles
+from conftest import add_triangle, triangle_angles
 
 P = Point2
 
@@ -25,7 +25,7 @@ P = Point2
 def single_triangle(a, b, c):
     nodes = [VertexNode(p.x, p.y, i, i) for i, p in enumerate((a, b, c))]
     tri = Triangulation((a, b, c))
-    tri.add_triangle(*nodes)
+    add_triangle(tri, *nodes)
     return tri
 
 
@@ -35,7 +35,7 @@ def triangles(*pts_triples):
     i = 0
     for a, b, c in pts_triples:
         nodes = [VertexNode(p.x, p.y, i + k, i + k) for k, p in enumerate((a, b, c))]
-        tri.add_triangle(*nodes)
+        add_triangle(tri, *nodes)
         i += 3
     return tri
 
@@ -73,7 +73,7 @@ class TestReport:
         a, b, c = P(0, 0), P(1, 0), P(0.5, math.sqrt(3) / 2)
         tri = single_triangle(a, b, c)
         nodes = [VertexNode(p.x, p.y, i, i) for i, p in enumerate((P(0, 0), P(1, 0), P(2, 0)))]
-        tri.add_triangle(*nodes, degenerate=True)
+        add_triangle(tri, *nodes, degenerate=True)
         rep = report(tri)
         assert rep.triangle_count == 1
         assert rep.excluded_degenerate == 1
@@ -132,8 +132,8 @@ class TestExactAngles:
         p0, p1, p2, p3 = P(0, 0), P(0.5, -EPS_AREA), P(1, 0), P(0.5, 1)
         nodes = [VertexNode(p.x, p.y, i, i) for i, p in enumerate((p0, p1, p2, p3))]
         tri = Triangulation((p0, p1, p2, p3))
-        tri.add_triangle(nodes[0], nodes[1], nodes[2])
-        tri.add_triangle(nodes[0], nodes[2], nodes[3])
+        add_triangle(tri, nodes[0], nodes[1], nodes[2])
+        add_triangle(tri, nodes[0], nodes[2], nodes[3])
         sliver, other = tri.triangles
         assert not sliver.degenerate
         with pytest.raises(DegenerateTriangle):

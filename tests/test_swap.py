@@ -19,7 +19,7 @@ from polytri import (
     triangulate_ring,
 )
 from polytri.earclip import Triangulation, _clip
-from polytri.polygon import Ring, VertexNode, remove_vertex
+from polytri.polygon import Ring, VertexNode
 from polytri.geom import (
     EPS_AREA,
     DegenerateTriangle,
@@ -31,10 +31,12 @@ from polytri.quality import min_angles
 from polytri.swap import sharp_swapper, try_swap
 from conftest import (
     TOUCHING_HOLES,
+    add_triangle,
     bridged_ring,
     cross2,
     edge_counts,
     quad_pair_min6,
+    remove_vertex,
     ring_adjacent_edges,
     triangulation_area,
 )
@@ -46,8 +48,8 @@ def quad_triangulation(p0, p1, p2, p3):
     """Two triangles (p0,p1,p2) and (p0,p2,p3) over the diagonal p0-p2."""
     nodes = [VertexNode(p.x, p.y, i, i) for i, p in enumerate((p0, p1, p2, p3))]
     tri = Triangulation((p0, p1, p2, p3))
-    tri.add_triangle(nodes[0], nodes[1], nodes[2])
-    tri.add_triangle(nodes[0], nodes[2], nodes[3])
+    add_triangle(tri, nodes[0], nodes[1], nodes[2])
+    add_triangle(tri, nodes[0], nodes[2], nodes[3])
     return tri, nodes
 
 
@@ -67,7 +69,7 @@ def swap_calls(monkeypatch):
 
 def emit(tri, hook, *nodes):
     """Add one triangle and hand it to ``hook`` as the clipping engine does."""
-    tid = tri.add_triangle(*nodes)
+    tid = add_triangle(tri, *nodes)
     hook(tri, tid)
     return tri.triangles[tid]
 
@@ -140,7 +142,7 @@ class TestFindNeighbor:
             tri, hook = Triangulation(ring.table), sharp_swapper(60.0)
             v = list(ring)[first_tip]
             left, right = v.prev, v.next
-            tid = tri.add_triangle(left, v, right)
+            tid = add_triangle(tri, left, v, right)
             remove_vertex(ring, v)
             hook(tri, tid)
             assert swap_calls == []  # nothing across the diagonal yet
@@ -166,7 +168,7 @@ class TestFindNeighbor:
         ring = build_ring(Ring([(0, 0), (10, 0), (10, 5), (5, 1)]))
         a, b, d, c = list(ring)
         tri, hook = Triangulation(ring.table), sharp_swapper(60.0)
-        tid = tri.add_triangle(b, d, c)
+        tid = add_triangle(tri, b, d, c)
         remove_vertex(ring, d)
         hook(tri, tid)
         assert ring.head is a
@@ -262,8 +264,8 @@ class TestTrySwap:
         p = (P(0, 0), P(1, 0), P(0, 1), P(3, 0), P(5, 0), P(6, 0), P(5, 1))
         nodes = [VertexNode(q.x, q.y, i, i) for i, q in enumerate(p)]
         tri = Triangulation(p)
-        t0 = tri.triangles[tri.add_triangle(nodes[0], nodes[1], nodes[2])]
-        t1 = t0 if second is None else tri.triangles[tri.add_triangle(*(nodes[i] for i in second))]
+        t0 = tri.triangles[add_triangle(tri, nodes[0], nodes[1], nodes[2])]
+        t1 = t0 if second is None else tri.triangles[add_triangle(tri, *(nodes[i] for i in second))]
         before = (t0.indices(), t1.indices())
         with pytest.raises(ValueError, match="share exactly one edge"):
             try_swap(t0, t1, tri)
