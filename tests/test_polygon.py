@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from contextlib import contextmanager
@@ -484,9 +485,7 @@ def single_member_index(grid, m):
     x-intervals that it takes over ``grid``. The stand-in is no tip's
     neighbour and never turned convex, so ``is_ear`` exempts it only by its
     box and closure tests, and no other member can block in its place."""
-    single = ReflexGrid.__new__(ReflexGrid)
-    for name in ReflexGrid.__slots__:
-        setattr(single, name, getattr(grid, name))
+    single = copy.copy(grid)
     (row,) = [k for k, members in enumerate(grid.rows) if any(r is m for r in members)]
     stand_in = VertexNode(m.x, m.y, m.original_index, m.seq)
     single.rows = [[stand_in] if k == row else [] for k in range(len(grid.rows))]
@@ -574,15 +573,13 @@ def recording_index(grid):
     """A copy of ``grid`` whose rows record the members that ``is_ear``'s
     walk reads, and the list they go to."""
     log = []
-    copy = ReflexGrid.__new__(ReflexGrid)
-    for name in ReflexGrid.__slots__:
-        setattr(copy, name, getattr(grid, name))
-    copy.rows = []
+    recorder = copy.copy(grid)
+    recorder.rows = []
     for members in grid.rows:
         row = RecordedRow(members)
         row.log = log
-        copy.rows.append(row)
-    return copy, log
+        recorder.rows.append(row)
+    return recorder, log
 
 
 def walked(recorder, v):
