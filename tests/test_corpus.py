@@ -1,6 +1,8 @@
 """Hole placement in the random corpus: one case per verdict of
-``corpus._hole_fits``, and a property over generated polygons."""
+``corpus._hole_fits``, a property over generated polygons, and a digest of
+a wide generated sweep."""
 
+import hashlib
 import math
 import random
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polytri import Ring, generate_polygon
+from polytri import Ring, generate_corpus, generate_polygon, serialize_polygon
 from polytri.corpus import _hole_fits
 from polytri.geom import EPS_LEN, _box, point_in_ring
 from polytri.polygon import _boxed_edges, validate_polygon
@@ -109,3 +111,17 @@ def test_placed_holes_lie_inside_the_outer_ring(seed, n, holes, hole_size):
     for hole in poly.holes:
         assert all_vertices_inside(hole, poly.outer)
     assert validate_polygon(poly) == []
+
+
+# sha256 of the serialized polygons below. Polygon sizes, hole counts and
+# hole sizes reach well beyond the benchmark families, so a change to the
+# RNG draw order or to any float of star drawing or hole placement moves it.
+SWEEP_SHA256 = "f56e95a92da44918e66121ac62dd530d0555395e042b9f4a52e9f9f5d9be64d9"
+
+
+def test_generated_sweep_is_byte_identical():
+    h = hashlib.sha256()
+    for seed in range(60):
+        for poly in generate_corpus(seed, 5, (4, 400), (0, 6), (3, 40)):
+            h.update(serialize_polygon(poly).encode())
+    assert h.hexdigest() == SWEEP_SHA256
