@@ -9,7 +9,9 @@ ring by rejection sampling: a candidate is kept when its box, padded by
 edge, and its first vertex lies inside the outer ring. That is the rule of
 ``validate_polygon``: a hole that meets the outer ring nowhere lies wholly
 inside or wholly outside it, so one vertex decides. It cannot see a hole
-vertex touching an outer vertex; see ``_hole_fits``.
+vertex touching an outer vertex; see ``_hole_fits``. Candidates are drawn
+and tested as coordinate lists, against the boxes of the placed holes
+kept since each was accepted; only a kept hole becomes a ``Ring``.
 Star polygons cannot reproduce every pathological simple polygon (spirals,
 combs); hand-written fixture files cover those in the test suite.
 """
@@ -31,6 +33,22 @@ class GenerationFailed(GeometryError):
     """Rejection sampling could not place a hole."""
 
 
+def _star(
+    rng: random.Random, n: int, cx: float, cy: float, r_min: float, r_max: float
+) -> tuple[list[float], list[float]]:
+    """The x and y coordinates of :func:`star_ring`'s vertices."""
+    uniform, cos, sin = rng.uniform, math.cos, math.sin
+    step = 2.0 * math.pi / n
+    xs = []
+    ys = []
+    for k in range(n):
+        theta = (k + uniform(-0.35, 0.35)) * step
+        r = uniform(r_min, r_max)
+        xs.append(cx + r * cos(theta))
+        ys.append(cy + r * sin(theta))
+    return xs, ys
+
+
 def star_ring(
     rng: random.Random,
     n: int,
@@ -43,31 +61,27 @@ def star_ring(
     Angles are evenly spaced with up to 35% jitter, so consecutive vertices
     stay separated; radii are drawn uniformly from [r_min, r_max].
     """
-    cx, cy = center
-    step = 2.0 * math.pi / n
-    pts = []
-    for k in range(n):
-        theta = (k + rng.uniform(-0.35, 0.35)) * step
-        r = rng.uniform(r_min, r_max)
-        pts.append(Point2(cx + r * math.cos(theta), cy + r * math.sin(theta)))
-    return Ring(pts)
+    xs, ys = _star(rng, n, center[0], center[1], r_min, r_max)
+    return Ring(zip(xs, ys))
 
 
-def _hole_fits(hole: Ring, outer: Ring, outer_edges: list, placed: list[Ring]) -> bool:
-    # The rule of the module docstring. A hole vertex within EPS_LEN of an
-    # outer vertex, with no collinear overlap, passes the crossing test (one
-    # shared endpoint does not count), and ray casting is unreliable there:
-    # only validate_polygon's vertex-contact sweep rejects such a contact.
-    hpts = hole.points
-    hx0, hy0, hx1, hy1 = _box(hpts)
-    for other in placed:
-        ox0, oy0, ox1, oy1 = _box(other.points)
+def _hole_fits(
+    xs: list[float], ys: list[float], outer: Ring, outer_edges: list, placed: list
+) -> bool:
+    # The rule of the module docstring, for the hole with vertices
+    # zip(xs, ys); ``placed`` holds the placed holes' boxes. A hole vertex
+    # within EPS_LEN of an outer vertex, with no collinear overlap, passes
+    # the crossing test (one shared endpoint does not count), and ray
+    # casting is unreliable there: only validate_polygon's vertex-contact
+    # sweep rejects such a contact.
+    hx0, hy0, hx1, hy1 = min(xs), min(ys), max(xs), max(ys)
+    for ox0, oy0, ox1, oy1 in placed:
         if ox0 <= hx1 + 0.05 and hx0 <= ox1 + 0.05 and oy0 <= hy1 + 0.05 and hy0 <= oy1 + 0.05:
             return False
     # Outer edges whose padded box misses the hole's box cannot meet it.
     near = [e for e in outer_edges if e[0] <= hx1 and hx0 <= e[2] and e[1] <= hy1 and hy0 <= e[3]]
-    k = len(hpts)
-    if any(_crosses_any(hpts[i], hpts[(i + 1) % k], near) for i in range(k)):
+    hpts = list(map(Point2, xs, ys))
+    if any(_crosses_any(a, b, near) for a, b in zip(hpts, hpts[1:] + hpts[:1])):
         return False
     return point_in_ring(hpts[0], outer.points)
 
@@ -78,10 +92,23 @@ def generate_polygon(
     n_holes: int = 0,
     hole_vertex_range: tuple[int, int] = (4, 10),
 ) -> PolygonWithHoles:
-    """One random star polygon with ``n_holes`` star-shaped holes inside."""
+    """One random star polygon with ``n_holes`` star-shaped holes inside.
+
+    Raises ValueError unless ``n_vertices`` is at least 3, ``n_holes`` is
+    non-negative and ``hole_vertex_range`` satisfies 3 <= min <= max.
+    """
+    if n_vertices < 3:
+        raise ValueError(f"n_vertices must be at least 3, got {n_vertices}")
+    if n_holes < 0:
+        raise ValueError(f"n_holes must be non-negative, got {n_holes}")
+    if not 3 <= hole_vertex_range[0] <= hole_vertex_range[1]:
+        raise ValueError(
+            f"hole_vertex_range must satisfy 3 <= min <= max, got {hole_vertex_range}"
+        )
     outer = star_ring(rng, n_vertices)
     outer_edges = _boxed_edges(outer) if n_holes else []
     holes: list[Ring] = []
+    boxes: list[tuple[float, float, float, float]] = []
     for _ in range(n_holes):
         placed = False
         for _attempt in range(_MAX_HOLE_ATTEMPTS):
@@ -89,9 +116,11 @@ def generate_polygon(
             rad = rng.uniform(0.4, 1.1)
             theta = rng.uniform(0.0, 2.0 * math.pi)
             dist = rng.uniform(0.0, 5.5)
-            center = (dist * math.cos(theta), dist * math.sin(theta))
-            hole = star_ring(rng, hn, center, r_min=0.35 * rad, r_max=rad)
-            if _hole_fits(hole, outer, outer_edges, holes):
+            cx, cy = dist * math.cos(theta), dist * math.sin(theta)
+            xs, ys = _star(rng, hn, cx, cy, 0.35 * rad, rad)
+            if _hole_fits(xs, ys, outer, outer_edges, boxes):
+                hole = Ring(zip(xs, ys))
+                boxes.append(_box(hole.points))
                 holes.append(hole.reversed())  # holes are stored clockwise
                 placed = True
                 break
@@ -123,10 +152,6 @@ def generate_corpus(
         raise ValueError(f"vertex_range must lie within [4, 10000], got {vertex_range}")
     if not 0 <= holes_range[0] <= holes_range[1]:
         raise ValueError(f"holes_range must satisfy 0 <= min <= max, got {holes_range}")
-    if not 3 <= hole_vertex_range[0] <= hole_vertex_range[1]:
-        raise ValueError(
-            f"hole_vertex_range must satisfy 3 <= min <= max, got {hole_vertex_range}"
-        )
     rng = random.Random(seed)
     out = []
     for _ in range(count):

@@ -1,6 +1,7 @@
 """Hole placement in the random corpus: one case per verdict of
-``corpus._hole_fits``, a property over generated polygons, and a digest of
-a wide generated sweep."""
+``corpus._hole_fits``, the argument checks of ``generate_polygon``, a
+property over generated polygons, a digest of a wide generated sweep, and
+the number of rings that generation builds."""
 
 import hashlib
 import math
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polytri import Ring, generate_corpus, generate_polygon, serialize_polygon
+from polytri import polygon as polygon_mod
 from polytri.corpus import _hole_fits
 from polytri.geom import EPS_LEN, _box, point_in_ring
 from polytri.polygon import _boxed_edges, validate_polygon
@@ -22,8 +24,13 @@ def square(x, y, side=1.0):
     return Ring([(x, y), (x + side, y), (x + side, y + side), (x, y + side)])
 
 
+def xy(ring):
+    """The coordinate lists that ``_hole_fits`` takes for ``ring``."""
+    return [p.x for p in ring.points], [p.y for p in ring.points]
+
+
 def fits(hole, placed=()):
-    return _hole_fits(hole, OUTER, _boxed_edges(OUTER), list(placed))
+    return _hole_fits(*xy(hole), OUTER, _boxed_edges(OUTER), [_box(h.points) for h in placed])
 
 
 def rotated(points, quarter_turns):
@@ -58,8 +65,7 @@ class TestHoleFits:
     def test_hole_within_the_pad_of_a_placed_hole_is_refused(self, gap, ok):
         # inside and clear of the outer ring either way; the boxes are
         # disjoint, so only the 0.05 pad around a placed hole refuses it
-        placed = square(4, 4).reversed()
-        assert fits(square(5 + gap, 4), [placed]) is ok
+        assert fits(square(5 + gap, 4), [square(4, 4)]) is ok
 
     @pytest.mark.parametrize("hole_side", ["left", "right", "below", "above"])
     def test_gap_equal_to_the_pad_is_refused(self, hole_side):
@@ -70,7 +76,7 @@ class TestHoleFits:
             low = square(4.0, 4.0)
             high = square(start, 4.0) if hole_side in ("left", "right") else square(4.0, start)
             hole, placed = (low, high) if hole_side in ("left", "below") else (high, low)
-            assert fits(hole, [placed.reversed()]) is ok
+            assert fits(hole, [placed]) is ok
 
     @pytest.mark.parametrize("quarter_turns", range(4))
     def test_outer_edge_whose_padded_box_touches_the_hole_box_is_tested(self, quarter_turns):
@@ -88,7 +94,24 @@ class TestHoleFits:
                 hx0, hy0, hx1, hy1 = _box(hole.points)
                 ex0, ey0, ex1, ey1 = edges[3][:4]  # the edge (6, 10)-(6, 5), turned
                 assert [ex0 == hx1, hx0 == ex1, ey0 == hy1, hy0 == ey1].count(True) == 1
-            assert _hole_fits(hole, outer, edges, []) is ok
+            assert _hole_fits(*xy(hole), outer, edges, []) is ok
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((0,), "n_vertices"),
+        ((2,), "n_vertices"),
+        ((8, -1), "n_holes"),
+        ((8, 1, (0, 0)), "hole_vertex_range"),
+        ((8, 1, (1, 2)), "hole_vertex_range"),
+        ((8, 1, (5, 3)), "hole_vertex_range"),
+        ((8, 0, (2, 2)), "hole_vertex_range"),
+    ],
+)
+def test_generate_polygon_refuses_bad_arguments_by_name(args, name):
+    with pytest.raises(ValueError, match=name):
+        generate_polygon(random.Random(1), *args)
 
 
 def all_vertices_inside(hole, outer):
@@ -125,3 +148,22 @@ def test_generated_sweep_is_byte_identical():
         for poly in generate_corpus(seed, 5, (4, 400), (0, 6), (3, 40)):
             h.update(serialize_polygon(poly).encode())
     assert h.hexdigest() == SWEEP_SHA256
+
+
+def test_only_kept_holes_become_rings(monkeypatch):
+    # The three holes_bridge inputs of benchmark seed 1 (holes/6, holes/19
+    # and holes/14 in benchmarks/workloads.py) draw 644 hole candidates and
+    # keep 18 of them. Candidates are tested as coordinates, so the rings
+    # built are the 3 outer rings and the 18 kept holes.
+    built = 0
+    init = Ring.__init__
+
+    def counting_init(self, points):
+        nonlocal built
+        built += 1
+        init(self, points)
+
+    monkeypatch.setattr(polygon_mod.Ring, "__init__", counting_init)
+    for seed, size in [(3006, 44), (3019, 60), (3014, 76)]:
+        generate_corpus(seed, 1, (800, 800), (6, 6), (size, size))
+    assert built == 3 + 3 * 6
