@@ -10,8 +10,8 @@ edge, and its first vertex lies inside the outer ring. That is the rule of
 ``validate_polygon``: a hole that meets the outer ring nowhere lies wholly
 inside or wholly outside it, so one vertex decides. It cannot see a hole
 vertex touching an outer vertex; see ``_hole_fits``. Candidates are drawn
-and tested as coordinate lists, against the boxes of the placed holes
-kept since each was accepted; only a kept hole becomes a ``Ring``.
+and tested as coordinate lists, against a box kept for each placed hole;
+only a kept hole becomes a ``Ring``.
 Star polygons cannot reproduce every pathological simple polygon (spirals,
 combs); hand-written fixture files cover those in the test suite.
 """
@@ -39,8 +39,7 @@ def _star(
     """The x and y coordinates of :func:`star_ring`'s vertices."""
     uniform, cos, sin = rng.uniform, math.cos, math.sin
     step = 2.0 * math.pi / n
-    xs = []
-    ys = []
+    xs, ys = [], []
     for k in range(n):
         theta = (k + uniform(-0.35, 0.35)) * step
         r = uniform(r_min, r_max)
@@ -61,21 +60,21 @@ def star_ring(
     Angles are evenly spaced with up to 35% jitter, so consecutive vertices
     stay separated; radii are drawn uniformly from [r_min, r_max].
     """
-    xs, ys = _star(rng, n, center[0], center[1], r_min, r_max)
+    xs, ys = _star(rng, n, *center, r_min, r_max)
     return Ring(zip(xs, ys))
 
 
 def _hole_fits(
-    xs: list[float], ys: list[float], outer: Ring, outer_edges: list, placed: list
+    xs: list[float], ys: list[float], outer: Ring, outer_edges: list, boxes: list
 ) -> bool:
     # The rule of the module docstring, for the hole with vertices
-    # zip(xs, ys); ``placed`` holds the placed holes' boxes. A hole vertex
+    # zip(xs, ys); ``boxes`` holds the placed holes' boxes. A hole vertex
     # within EPS_LEN of an outer vertex, with no collinear overlap, passes
     # the crossing test (one shared endpoint does not count), and ray
     # casting is unreliable there: only validate_polygon's vertex-contact
     # sweep rejects such a contact.
     hx0, hy0, hx1, hy1 = min(xs), min(ys), max(xs), max(ys)
-    for ox0, oy0, ox1, oy1 in placed:
+    for ox0, oy0, ox1, oy1 in boxes:
         if ox0 <= hx1 + 0.05 and hx0 <= ox1 + 0.05 and oy0 <= hy1 + 0.05 and hy0 <= oy1 + 0.05:
             return False
     # Outer edges whose padded box misses the hole's box cannot meet it.

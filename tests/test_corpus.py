@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polytri import Ring, generate_corpus, generate_polygon, serialize_polygon
-from polytri import polygon as polygon_mod
 from polytri.corpus import _hole_fits
 from polytri.geom import EPS_LEN, _box, point_in_ring
 from polytri.polygon import _boxed_edges, validate_polygon
@@ -163,7 +162,7 @@ def test_only_kept_holes_become_rings(monkeypatch):
         built += 1
         init(self, points)
 
-    monkeypatch.setattr(polygon_mod.Ring, "__init__", counting_init)
+    monkeypatch.setattr(Ring, "__init__", counting_init)
     for seed, size in [(3006, 44), (3019, 60), (3014, 76)]:
         generate_corpus(seed, 1, (800, 800), (6, 6), (size, size))
     assert built == 3 + 3 * 6
