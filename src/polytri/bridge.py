@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .geom import EPS_LEN, GeometryError, Point2, _box
 from .polygon import PolygonWithHoles, Ring, _boxed_edge, _boxed_edges, _crosses_any
@@ -48,14 +47,14 @@ class NoValidBridge(GeometryError):
     """Every candidate segment between ring and hole was obstructed."""
 
 
-@dataclass(frozen=True)
-class BridgeEdge:
+class BridgeEdge(NamedTuple):
     """A chosen connection between the current ring and a hole.
 
     Endpoints are (ring id, position) pairs: ring id 0 is the ring being
     merged into (the outer boundary, possibly already carrying earlier
     holes), and hole ring ids count holes in input order starting at 1.
-    Positions index into the respective ring's vertex list.
+    Positions index into the respective ring's vertex list. A NamedTuple,
+    so also a tuple: it equals the plain tuple of its fields.
     """
 
     outer_vertex: tuple[int, int]
@@ -63,13 +62,13 @@ class BridgeEdge:
     length: float
 
 
-@dataclass(frozen=True)
-class DegenerateRing:
+class DegenerateRing(NamedTuple):
     """Single CCW ring equivalent to a polygon with its holes slit open.
 
     ``indices`` maps each ring position to its index in the flattened input
     vertex table; bridge duplicates repeat the index of the vertex they
     duplicate, so downstream triangles always reference real input vertices.
+    A NamedTuple, so also a tuple: it equals the plain tuple of its fields.
     """
 
     ring: Ring
@@ -104,14 +103,17 @@ def _pairs_by_length(
 
     Ring vertices fall in rows as tall as about 1/sqrt(m) of the longer side
     of ``box``, each in one of its rows. Each round takes a radius r, from
-    one row height, doubling. It files the ring vertices in the hole's
-    bounding box grown by r into rows sorted as ``(x, i, y)``, and each hole
-    vertex takes one slice of x within r, by bisection, from every row
-    within r of it, clamped to the rows of ``box``. It yields, sorted, the
-    pairs longer than the previous radius and at most r. Once r spans both
-    rings, the last round yields every pair left. Each pair falls in one
-    round and rounds ascend, so the stream equals the full sort, ties
-    included. Rounding drops no vertex: a computed length of at most r means
+    one row height (from ``reach`` when ``box`` has no extent), doubling.
+    It files the ring vertices in the hole's bounding box grown by r into
+    rows sorted as ``(x, i, y)``, and each hole vertex takes one slice of x
+    within r, by bisection, from every row within r of it, clamped to the
+    rows of ``box``. It yields, sorted, the pairs longer than the previous
+    radius and at most r. The last round is the first with r at least
+    ``reach``, the diagonal of the box holding both rings: it files every
+    ring vertex, spans every row and keeps every pair left, so it is the
+    full sort of the pairs not yet yielded. Each pair falls in one round
+    and rounds ascend, so the stream equals the full sort, ties included.
+    Rounding drops no vertex: a computed length of at most r means
     coordinates within r(1 + 2^-50), the bounds grow by r(1 + 2^-32), and
     rounding is monotone.
     """
@@ -121,8 +123,8 @@ def _pairs_by_length(
     last_row = int((y1 - y0) * inv)
     hx0, hy0, hx1, hy1 = _box(hpts)
     reach = math.hypot(max(x1, hx1) - min(x0, hx0), max(y1, hy1) - min(y0, hy0))
-    lo, r = -math.inf, height
-    while 0.0 < r < reach:
+    lo, r = -math.inf, height if height > 0.0 else reach
+    while lo < reach:
         pad = r + r * 2.0**-32
         bx0, by0, bx1, by1 = hx0 - pad, hy0 - pad, hx1 + pad, hy1 + pad
         rows: dict = {}  # row -> (its x-coordinates, its (x, i, y)), by x
@@ -146,12 +148,6 @@ def _pairs_by_length(
         batch.sort()
         yield from batch
         lo, r = r, 2.0 * r
-    yield from sorted(
-        (length, i, j)
-        for i, c in enumerate(cpts)
-        for j, h in enumerate(hpts)
-        if (length := math.hypot(c.x - h.x, c.y - h.y)) > lo
-    )
 
 
 def find_bridge(

@@ -508,19 +508,16 @@ def _select_fallback(ring: VertexRing) -> VertexNode:
 
     Returns the smallest-angle tip, with the same tie-breaks as the normal
     selection, that is an ear once reflex blockers on a corner of its
-    triangle are exempted, and logs it at debug level. Raises
-    EarSearchFailed when there is none.
+    triangle are exempted, and logs it at debug level. The convex tips are
+    tested in :func:`_ear_key` order, which ``seq`` makes strict, up to the
+    first that passes. Raises EarSearchFailed when there is none.
     """
-    best = min(
-        (v for v in ring if v.is_convex and is_ear(ring, v, corner_twins=True)),
-        key=_ear_key,
-        default=None,
-    )
-    if best is None:
-        raise EarSearchFailed(ring)
-    log.debug("fallback: no literal ear, clipping tip %d with %d vertices left",
-              best.original_index, ring.count)
-    return best
+    for v in sorted((v for v in ring if v.is_convex), key=_ear_key):
+        if is_ear(ring, v, corner_twins=True):
+            log.debug("fallback: no literal ear, clipping tip %d with %d vertices left",
+                      v.original_index, ring.count)
+            return v
+    raise EarSearchFailed(ring)
 
 
 def _clip(

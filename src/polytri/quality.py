@@ -11,8 +11,7 @@ separately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .geom import GeometryError
 from .earclip import Triangulation, smallest_angle
@@ -26,9 +25,11 @@ class EmptyInput(GeometryError):
     """No measurable triangles to report on."""
 
 
-@dataclass(frozen=True)
-class QualityReport:
-    """Four-bin minimum-angle histogram plus the mean minimum angle."""
+class QualityReport(NamedTuple):
+    """Four-bin minimum-angle histogram plus the mean minimum angle.
+
+    A NamedTuple, so also a tuple: it equals the plain tuple of its fields.
+    """
 
     bin_fractions: tuple[float, float, float, float]
     average_min_angle: float

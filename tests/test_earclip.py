@@ -893,3 +893,32 @@ def test_fallback_logs_one_debug_line(caplog, monkeypatch):
     caplog.clear()
     triangulate_polygon(poly, "basic")  # the default level: no record
     assert caplog.records == []
+
+
+def test_fallback_tests_tips_in_key_order_up_to_its_pick(monkeypatch):
+    # the bridged ring of this seed needs the fallback twice under basic;
+    # each fallback runs the ear test on the convex tips in selection-key
+    # order and on none past the one it picks
+    poly = generate_corpus(seed=1, count=1, vertex_range=(60, 60), holes_range=(2, 2))[0]
+    real_fallback, real_is_ear = earclip._select_fallback, earclip.is_ear
+    tested, runs = [], []
+
+    def recording_is_ear(ring, v, *args, **kwargs):
+        tested.append(v)
+        return real_is_ear(ring, v, *args, **kwargs)
+
+    def recording_fallback(ring):
+        tips = sorted((v for v in ring if v.is_convex), key=_ear_key)
+        tested.clear()
+        monkeypatch.setattr(earclip, "is_ear", recording_is_ear)
+        tip = real_fallback(ring)
+        monkeypatch.setattr(earclip, "is_ear", real_is_ear)
+        runs.append((tips, list(tested), tip))
+        return tip
+
+    monkeypatch.setattr(earclip, "_select_fallback", recording_fallback)
+    triangulate_polygon(poly, "basic")
+    assert len(runs) == 2
+    for tips, calls, tip in runs:
+        assert calls == tips[: tips.index(tip) + 1]
+    assert sum(len(calls) for _, calls, _ in runs) < sum(len(tips) for tips, _, _ in runs)
