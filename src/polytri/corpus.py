@@ -48,19 +48,13 @@ def _star(
     return xs, ys
 
 
-def star_ring(
-    rng: random.Random,
-    n: int,
-    center: tuple[float, float] = (0.0, 0.0),
-    r_min: float = 2.5,
-    r_max: float = 10.0,
-) -> Ring:
-    """Simple CCW polygon with ``n`` vertices around ``center``.
+def star_ring(rng: random.Random, n: int) -> Ring:
+    """Simple CCW polygon with ``n`` vertices around the origin.
 
     Angles are evenly spaced with up to 35% jitter, so consecutive vertices
-    stay separated; radii are drawn uniformly from [r_min, r_max].
+    stay separated; radii are drawn uniformly from [2.5, 10].
     """
-    xs, ys = _star(rng, n, *center, r_min, r_max)
+    xs, ys = _star(rng, n, 0.0, 0.0, 2.5, 10.0)
     return Ring(zip(xs, ys))
 
 

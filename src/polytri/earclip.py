@@ -15,16 +15,18 @@ instead of visiting every reflex vertex: each row that the triangle's box
 spans is bisected to the box's x-range, a triangle wider than tall is first
 clipped to the triangle row by row, and each member reached is tested in
 place, so the first blocker ends the test (see ``ReflexGrid`` and
-``is_ear``).
+``is_ear``). The index is the clip's own: ``_start_flags`` builds it from
+the live ring when the clip starts, and again only when it restarts.
 
 Ear flags are tested on demand. Removing an ear changes the ear status of
 its two neighbours only (Eberly, "Triangulation by Ear Clipping", 2002), so
 a cut refreshes those two and leaves every other flag as it is. Every
-convex node when the clip starts, and each convex neighbour after a cut,
-gets a pending flag (``is_ear`` None) stamped (``stamp``) with the number
-of cuts made so far (``ring.clock``); the angle-aware policy pushes it onto
-a heap of ear candidates (``ring.ears``) with lazily skipped stale entries,
-so a cut costs no ring scan. Only the selection resolves a pending flag,
+convex node when the clip starts (``_start_flags``), and each convex
+neighbour after a cut (``update_after_cut``), gets a pending flag
+(``is_ear`` None) stamped (``stamp``) with the number of cuts made so far
+(``ring.clock``); the angle-aware policy pushes it onto a heap of ear
+candidates (``ring.ears``) with lazily skipped stale entries, so a cut
+costs no ring scan. Only the selection resolves a pending flag,
 when the heap top or the traditional cursor reaches it, by one ear test; a
 node refreshed again or clipped before that is never tested. That test runs
 against the reflex set as of the stamp, not the current one, so it gives
@@ -41,13 +43,14 @@ its neighbours and every reflex vertex stayed where they were, and while
 the reflex set only loses members the test would pass again. A cut
 neighbour that turns reflex, which takes a degenerate ring (the neighbour
 becomes a zero-width spike or meets a coincident vertex, as where bridge
-twins or touching holes repeat a point), restarts this bookkeeping as the
-clip starts it: ``ring.reflex`` is rebuilt from the live ring, every live
-node gets a flag stamped with that cut, pending if convex, and the heap is
-rebuilt. Between restarts the reflex set only shrinks, so every flag is
-exact as of its stamp.
+twins or touching holes repeat a point), restarts this bookkeeping by the
+same ``_start_flags`` call that starts the clip: ``ring.reflex`` is rebuilt
+from the live ring, every live node gets a flag stamped with that cut,
+pending if convex, and the heap is rebuilt. Between restarts the reflex set
+only shrinks, so every flag is exact as of its stamp.
 
-This module alone writes these fields and the ear flags;
+This module alone writes these fields and the ear flags, and
+``_start_flags`` alone sets their starting values;
 ``polygon.refresh_node`` computes only a node's convexity, and clears its
 cached interior angle unless the corner is straight or collapsed. Only
 ``_ear_key`` reads an angle, filling the cache inline, and only the
@@ -65,6 +68,8 @@ ears. When no ear is found the engine rescans once for the smallest-angle
 tip that is an ear when reflex blockers on a corner of the candidate
 triangle are exempted, and raises EarSearchFailed if there is none; an
 exactly collinear tip is never clipped as a zero-area triangle mid-run.
+Every cut tip is convex, so only the last triangle can be clockwise, as a
+self-crossing ring can leave it; that raises EarSearchFailed too.
 """
 
 from __future__ import annotations
@@ -73,14 +78,15 @@ import heapq
 import logging
 import math
 from bisect import bisect_left, bisect_right
-from typing import Callable, Optional
+from operator import attrgetter
+from typing import Callable, Optional, Sequence
 
-from .geom import _DEG, EPS_AREA, EPS_LEN, GeometryError, Point2, triangle_min_angle_xy
+from .geom import _DEG, EPS_AREA, EPS_LEN, GeometryError, Point2, _box, triangle_min_angle_xy
 from .polygon import VertexNode, VertexRing, refresh_node
-from .reflexgrid import ReflexGrid
 
 __all__ = [
     "EarSearchFailed",
+    "ReflexGrid",
     "Triangle",
     "Triangulation",
     "is_ear",
@@ -92,7 +98,8 @@ log = logging.getLogger("polytri")
 
 
 class EarSearchFailed(GeometryError):
-    """No clippable ear exists although more than 3 vertices remain.
+    """No clippable ear exists although more than 3 vertices remain, or the
+    last 3 make a clockwise triangle.
 
     Signals self-intersecting input, or features too small for the fixed
     EPS_AREA tolerance. Carries the surviving ring coordinates for
@@ -186,6 +193,61 @@ class Triangulation:
             f"Triangulation({len(self.vertex_table)} vertices, "
             f"{len(self.triangles)} triangles)"
         )
+
+
+class ReflexGrid:
+    """An index of the reflex nodes of a ring, in rows sorted by x, for the
+    ear test.
+
+    Built from ``nodes``, the ring's live nodes when :func:`_start_flags`
+    starts or restarts the clip, it keeps the nodes that are not convex.
+    The rows split the bounding box of ``nodes`` into strips as tall as the
+    cells of a uniform grid with about sqrt(n) cells along the longer side
+    (the uniform grid of Held's FIST, 2001, without its columns). Row ``k``
+    keeps two parallel lists: ``xs[k]``, its members' x-coordinates in
+    ascending order, and ``rows[k]``, the members in the same order, so the
+    ear test bisects every row its box spans to the box's x-range. The
+    index never changes once built: :func:`is_ear` filters the members it
+    reads, and a ring whose reflex set grows gets a new index. The ear test
+    places a coordinate ``y`` by the row function ``floor((y - y0) * inv)``
+    clamped to the rows; it is monotone in ``y``, so the walk never misses a
+    member inside its box. Each row also keeps its members' y-extent, and
+    the index a rounding ``guard``, for the ear test's clip of a wide
+    triangle row by row, whose superset proof sits beside the walk in
+    :func:`is_ear`.
+    """
+
+    __slots__ = ("xs", "rows", "ylo", "yhi", "x0", "y0", "inv", "flat", "guard")
+
+    def __init__(self, nodes: Sequence[VertexNode]):
+        members = [node for node in nodes if not node.is_convex]
+        x0, y0, x1, y1 = _box(nodes)
+        self.x0, self.y0 = x0, y0
+        span = max(x1 - x0, y1 - y0)
+        k = math.ceil(math.sqrt(len(nodes)))
+        self.inv = inv = k / span if span > 0.0 else 0.0
+        last = int((y1 - y0) * inv)
+        # A row clip uses an edge only if its rise |dy| exceeds ``flat``: its
+        # relaxation EPS_AREA / |dy| is then under a row height, which is
+        # all the rounding bound of the ear test's clip asks of it.
+        self.flat = EPS_AREA * inv
+        # 32 times the clip's rounding bound, derived in is_ear
+        big = max(abs(x0), abs(y0), abs(x1), abs(y1))
+        self.guard = 2.0**-44 * (big + 21.0 * span)
+        self.rows = rows = [[] for _ in range(last + 1)]
+        self.ylo = ylo = [math.inf] * (last + 1)
+        self.yhi = yhi = [-math.inf] * (last + 1)
+        # one sort, stable, fills every row in x order; a member lies in the
+        # box of ``nodes``, so its row needs no clamp
+        for node in sorted(members, key=attrgetter("x")):
+            y = node.y
+            row = int((y - y0) * inv)
+            rows[row].append(node)
+            if y < ylo[row]:
+                ylo[row] = y
+            if y > yhi[row]:
+                yhi[row] = y
+        self.xs = [[node.x for node in row] for row in rows]
 
 
 def is_ear(
@@ -376,12 +438,13 @@ def update_after_cut(
     Counts the cut in ``ring.clock``, then refreshes both nodes, and keeps
     their books, before either flag is set. Each node is stamped with the
     new count. A node that was reflex and turns convex records the cut in
-    ``gone_at``; a node that ends reflex loses its ear flag. A convex
-    neighbour gets a pending flag and is pushed onto the ear heap once that
-    exists; no other node is touched. A neighbour that turns reflex instead
-    gets ``gone_at`` inf and restarts the books of the whole ring (see the
-    module docstring): a new ``ring.reflex``, a flag stamped with this cut
-    on every live node, and no heap until the selection rebuilds it.
+    ``gone_at``; a node that stays reflex keeps its false ear flag. A
+    convex neighbour gets a pending flag and is pushed onto the ear heap
+    once that exists; no other node is touched. A neighbour that turns
+    reflex instead restarts the books of the whole ring through
+    :func:`_start_flags` (see the module docstring): a new ``ring.reflex``,
+    a flag stamped with this cut on every live node, and no heap until the
+    selection rebuilds it.
     """
     clock = ring.clock = ring.clock + 1
     grown = False
@@ -391,24 +454,17 @@ def update_after_cut(
     if left.is_convex:
         if not was_convex:
             left.gone_at = clock
-    else:
-        left.is_ear = False
-        if was_convex:
-            left.gone_at = math.inf
-            grown = True
+    elif was_convex:
+        grown = True
     was_convex = right.is_convex
     refresh_node(right)
     right.stamp = clock
     if right.is_convex:
         if not was_convex:
             right.gone_at = clock
-    else:
-        right.is_ear = False
-        if was_convex:
-            right.gone_at = math.inf
-            grown = True
+    elif was_convex:
+        grown = True
     if grown:
-        ring.reflex = ReflexGrid(list(ring))
         _start_flags(ring)
         return
     ears = ring.ears
@@ -423,12 +479,20 @@ def update_after_cut(
 
 
 def _start_flags(ring: VertexRing) -> None:
-    """Stamp every live node with ``ring.clock`` and give it a pending flag
-    if convex, no ear flag if not; drop the heap for the selection to
-    rebuild. The clip's start, and its restart when the reflex set grows."""
+    """Set the starting values of the clip state, the only code that does.
+
+    Builds ``ring.reflex`` from the live nodes, stamps every live node with
+    ``ring.clock``, marks it a member of the reflex set as of now
+    (``gone_at`` inf; only members of the new index are read), and gives it
+    a pending flag if convex, no ear flag if not; drops the heap for the
+    selection to rebuild. The clip's start, and its restart when the reflex
+    set grows."""
+    nodes = list(ring)
+    ring.reflex = ReflexGrid(nodes)
     clock = ring.clock
-    for node in ring:
+    for node in nodes:
         node.stamp = clock
+        node.gone_at = math.inf
         node.is_ear = None if node.is_convex else False
     ring.ears = None
 
@@ -526,17 +590,19 @@ def _clip(
     *,
     post_emit: Optional[Callable[[Triangulation, int], None]] = None,
 ) -> Triangulation:
-    """Shared clipping loop over a ring fresh from ``build_ring`` (every node
-    stamped 0, so every convex one starts pending); emits n-2 triangles.
-    Each clipped tip is convex, so its triangle is not degenerate by the
-    kernels' test (see :mod:`polytri.geom`); the last triangle is flagged
-    ``degenerate`` by that same test at its middle corner. Each cut appends
-    its triangle to ``triangles``, unlinks the tip (which keeps its own
-    ``prev`` and ``next`` for the triangle), refreshes the two neighbours,
-    then hands ``post_emit`` the triangle's position. Only convex tips are
-    cut, which the ear test skips among the members of ``ring.reflex`` by
-    their ``gone_at``, so the index needs no change. Clipping consumes the
-    ring: a ring that was cut raises ValueError."""
+    """Shared clipping loop over a ring fresh from ``build_ring``; emits n-2
+    triangles. :func:`_start_flags` starts the clip state (every convex node
+    pending). Each clipped tip is convex, so its triangle is not degenerate
+    by the kernels' test (see :mod:`polytri.geom`); the last triangle is
+    flagged ``degenerate`` by that same test at its middle corner, and
+    raises EarSearchFailed when its cross product there is below -EPS_AREA:
+    it is then clockwise, as a self-crossing ring can leave it. Each cut
+    appends its triangle to ``triangles``, unlinks the tip (which keeps its
+    own ``prev`` and ``next`` for the triangle), refreshes the two
+    neighbours, then hands ``post_emit`` the triangle's position. Only
+    convex tips are cut, which the ear test skips among the members of
+    ``ring.reflex`` by their ``gone_at``, so the index needs no change.
+    Clipping consumes the ring: a ring that was cut raises ValueError."""
     if ring.clock > 0:
         raise ValueError("ring was already clipped; build a new one with build_ring")
     tri = Triangulation(ring.table)
@@ -564,7 +630,10 @@ def _clip(
     h = ring.head
     a, b, c = h, h.next, h.next.next
     ux, uy, wx, wy = c.x - b.x, c.y - b.y, a.x - b.x, a.y - b.y
-    triangles.append(Triangle(a, b, c, abs(ux * wy - uy * wx) <= EPS_AREA))
+    z = ux * wy - uy * wx
+    if z < -EPS_AREA:
+        raise EarSearchFailed(ring)
+    triangles.append(Triangle(a, b, c, z <= EPS_AREA))
     if post_emit is not None:
         post_emit(tri, len(triangles) - 1)
     return tri

@@ -91,8 +91,10 @@ def orientation(a: Point2, b: Point2, c: Point2) -> int:
 def signed_area(ring: Sequence[Point2]) -> float:
     """Shoelace area of a closed vertex loop; positive iff counter-clockwise.
 
-    Raises InvalidRing for fewer than 3 points. Uses compensated summation so
-    long rings with large coordinates stay accurate.
+    Raises InvalidRing for fewer than 3 points, and when the area is not a
+    finite float: a product or a partial sum of the shoelace terms overflows
+    once coordinates pass about 1e154. Uses compensated summation so long
+    rings with large coordinates stay accurate.
     """
     n = len(ring)
     if n < 3:
@@ -102,7 +104,13 @@ def signed_area(ring: Sequence[Point2]) -> float:
         x0, y0 = ring[i]
         x1, y1 = ring[(i + 1) % n]
         terms.append(x0 * y1 - x1 * y0)
-    return 0.5 * math.fsum(terms)
+    try:
+        area = 0.5 * math.fsum(terms)
+    except (OverflowError, ValueError):
+        area = math.inf
+    if not math.isfinite(area):
+        raise InvalidRing("ring area overflows the float range; rescale the coordinates")
+    return area
 
 
 def points_close(a: Point2, b: Point2) -> bool:

@@ -26,7 +26,6 @@ from .geom import (
     segments_properly_cross,
     signed_area,
 )
-from .reflexgrid import ReflexGrid
 
 __all__ = [
     "Ring",
@@ -199,8 +198,9 @@ class VertexNode:
     Carries its coordinates inline (hot loops read ``x``/``y`` directly),
     the index of the vertex in the flattened input table, its ring position
     ``seq``, and the convexity from :func:`refresh_node`. ``is_ear``,
-    ``stamp`` and ``gone_at`` are the ear-flag state that
-    :mod:`polytri.earclip` keeps (see its module docstring).
+    ``stamp`` and ``gone_at`` are the ear-flag state of
+    :mod:`polytri.earclip`, unset until the clip starts (see its module
+    docstring).
 
     The interior angle is computed on first read, from the current
     neighbours, and cached in ``_angle`` (0.0 before the first refresh):
@@ -234,10 +234,7 @@ class VertexNode:
         self.next: "VertexNode" = self
         self._angle: Optional[float] = 0.0
         self.is_convex = False
-        self.is_ear: Optional[bool] = False
         self.seq = seq
-        self.stamp = 0
-        self.gone_at = math.inf
 
     @property
     def point(self) -> Point2:
@@ -265,10 +262,10 @@ class VertexNode:
 class VertexRing:
     """Circular doubly linked ring of vertices, consumed by ear clipping.
 
-    ``reflex``, set by :func:`build_ring`, is a :class:`ReflexGrid` of the
-    nodes reflex then. It and ``ears`` and ``clock`` are the clipping state
-    that :mod:`polytri.earclip` keeps (see its module docstring), which
-    rebuilds ``reflex`` when the reflex set grows. Single-threaded mutable
+    ``reflex`` (the clip's reflex index), ``ears`` and ``clock`` are the
+    clipping state of :mod:`polytri.earclip`; the first two are unset until
+    the clip starts, and ``clock`` counts the cuts made, 0 on a ring that
+    was never clipped (see its module docstring). Single-threaded mutable
     state: one triangulation run owns one ring.
     """
 
@@ -278,7 +275,6 @@ class VertexRing:
         self.head = head
         self.count = count
         self.table = table
-        self.ears: Optional[list] = None
         self.clock = 0
 
     def __iter__(self) -> Iterator[VertexNode]:
@@ -340,9 +336,8 @@ def build_ring(
     ``indices`` maps each position to its index in the flattened vertex
     table (bridged rings repeat indices for duplicated vertices); it
     defaults to 0..n-1 with the ring's own points as the table. Every
-    node's convexity is computed by :func:`refresh_node`. Then ``reflex`` is
-    built over the nodes' bounding box and filled with the reflex nodes by
-    one sort.
+    node's convexity is computed by :func:`refresh_node`; the clip state,
+    the reflex index included, is the clip's to start.
     """
     pts = ring.points
     n = len(pts)
@@ -359,7 +354,6 @@ def build_ring(
     vring = VertexRing(nodes[0], n, table)
     for node in nodes:
         refresh_node(node, strict=True)
-    vring.reflex = ReflexGrid(nodes)
     return vring
 
 

@@ -6,6 +6,7 @@ casting, exhaustive enumeration) so that agreement between the two is
 meaningful.
 """
 
+import functools
 import math
 import random
 from collections import Counter
@@ -13,7 +14,8 @@ from collections import Counter
 import pytest
 
 from polytri import PolygonWithHoles, Ring, build_ring, eliminate_holes, generate_corpus, normalize
-from polytri.earclip import Triangle
+from polytri import earclip
+from polytri.earclip import Triangle, _start_flags
 from polytri.geom import EPS_AREA, EPS_LEN, Point2, triangle_angles_xy
 
 
@@ -282,9 +284,32 @@ def remove_vertex(ring, v) -> None:
     ring.count -= 1
 
 
+def start_clip(ring):
+    """Start the clip state of ``ring``, fresh from ``build_ring``, as the
+    clip does (:func:`polytri.earclip._start_flags`): the reflex index
+    ``ring.reflex``, every node's ``stamp``, ``gone_at`` and ear flag, and
+    no heap. Returns ``ring``."""
+    _start_flags(ring)
+    return ring
+
+
+@pytest.fixture()
+def started_indexes(monkeypatch):
+    """The reflex indexes that ``earclip._start_flags`` builds while the
+    test runs, in order: one when a clip starts, one more per restart."""
+    indexes = []
+
+    def recording(ring):
+        _start_flags(ring)
+        indexes.append(ring.reflex)
+
+    monkeypatch.setattr(earclip, "_start_flags", recording)
+    return indexes
+
+
 def reflex_members(grid) -> set:
-    """The members of a :class:`polytri.reflexgrid.ReflexGrid`, read from
-    its rows."""
+    """The members of a :class:`polytri.earclip.ReflexGrid`, read from its
+    rows."""
     return {m for row in grid.rows for m in row}
 
 
@@ -410,6 +435,35 @@ TOUCHING_HOLES = PolygonWithHoles(
         Ring([(48, -1), (47, -9), (43, -15), (38, -21), (15, 3)]),
     ],
 )
+
+
+# Two valid polygons whose shoelace area overflows the float range: a square
+# of side 1.6e308 with a unit hole, and a 40-vertex star of radius 1e154
+# whose inner vertices lie at 0.4 of it.
+FAR_SQUARE = PolygonWithHoles(
+    Ring([(-8e307, -8e307), (8e307, -8e307), (8e307, 8e307), (-8e307, 8e307)]),
+    [Ring([(0, 0), (0, 1), (1, 1), (1, 0)])],
+)
+FAR_STAR = PolygonWithHoles(
+    Ring(
+        [
+            (r * 1e154 * math.cos(k * math.pi / 20), r * 1e154 * math.sin(k * math.pi / 20))
+            for k, r in enumerate([1.0, 0.4] * 20)
+        ]
+    )
+)
+
+
+@functools.cache
+def restarting_polygon() -> PolygonWithHoles:
+    """A valid polygon whose ring grows mid-clip once under every algorithm
+    and still meshes cleanly: ``generate_corpus(100, 5, (4, 200), (0, 8))[2]``
+    scaled by 1e-5, 87 vertices in all with 3 holes."""
+    poly = generate_corpus(100, 5, (4, 200), (0, 8))[2]
+    return PolygonWithHoles(
+        Ring([(x * 1e-5, y * 1e-5) for x, y in poly.outer]),
+        [Ring([(x * 1e-5, y * 1e-5) for x, y in h]) for h in poly.holes],
+    )
 
 
 def bridged_ring(poly):

@@ -24,6 +24,7 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 sys.path.insert(0, str(REPO / "benchmarks"))
 
 from meshcheck import check_mesh  # noqa: E402
+from conftest import FAR_SQUARE, FAR_STAR  # noqa: E402
 
 
 def cli(*args, cwd=None):
@@ -268,8 +269,8 @@ class TestCliTriangulate:
 
     @pytest.mark.parametrize(
         "text",
-        # a figure-8, which basic meshes with the clockwise triangle (0, 1, 3)
-        # when not validated; and a ring whose sixth vertex lies 2 EPS_LEN
+        # a figure-8, which basic clips down to the clockwise triangle
+        # (0, 1, 3) when not validated; and a ring whose sixth vertex lies 2 EPS_LEN
         # right of its third, so two pairs of its edges cross
         ["ring 0,0 4,0 4,4 2,-1 0,4\n", "ring 0,0 4,0 2,2 4,4 0,4 2.000000002,2\n"],
     )
@@ -284,6 +285,38 @@ class TestCliTriangulate:
         assert polytri.cli.main(args) == 3
         assert capsys.readouterr().err == "polytri: invalid polygon: outer ring crosses itself\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm", ["traditional", "basic", "improved"])
+    @pytest.mark.parametrize(
+        "text",
+        ["ring 0,0 10,10 10,0 0,4\n", "ring 0,0 10,0 10,10 5,-2 0,10 2,5\n",
+         "ring 0,10 6,-8 -9.5,3 9.5,3 -6,-8\n"],
+    )
+    def test_clockwise_last_triangle_exit_3(self, tmp_path, capsys, text, algorithm):
+        # self-crossing rings, not validated: each clip ends in a clockwise
+        # triangle, which is refused rather than written as part of a mesh
+        import polytri.cli
+
+        src = tmp_path / "crossed.poly"
+        src.write_text(text)
+        out = tmp_path / "o.json"
+        args = ["triangulate", "--algorithm", algorithm, "--input", str(src),
+                "--output", str(out)]
+        assert polytri.cli.main(args) == 3
+        assert capsys.readouterr().err.startswith("polytri: geometry error: no ear found")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("poly", [FAR_SQUARE, FAR_STAR], ids=["square", "star"])
+    def test_area_outside_the_float_range_exit_2(self, tmp_path, poly):
+        # rejected by normalize at parse time, like every other ring it
+        # refuses, instead of an uncaught OverflowError
+        src = tmp_path / "far.poly"
+        src.write_text(serialize_polygon(poly))
+        r = cli("triangulate", "--algorithm", "basic", "--input", str(src))
+        err = r.stderr.decode()
+        assert r.returncode == 2, err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert err.startswith("polytri: parse error: ") and "overflows the float range" in err
 
     @pytest.mark.parametrize("algorithm", ["traditional", "basic", "improved"])
     def test_sliver_ear_exit_0(self, tmp_path, algorithm):

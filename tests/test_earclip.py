@@ -1,6 +1,5 @@
 import ast
 import functools
-import hashlib
 import heapq
 import logging
 import math
@@ -24,7 +23,6 @@ from polytri import (
     report,
     triangulate_polygon,
     triangulate_ring,
-    triangulation_to_json,
 )
 from polytri import earclip, pipeline
 from polytri.earclip import (
@@ -48,7 +46,9 @@ from conftest import (
     point_in_triangle_closure,
     reflex_members,
     remove_vertex,
+    restarting_polygon,
     ring_adjacent_edges,
+    start_clip,
     triangulation_area,
 )
 
@@ -73,12 +73,12 @@ class TestIsEar:
         hexagon = Ring(
             [P(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)]
         )
-        ring = build_ring(hexagon)
+        ring = start_clip(build_ring(hexagon))
         for node in ring:
             assert is_ear(ring, node)
 
     def test_reflex_vertex_is_not_ear(self, l_shape):
-        ring = build_ring(l_shape)
+        ring = start_clip(build_ring(l_shape))
         reflex = next(n for n in ring if not n.is_convex)
         assert not is_ear(ring, reflex)
 
@@ -86,7 +86,7 @@ class TestIsEar:
         # tip (4,0) forms triangle (0,0),(4,0),(4,4) whose closure holds the
         # reflex vertex (1,1); the closure oracle confirms both facts
         dart = Ring([(0, 0), (4, 0), (4, 4), (1, 1)])
-        ring = build_ring(dart)
+        ring = start_clip(build_ring(dart))
         nodes = list(ring)
         tip = nodes[1]
         blocker = nodes[3]
@@ -96,7 +96,7 @@ class TestIsEar:
 
     def test_matches_brute_force_on_corpus(self, small_corpus):
         for poly in small_corpus:
-            ring = build_ring(poly.outer)
+            ring = start_clip(build_ring(poly.outer))
             for node in ring:
                 assert is_ear(ring, node) == brute_force_is_ear(ring, node)
 
@@ -152,7 +152,7 @@ class TestTriangulateBasic:
         # the engine never clips a tip when a verified ear with a strictly
         # smaller interior angle exists
         poly = small_corpus[0]
-        ring = build_ring(poly.outer)
+        ring = start_clip(build_ring(poly.outer))
         for node in ring:
             node.is_ear = is_ear(ring, node) if node.is_convex else False
         steps = 0
@@ -173,7 +173,7 @@ class TestTriangulateBasic:
         # heap entries end in the node itself, and VertexNode has no
         # ordering: two equal entries of one node must tie without the heap
         # ever asking which node is smaller, or it raises TypeError
-        ring = build_ring(small_corpus[0].outer)
+        ring = start_clip(build_ring(small_corpus[0].outer))
         for node in ring:
             node.is_ear = is_ear(ring, node) if node.is_convex else False
         first = _select_smallest_angle(ring)
@@ -205,9 +205,9 @@ class TestTriangulateBasic:
             )[0]
         poly = normalize(poly)
         degen = eliminate_holes(poly)
-        ring = build_ring(degen.ring, indices=degen.indices, table=poly.vertex_table())
-        for node in ring:
-            node.is_ear = None if node.is_convex else False
+        ring = start_clip(
+            build_ring(degen.ring, indices=degen.indices, table=poly.vertex_table())
+        )
 
         def flagged(v):
             if v.is_ear is None:
@@ -241,6 +241,21 @@ class TestTriangulateBasic:
         with pytest.raises(EarSearchFailed) as exc:
             triangulate_ring(build_ring(cw_square), "basic")
         assert len(exc.value.points) >= 3
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize(
+        "text",
+        # a bowtie, a ring whose fourth vertex dips below its first edge,
+        # and a pentagram: each is clipped down to a clockwise triangle
+        ["ring 0,0 10,10 10,0 0,4", "ring 0,0 10,0 10,10 5,-2 0,10 2,5",
+         "ring 0,10 6,-8 -9.5,3 9.5,3 -6,-8"],
+    )
+    def test_clockwise_last_triangle_raises(self, text, algorithm):
+        poly = parse_polygon(text)
+        with pytest.raises(EarSearchFailed) as exc:
+            triangulate_polygon(poly, algorithm)
+        a, b, c = exc.value.points
+        assert cross2(a, b, c) < 0.0
 
     def test_tiny_simple_polygon_blames_tolerance(self):
         # a simple star scaled by 1e-7: every cross product falls below the
@@ -359,25 +374,20 @@ EAR_STATE = {"stamp", "gone_at", "clock", "is_ear", "ears", "reflex"}
 
 def test_only_earclip_writes_the_ear_flag_state():
     # polygon.refresh_node is geometry only; the flags, stamps, gone_at, the
-    # heap and the reflex index have one owner, apart from the constructors'
-    # defaults and the first index, which build_ring makes
+    # heap and the reflex index have one owner, apart from the re-clip
+    # guard, which VertexRing's constructor starts at 0
     src = pathlib.Path(earclip.__file__).parent
     writers = []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
-        defaults = {
+        guard = {
             id(node)
             for cls in ast.walk(tree)
-            if isinstance(cls, ast.ClassDef) and cls.name in ("VertexNode", "VertexRing")
+            if isinstance(cls, ast.ClassDef) and cls.name == "VertexRing"
             for fn in cls.body
             if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
             for node in ast.walk(fn)
-        } | {
-            id(node)
-            for fn in tree.body
-            if isinstance(fn, ast.FunctionDef) and fn.name == "build_ring"
-            for node in ast.walk(fn)
-            if isinstance(node, ast.Attribute) and node.attr == "reflex"
+            if isinstance(node, ast.Attribute) and node.attr == "clock"
         }
         writers += [
             f"{path.name}:{node.lineno} .{node.attr}"
@@ -386,9 +396,61 @@ def test_only_earclip_writes_the_ear_flag_state():
             and isinstance(node.ctx, ast.Store)
             and node.attr in EAR_STATE
             and path.name != "earclip.py"
-            and id(node) not in defaults
+            and id(node) not in guard
         ]
     assert writers == []
+
+
+def test_one_start_path_for_the_index_and_the_flags():
+    # the reflex index is built in _start_flags alone, which the clip's
+    # start and its restart both call
+    src = pathlib.Path(earclip.__file__).parent
+    calls = Counter()
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                calls.update(
+                    (node.func.id, fn.name)
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("ReflexGrid", "_start_flags")
+                )
+    assert calls == {
+        ("ReflexGrid", "_start_flags"): 1,
+        ("_start_flags", "_clip"): 1,
+        ("_start_flags", "update_after_cut"): 1,
+    }
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_each_clip_builds_one_index_and_each_restart_one_more(
+    monkeypatch, started_indexes, algorithm
+):
+    # build_ring leaves no clip state; the clip builds one index from the
+    # live reflex nodes when it starts, and a cut that turns a neighbour
+    # reflex builds one more from the live reflex nodes then
+    ring = bridged_ring(restarting_polygon())
+    state = ("reflex", "ears")
+    assert not any(hasattr(ring, name) for name in state)
+    assert not any(hasattr(n, name) for n in ring for name in ("stamp", "gone_at", "is_ear"))
+    reflex = {n for n in ring if not n.is_convex}
+    real_update = earclip.update_after_cut
+    restarts = []
+
+    def update(ring, left, right):
+        convex = left.is_convex, right.is_convex
+        real_update(ring, left, right)
+        if (convex[0] and not left.is_convex) or (convex[1] and not right.is_convex):
+            restarts.append(ring.clock)
+            assert ring.reflex is started_indexes[-1]
+            assert reflex_members(ring.reflex) == {n for n in ring if not n.is_convex}
+        assert len(started_indexes) == 1 + len(restarts)
+
+    monkeypatch.setattr(earclip, "update_after_cut", update)
+    triangulate_ring(ring, algorithm)
+    assert len(restarts) == 1
+    assert reflex_members(started_indexes[0]) == reflex
 
 
 # The per-cut kernels spell min and max as comparison chains and degrees as
@@ -467,7 +529,7 @@ class TestAngleWork:
 
 class TestUpdateAfterCut:
     def test_square_corner_cut_makes_45_degree_ears(self, unit_square):
-        ring = build_ring(unit_square)
+        ring = start_clip(build_ring(unit_square))
         v = ring.head  # (0,0)
         left, right = v.prev, v.next
         remove_vertex(ring, v)
@@ -482,7 +544,7 @@ class TestUpdateAfterCut:
         assert is_ear(ring, right, stamp=right.stamp)
 
     def test_cut_unreflexes_neighbour(self):
-        ring = build_ring(Ring([(0, 0), (2, 0), (1.2, 0.4), (2, 2), (0, 1)]))
+        ring = start_clip(build_ring(Ring([(0, 0), (2, 0), (1.2, 0.4), (2, 2), (0, 1)])))
         nodes = list(ring)
         b, c = nodes[1], nodes[2]
         assert not c.is_convex
@@ -494,7 +556,7 @@ class TestUpdateAfterCut:
         assert c.interior_angle < 180.0
 
     def test_far_vertex_untouched(self):
-        ring = build_ring(Ring([(0, 0), (2, 0), (1.2, 0.4), (2, 2), (0, 1)]))
+        ring = start_clip(build_ring(Ring([(0, 0), (2, 0), (1.2, 0.4), (2, 2), (0, 1)])))
         nodes = list(ring)
         far = nodes[4]
         before = (far.interior_angle, far.is_convex, far.is_ear)
@@ -507,7 +569,7 @@ class TestUpdateAfterCut:
     def test_unreflexing_cut_stays_in_the_index_gone_at_the_cut(self):
         # clipping the ear at B turns its reflex neighbour C convex; C stays
         # in the index, marked as gone at this cut
-        ring = build_ring(Ring([(0, 0), (2, 0), (1.2, 0.4), (2, 2), (0, 1)]))
+        ring = start_clip(build_ring(Ring([(0, 0), (2, 0), (1.2, 0.4), (2, 2), (0, 1)])))
         nodes = list(ring)
         b, c = nodes[1], nodes[2]
         assert not c.is_convex and c.gone_at == math.inf
@@ -522,7 +584,7 @@ class TestUpdateAfterCut:
         # the neighbour that turns reflex restarts the books: a new index of
         # exactly the live reflex nodes, and every live node stamped with
         # the cut, pending if convex
-        ring = build_ring(Ring([(0, 0), (4, 0), (4, 4), (0, 4), (-1, 2)]))
+        ring = start_clip(build_ring(Ring([(0, 0), (4, 0), (4, 4), (0, 4), (-1, 2)])))
         nodes = list(ring)
         grid = ring.reflex
         # forge a collapsed edge: drag a convex node onto its neighbour
@@ -545,7 +607,7 @@ class TestUpdateAfterCut:
         # C leaves the reflex set at the first cut; forged onto a coincident
         # neighbour it turns reflex again at the second, and the rebuilt
         # index must not keep its old departure, or every test would skip it
-        ring = build_ring(Ring([(0, 0), (2, 0), (1.2, 0.4), (2, 2), (0, 1)]))
+        ring = start_clip(build_ring(Ring([(0, 0), (2, 0), (1.2, 0.4), (2, 2), (0, 1)])))
         a, b, c, d, e = list(ring)
         remove_vertex(ring, b)
         update_after_cut(ring, a, c)
@@ -584,11 +646,12 @@ class TestTrustedEarFlags:
     """
 
     def test_fresh_ring_has_not_grown(self, l_shape):
-        # a fresh ring's index holds exactly its reflex nodes
+        # a fresh clip's index holds exactly its reflex nodes
         for ring in (build_ring(l_shape), bridged_ring(TOUCHING_HOLES)):
+            start_clip(ring)
             assert reflex_members(ring.reflex) == {n for n in ring if not n.is_convex}
             assert all(n.gone_at == math.inf for n in ring)
-        assert len(reflex_members(build_ring(l_shape).reflex)) == 1
+        assert len(reflex_members(start_clip(build_ring(l_shape)).reflex)) == 1
 
     def test_growth_restarts_the_ear_flags(self, monkeypatch):
         # a traditional clip, cut by cut: every ear test is the selection
@@ -645,10 +708,9 @@ class TestTrustedEarFlags:
         # a traditional clip up to the growing cut: the reflex grid never
         # loses a member, and a test as of a stamp skips the members gone
         # by then; the growing cut rebuilds it from the live reflex nodes
-        ring = bridged_ring(TOUCHING_HOLES)
+        ring = start_clip(bridged_ring(TOUCHING_HOLES))
         grid = ring.reflex
         members = reflex_members(grid)
-        earclip._start_flags(ring)
         cursor = ring.head
         departures = 0
         while ring.reflex is grid:
@@ -686,7 +748,7 @@ class TestTrustedEarFlags:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("name", ["star2000", "comb"])
     def test_no_selection_ear_test_while_the_ring_never_grew(
-        self, monkeypatch, name, algorithm
+        self, monkeypatch, started_indexes, name, algorithm
     ):
         # every ear test is the selection resolving a pending flag as of the
         # stamp its node carries, the first test for that (node, stamp); a
@@ -705,8 +767,8 @@ class TestTrustedEarFlags:
         monkeypatch.setattr(earclip, "is_ear", counting)
         poly = large_polygon(name)
         ring = build_ring(poly.outer)
-        grid = ring.reflex
         triangulate_ring(ring, algorithm)
+        (grid,) = started_indexes
         assert ring.reflex is grid
         select = SELECTION[algorithm == "traditional"]
         assert set(callers) == {select}
@@ -746,7 +808,7 @@ def clip_against_the_eager_engine(poly, algorithm):
 
     def shadowed_clip(ring, smallest_angle, *, post_emit=None):
         rings.append(ring)
-        shadow_flags(ring, ring)
+        shadow_flags(start_clip(ring), ring)
         return real_clip(ring, smallest_angle, post_emit=post_emit)
 
     def shadowed_update(ring, left, right):
@@ -844,28 +906,26 @@ def test_near_collinear_vertex_never_fails_the_report(seed, vertex, t, k, algori
     report(tri)
 
 
-@pytest.mark.parametrize("name", ["spiral", "comb", "square_hole", "touching_holes"])
+@pytest.mark.parametrize("name", ["spiral", "comb", "square_hole", "restarting"])
 def test_resolved_flags_equal_the_eager_engine_on_fixtures(name):
-    # the fixtures, and the two-hole octagon whose ring grows mid-clip under
+    # the fixtures, and a three-hole polygon whose ring grows mid-clip under
     # every algorithm: flags set at a restart resolve exactly
-    poly = TOUCHING_HOLES if name == "touching_holes" else large_polygon(name)
+    poly = restarting_polygon() if name == "restarting" else large_polygon(name)
     for algorithm in ALGORITHMS:
         ring, resolutions, restarts = clip_against_the_eager_engine(poly, algorithm)
         assert resolutions > 0
-        assert (restarts > 0) == (name == "touching_holes")
+        assert (restarts > 0) == (name == "restarting")
 
 
-@pytest.mark.parametrize(
-    "algorithm, digest",
-    [("traditional", "02aa0a8d78c54632"), ("basic", "990e29426dc3d0a7"),
-     ("improved", "c8f9b6042b4717b0")],
-)
-def test_touching_holes_output_is_pinned(algorithm, digest):
-    # the growing ring's JSON at bound 30, pinned from the engine that
-    # re-tested every pick after growth instead of restarting its flags
-    tri, _ = triangulate_polygon(TOUCHING_HOLES, algorithm, 30.0)
-    doc = triangulation_to_json(tri, report(tri))
-    assert hashlib.sha256(doc.encode()).hexdigest()[:16] == digest
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_touching_holes_raise_on_a_clockwise_last_triangle(algorithm):
+    # the two holes meet at a vertex, so the input is not valid; every
+    # algorithm clips it down to the clockwise triangle (17, 1, 8), which
+    # it once emitted as part of a mesh
+    with pytest.raises(EarSearchFailed) as exc:
+        triangulate_polygon(TOUCHING_HOLES, algorithm, 30.0)
+    table = normalize(TOUCHING_HOLES).vertex_table()
+    assert exc.value.points == [table[i] for i in (17, 1, 8)]
 
 
 def test_fallback_logs_one_debug_line(caplog, monkeypatch):

@@ -65,6 +65,24 @@ class TestSignedArea:
     def test_right_triangle(self):
         assert signed_area([P(0, 0), P(4, 0), P(0, 3)]) == pytest.approx(6.0)
 
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            # finite terms whose sum overflows: OverflowError in fsum
+            [(-9e153, -9e153), (9e153, -9e153), (9e153, 9e153), (-9e153, 9e153)],
+            # every term overflows to inf
+            [(-8e307, -8e307), (8e307, -8e307), (8e307, 8e307), (-8e307, 8e307)],
+            # terms inf and -inf: ValueError in fsum
+            [(1e200, 0), (0, 1e200), (0, -1e200), (-1e200, 0)],
+            # a term inf - inf is nan
+            [(1e200, 1e200), (-1e200, -1e200), (-1e200, 1e200)],
+        ],
+        ids=["sum", "inf", "inf-inf", "nan"],
+    )
+    def test_area_outside_the_float_range_raises(self, pts):
+        with pytest.raises(InvalidRing, match="overflows the float range"):
+            signed_area([P(*p) for p in pts])
+
     def test_too_few_points(self):
         with pytest.raises(InvalidRing):
             signed_area([P(0, 0), P(1, 1)])

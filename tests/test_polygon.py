@@ -20,6 +20,7 @@ from polytri import (
 from polytri import earclip
 from polytri.bridge import eliminate_holes
 from polytri.earclip import (
+    ReflexGrid,
     _clip,
     _ear_key,
     _select_fallback,
@@ -44,8 +45,15 @@ from polytri.polygon import (
     refresh_node,
     validate_polygon,
 )
-from polytri.reflexgrid import ReflexGrid
-from conftest import brute_force_is_ear, reflex_members, remove_vertex, tri_angles_oracle
+from conftest import (
+    FAR_SQUARE,
+    FAR_STAR,
+    brute_force_is_ear,
+    reflex_members,
+    remove_vertex,
+    start_clip,
+    tri_angles_oracle,
+)
 
 P = Point2
 
@@ -171,10 +179,18 @@ class TestNormalize:
         with pytest.raises(InvalidRing):
             normalize(PolygonWithHoles(Ring([(0, 0), (1, 0), (2, 0)])))
 
+    @pytest.mark.parametrize("poly", [FAR_SQUARE, FAR_STAR], ids=["square", "star"])
+    @pytest.mark.parametrize("algorithm", ["traditional", "basic", "improved"])
+    def test_area_outside_the_float_range_raises(self, poly, algorithm):
+        # valid polygons whose shoelace area overflows; normalize refuses
+        # them before bridging or clipping can overflow
+        with pytest.raises(InvalidRing, match="overflows the float range"):
+            triangulate_polygon(poly, algorithm)
+
 
 class TestBuildRing:
     def test_unit_square(self, unit_square):
-        ring = build_ring(unit_square)
+        ring = start_clip(build_ring(unit_square))
         assert ring.count == 4
         for node in ring:
             assert node.interior_angle == pytest.approx(90.0)
@@ -217,7 +233,7 @@ class TestBuildRing:
             build_ring(Ring([(0, 0), (0, 0), (1, 1), (0, 1)]))
 
     def test_straight_vertex_is_reflex(self):
-        ring = build_ring(Ring([(0, 0), (1, 0), (2, 0), (2, 1), (0, 1)]))
+        ring = start_clip(build_ring(Ring([(0, 0), (1, 0), (2, 0), (2, 1), (0, 1)])))
         mid = next(n for n in ring if n.point == P(1, 0))
         assert mid.interior_angle == 180.0
         assert not mid.is_convex
@@ -225,7 +241,7 @@ class TestBuildRing:
 
     def test_spike_vertex_is_full_turn(self):
         # both neighbours leave the tip along the same ray: zero-width spike
-        ring = build_ring(Ring([(2, 0), (0, 0), (1, 0), (1, 2)]))
+        ring = start_clip(build_ring(Ring([(2, 0), (0, 0), (1, 0), (1, 2)])))
         tip = next(n for n in ring if n.point == P(0, 0))
         assert tip.interior_angle == 360.0
         assert not tip.is_convex
@@ -429,7 +445,8 @@ def test_refresh_node_matches_the_eager_oracle(legs, center, strict):
 
 
 def clip_steps(ring):
-    """Run a basic clip cut by cut, yielding the ring after each cut."""
+    """Run a basic clip cut by cut over ``ring``, whose clip state is
+    started (``start_clip``), yielding the ring after each cut."""
     for node in ring:
         node.is_ear = is_ear(ring, node) if node.is_convex else False
     while ring.count > 3:
@@ -478,6 +495,15 @@ def tip_box(v):
             max(ax, bx, cx) + margin, max(ay, by, cy) + margin)
 
 
+def member_node(x, y, index, seq):
+    """A bare ``VertexNode(x, y, index, seq)``: not convex, so a member of
+    an index built over it, and reflex since the clip started (``gone_at``
+    inf, as ``earclip._start_flags`` sets it)."""
+    node = VertexNode(x, y, index, seq)
+    node.gone_at = math.inf
+    return node
+
+
 def single_member_index(grid, m):
     """``grid`` holding one member only: a stand-in node at member ``m``'s
     coordinates, in ``m``'s row. The frame, ``flat``, ``guard`` and row
@@ -487,7 +513,7 @@ def single_member_index(grid, m):
     box and closure tests, and no other member can block in its place."""
     single = copy.copy(grid)
     (row,) = [k for k, members in enumerate(grid.rows) if any(r is m for r in members)]
-    stand_in = VertexNode(m.x, m.y, m.original_index, m.seq)
+    stand_in = member_node(m.x, m.y, m.original_index, m.seq)
     single.rows = [[stand_in] if k == row else [] for k in range(len(grid.rows))]
     single.xs = [[m.x] if k == row else [] for k in range(len(grid.rows))]
     return single
@@ -653,7 +679,7 @@ class TestReflexGrid:
         # on cell boundaries, and boxes one cell wide with a corner on a
         # member
         poly = generate_corpus(seed=909, count=1, vertex_range=(2000, 2000))[0]
-        ring = build_ring(poly.outer)
+        ring = start_clip(build_ring(poly.outer))
         grid = ring.reflex
         singles = OneMemberIndexes(grid)
         recorder = recording_index(grid)
@@ -704,7 +730,7 @@ class TestReflexGrid:
         star = generate_corpus(seed=404, count=1, vertex_range=(400, 400))[0]
         for poly, floor, clip_floor in ((star, 10000, 4000), (comb_polygon(60), 5000, 200)):
             compared = clipped = 0
-            ring = build_ring(poly.outer)
+            ring = start_clip(build_ring(poly.outer))
             grid = ring.reflex
             recorder = recording_index(grid)
             for ring in clip_steps(ring):
@@ -722,10 +748,10 @@ class TestReflexGrid:
         # the row clip
         rng = random.Random(11)
         nodes = [
-            VertexNode(float(rng.randrange(201)), float(rng.randrange(11)), k, k)
+            member_node(float(rng.randrange(201)), float(rng.randrange(11)), k, k)
             for k in range(600)
         ]
-        grid = ReflexGrid(nodes)  # a bare node is not convex, so a member
+        grid = ReflexGrid(nodes)
         assert len(reflex_members(grid)) == 600 and len(grid.rows) == 2
         singles = OneMemberIndexes(grid)
         recorder = recording_index(grid)
@@ -759,7 +785,7 @@ class TestReflexGrid:
             ring = bridged_ring(generate_corpus(1, 1, (60, 60), (2, 2))[0])
         else:
             ring = bridged_ring(comb_polygon(60, holes=True))
-        grid = ring.reflex
+        grid = start_clip(ring).reflex
         singles = OneMemberIndexes(grid)
         recorder = recording_index(grid)
         checked = clipped = 0
@@ -858,7 +884,7 @@ def test_reflex_index_property(points, twins, convex, frame, boxes, triangles):
     def at(p):
         return shift + scale * p[0], shift + scale * p[1]
 
-    nodes = [VertexNode(*at(p), k, k) for k, p in enumerate(pts)]
+    nodes = [member_node(*at(p), k, k) for k, p in enumerate(pts)]
     for k in convex:
         if k < len(nodes):
             nodes[k].is_convex = True
@@ -905,7 +931,7 @@ def test_row_clip_prunes_far_from_the_origin():
     shift = 1e14
     points = [(5, 3), (10, 6), (15, 9), (25, 9), (30, 6), (35, 3), (20, 0), (2, 11), (38, 11),
               (0, 0), (40, 0), (20, 12)]
-    nodes = [VertexNode(shift + x, shift + y, k, k) for k, (x, y) in enumerate(points)]
+    nodes = [member_node(shift + x, shift + y, k, k) for k, (x, y) in enumerate(points)]
     for node in nodes[-3:]:
         node.is_convex = True
     grid = ReflexGrid(nodes)

@@ -30,13 +30,13 @@ from polytri.geom import (
 from polytri.quality import min_angles
 from polytri.swap import sharp_swapper, try_swap
 from conftest import (
-    TOUCHING_HOLES,
     add_triangle,
     bridged_ring,
     cross2,
     edge_counts,
     quad_pair_min6,
     remove_vertex,
+    restarting_polygon,
     ring_adjacent_edges,
     triangulation_area,
 )
@@ -212,13 +212,15 @@ class TestFindNeighbor:
 
     @pytest.mark.parametrize("bound", [30.0, 60.0])
     @pytest.mark.parametrize("smallest_angle", [True, False], ids=["basic", "traditional"])
-    def test_matches_brute_force_through_a_restart(self, swap_calls, smallest_angle, bound):
-        # the two-hole octagon's ring grows mid-clip in either clip order,
-        # which rebuilds the ear flags but leaves the hook's ring edges be
-        ring = bridged_ring(TOUCHING_HOLES)
-        grid = ring.reflex
+    def test_matches_brute_force_through_a_restart(
+        self, swap_calls, smallest_angle, bound, started_indexes
+    ):
+        # this polygon's ring grows mid-clip in either clip order, which
+        # rebuilds the ear flags but leaves the hook's ring edges be
+        ring = bridged_ring(restarting_polygon())
         tri, looked_up = clip_checking_neighbors(ring, bound, swap_calls, smallest_angle)
-        assert ring.reflex is not grid
+        grid, *restarted = started_indexes
+        assert restarted and ring.reflex is not grid
         assert any(owner is not None for *_, owner in looked_up)
         if bound == 60.0:
             assert len(looked_up) == len(tri.triangles) - tri.degenerate_count
