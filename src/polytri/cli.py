@@ -142,16 +142,15 @@ def _cmd_triangulate(args) -> int:
     if args.emit_degenerate:
         dump = serialize_polygon(PolygonWithHoles(degen.ring))
         Path(args.emit_degenerate).write_text(dump, encoding="utf-8")
-    stats = report(tri)
     if args.emit == "json":
-        _write_output(triangulation_to_json(tri, stats), args.output)
+        _write_output(triangulation_to_json(tri, report(tri)), args.output)
     elif args.emit == "obj":
         _write_output(triangulation_to_obj(tri), args.output)
     elif args.emit == "svg":
         _write_output(render_svg(poly, tri), args.output)
     else:
         label = args.algorithm if args.algorithm != "improved" else f"improved({bound:g})"
-        _write_output(compare([(label, stats)], fmt="text"), args.output)
+        _write_output(compare([(label, report(tri))], fmt="text"), args.output)
     return EXIT_OK
 
 

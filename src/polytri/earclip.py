@@ -51,12 +51,11 @@ only shrinks, so every flag is exact as of its stamp.
 
 This module alone writes these fields and the ear flags, and
 ``_start_flags`` alone sets their starting values;
-``polygon.refresh_node`` computes only a node's convexity, and clears its
-cached interior angle unless the corner is straight or collapsed. Only
-``_ear_key`` reads an angle, filling the cache inline, and only the
-angle-aware policy and the fallback call it, on convex nodes; so the
-traditional policy computes no angle outside the fallback, and the clip
-none of a reflex node.
+``polygon.refresh_node`` computes only a node's convexity and clears its
+cached interior angle. Only ``_ear_key`` computes an angle, into that
+cache, and only the angle-aware policy and the fallback call it, on
+convex nodes; so the traditional policy computes no angle outside the
+fallback, and the clip none of a reflex node.
 
 Worst-case time stays quadratic: an ear whose box holds most reflex
 vertices still visits them all unless the triangle clip cuts them away,
@@ -501,8 +500,10 @@ def _ear_key(node: VertexNode) -> tuple[float, int, int]:
     """Selection order: smallest interior angle, then smallest original
     index, then earliest ring position, so runs are reproducible.
 
-    The angle is ``node.interior_angle``, filled into its cache here with
-    the property's own expression rather than by a call to it."""
+    The angle is the interior angle of ``node`` in degrees from its
+    current neighbours, and no other code computes one. The clip keys only
+    convex nodes. The angle fills the cache ``node._angle``, which
+    ``polygon.refresh_node`` clears, and is read from there until then."""
     angle = node._angle
     if angle is None:
         p, n = node.prev, node.next

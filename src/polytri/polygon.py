@@ -14,12 +14,12 @@ import math
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .geom import (
-    _DEG,
     EPS_AREA,
     EPS_LEN,
     DegenerateVertex,
     InvalidRing,
     Point2,
+    _box,
     _segments_meet,
     point_in_ring,
     points_close,
@@ -172,7 +172,9 @@ def normalize(poly: PolygonWithHoles) -> PolygonWithHoles:
     """Canonical form: outer CCW, holes CW, consecutive duplicates removed.
 
     Point order is otherwise preserved. Raises InvalidRing when a ring
-    collapses below 3 points or encloses no area. Idempotent, to the
+    collapses below 3 points or encloses no area, and when the width or
+    height of the box of all rings overflows the float range, where
+    bridging and clipping would compute with inf and nan. Idempotent, to the
     object: no two neighbours of a deduplicated ring are within EPS_LEN,
     and a reversed ring's shoelace terms are the exact negations of the
     original's, so a second pass changes nothing. The result records its
@@ -188,6 +190,9 @@ def normalize(poly: PolygonWithHoles) -> PolygonWithHoles:
     )
     if not (outer is poly.outer and all(a is b for a, b in zip(holes, poly.holes))):
         poly = PolygonWithHoles(outer, holes)
+    x0, y0, x1, y1 = _box(poly.vertex_table())
+    if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
+        raise InvalidRing("polygon extent overflows the float range; rescale the coordinates")
     poly._normal = (poly.outer.points, *(h.points for h in poly.holes))
     return poly
 
@@ -197,19 +202,15 @@ class VertexNode:
 
     Carries its coordinates inline (hot loops read ``x``/``y`` directly),
     the index of the vertex in the flattened input table, its ring position
-    ``seq``, and the convexity from :func:`refresh_node`. ``is_ear``,
-    ``stamp`` and ``gone_at`` are the ear-flag state of
-    :mod:`polytri.earclip`, unset until the clip starts (see its module
-    docstring).
+    ``seq``, and the convexity from :func:`refresh_node`, which
+    :func:`build_ring` sets on every node. ``is_ear``, ``stamp`` and
+    ``gone_at`` are the ear-flag state of :mod:`polytri.earclip`, unset
+    until the clip starts (see its module docstring).
 
-    The interior angle is computed on first read, from the current
-    neighbours, and cached in ``_angle`` (0.0 before the first refresh):
-    :func:`refresh_node` sets it for a straight or collapsed corner and
-    clears it (None) otherwise. Only
-    :func:`refresh_node` clears it, and it runs after every change of
-    neighbours, so a cached angle is always the current one. Read it as
-    ``interior_angle``; ``earclip._ear_key`` fills the cache inline with
-    the same expression.
+    ``_angle`` caches the interior angle that ``earclip._ear_key``, the
+    only code that computes one, reads for a convex node. Every
+    :func:`refresh_node` clears it (None), and it runs after every change
+    of neighbours, so a cached angle is always the current one.
     """
 
     __slots__ = (
@@ -232,31 +233,14 @@ class VertexNode:
         self.original_index = original_index
         self.prev: "VertexNode" = self
         self.next: "VertexNode" = self
-        self._angle: Optional[float] = 0.0
-        self.is_convex = False
         self.seq = seq
 
     @property
     def point(self) -> Point2:
         return Point2(self.x, self.y)
 
-    @property
-    def interior_angle(self) -> float:
-        """Interior angle in degrees, 360 at a collapsed corner; computed
-        on the first read since :func:`refresh_node` cleared it."""
-        angle = self._angle
-        if angle is None:
-            p, n = self.prev, self.next
-            ux, uy = p.x - self.x, p.y - self.y
-            wx, wy = n.x - self.x, n.y - self.y
-            angle = self._angle = (math.atan2(uy, ux) - math.atan2(wy, wx)) * _DEG % 360.0
-        return angle
-
     def __repr__(self) -> str:
-        return (
-            f"VertexNode(#{self.original_index} ({self.x:.6g},{self.y:.6g}) "
-            f"angle={self.interior_angle:.2f})"
-        )
+        return f"VertexNode(#{self.original_index} ({self.x:.6g},{self.y:.6g}))"
 
 
 class VertexRing:
@@ -286,22 +270,22 @@ class VertexRing:
 
 def refresh_node(node: VertexNode, strict: bool = False) -> None:
     """Recompute ``is_convex`` of ``node`` from its current neighbours, and
-    set or clear its cached interior angle; the ear-flag state is
-    :mod:`polytri.earclip`'s.
+    clear its cached interior angle (see :class:`VertexNode`); the ear-flag
+    state is :mod:`polytri.earclip`'s.
 
-    Convexity comes from the turn direction (a left turn is convex on a CCW
-    ring); exactly straight or spiked vertices are reflex, with an angle of
-    180 or 360 degrees. With ``strict`` a coincident neighbour raises
-    DegenerateVertex (build time, where it means broken input). Without it
-    the node is marked reflex with a 360 degree angle so a collapsed edge
-    mid-run is never clipped as an ear. Any other angle is left for the
-    first read of ``interior_angle`` (see :class:`VertexNode`).
+    Convexity comes from the turn direction: a left turn by more than
+    EPS_AREA is convex on a CCW ring, and anything else, a straight or
+    spiked corner included, is reflex. With ``strict`` a coincident
+    neighbour raises DegenerateVertex (build time, where it means broken
+    input). Without it the node is marked reflex, so a collapsed edge
+    mid-run is never clipped as an ear.
 
     A leg is coincident when its ``hypot`` is at most EPS_LEN. ``hypot`` is
     faithfully rounded (Python 3.10 on), so it is never below the larger
     absolute coordinate, and a leg with a coordinate outside
     [-EPS_LEN, EPS_LEN] is not coincident without the call.
     """
+    node._angle = None
     p, n = node.prev, node.next
     ux, uy = p.x - node.x, p.y - node.y
     wx, wy = n.x - node.x, n.y - node.y
@@ -311,19 +295,9 @@ def refresh_node(node: VertexNode, strict: bool = False) -> None:
     ):
         if strict:
             raise DegenerateVertex(f"coincident neighbours at {node!r}")
-        node._angle = 360.0
         node.is_convex = False
         return
-    z = wx * uy - wy * ux  # positive iff convex on a CCW ring
-    if z > EPS_AREA:
-        node._angle = None
-        node.is_convex = True
-    elif z < -EPS_AREA:
-        node._angle = None
-        node.is_convex = False
-    else:
-        node._angle = 180.0 if ux * wx + uy * wy < 0.0 else 360.0
-        node.is_convex = False
+    node.is_convex = wx * uy - wy * ux > EPS_AREA  # a left turn on a CCW ring
 
 
 def build_ring(

@@ -453,6 +453,26 @@ FAR_STAR = PolygonWithHoles(
     )
 )
 
+# Three polygons with a finite shoelace area whose bounding box is wider
+# than the float range (x1 - x0 is inf): a 2e308 x 1e-8 rectangle with a
+# 2e300 x 4e-9 hole, a hole-free 2e308-wide sliver, and a small outer ring
+# near x = 1e308 with a hole near x = -1e308 (invalid, but triangulation
+# does not validate). Bridging or the ear test would turn the inf extent
+# into nan; normalize refuses them first.
+WIDE_EXTENT = {
+    "thin_holed": PolygonWithHoles(
+        Ring([(-1e308, 0), (1e308, 0), (1e308, 1e-8), (-1e308, 1e-8)]),
+        [Ring([(-1e300, 2e-9), (-1e300, 6e-9), (1e300, 6e-9), (1e300, 2e-9)])],
+    ),
+    "thin_ring": PolygonWithHoles(
+        Ring([(-1e308, 0), (1e308, 0), (1e308, 1e-8), (0, 2e-8), (-1e308, 1e-8)])
+    ),
+    "far_apart": PolygonWithHoles(
+        Ring([(1e308, 1), (1e308, 0), (1.5e308, 0), (1.5e308, 1)]),
+        [Ring([(-1.5e308, 0.25), (-1.5e308, 0.75), (-1e308, 0.75), (-1e308, 0.25)])],
+    ),
+}
+
 
 @functools.cache
 def restarting_polygon() -> PolygonWithHoles:

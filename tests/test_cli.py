@@ -17,6 +17,7 @@ from polytri import (
     serialize_polygon,
     triangulation_to_json,
 )
+from polytri.formats import triangulation_to_obj
 from polytri.pipeline import triangulate_polygon
 
 REPO = Path(__file__).resolve().parent.parent
@@ -24,7 +25,7 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 sys.path.insert(0, str(REPO / "benchmarks"))
 
 from meshcheck import check_mesh  # noqa: E402
-from conftest import FAR_SQUARE, FAR_STAR  # noqa: E402
+from conftest import FAR_SQUARE, FAR_STAR, WIDE_EXTENT  # noqa: E402
 
 
 def cli(*args, cwd=None):
@@ -318,6 +319,20 @@ class TestCliTriangulate:
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert err.startswith("polytri: parse error: ") and "overflows the float range" in err
 
+    @pytest.mark.parametrize("name", sorted(WIDE_EXTENT))
+    def test_extent_outside_the_float_range_exit_2(self, tmp_path, capsys, name):
+        # refused by normalize at parse time: exit 2, not the usage-error
+        # exit 4 of an untyped ValueError from the bridge or the ear test
+        import polytri.cli
+
+        src = tmp_path / "wide.poly"
+        src.write_text(serialize_polygon(WIDE_EXTENT[name]))
+        args = ["triangulate", "--algorithm", "basic", "--input", str(src)]
+        assert polytri.cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("polytri: parse error: ") and "extent overflows" in err
+
     @pytest.mark.parametrize("algorithm", ["traditional", "basic", "improved"])
     def test_sliver_ear_exit_0(self, tmp_path, algorithm):
         # the ear at (0.5, -1.5e-12) has a cross product of 1.5e-12 at its
@@ -378,6 +393,31 @@ class TestCliTriangulate:
         if any(a.startswith("--holes") for a in args):
             assert "holes_range" in err
         assert not (tmp_path / "out").exists()  # a rejected gen-corpus creates no directory
+
+    @pytest.mark.parametrize("emit", ["json", "obj", "svg", "stats"])
+    def test_only_json_and_stats_measure_the_mesh(self, monkeypatch, tmp_path, emit):
+        # the quality report is part of the JSON and stats output only
+        import polytri.cli
+
+        reports = []
+
+        def counting(tri):
+            reports.append(tri)
+            return report(tri)
+
+        monkeypatch.setattr(polytri.cli, "report", counting)
+        src = FIXTURES / "square_hole.poly"
+        out = tmp_path / f"o.{emit}"
+        args = ["triangulate", "--algorithm", "improved", "--input", str(src),
+                "--emit", emit, "--output", str(out)]
+        assert polytri.cli.main(args) == 0
+        assert len(reports) == (emit in ("json", "stats"))
+        poly = parse_polygon(src.read_text())
+        tri, _ = triangulate_polygon(poly, "improved")
+        if emit == "obj":
+            assert out.read_bytes() == triangulation_to_obj(tri).encode()
+        elif emit == "svg":
+            assert out.read_bytes() == render_svg(poly, tri)
 
     def test_validate_and_svg_do_not_renormalize(self, monkeypatch, tmp_path):
         import polytri.cli

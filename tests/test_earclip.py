@@ -163,7 +163,7 @@ class TestTriangulateBasic:
                 if node is chosen:
                     continue
                 if is_ear(ring, node):
-                    assert node.interior_angle >= chosen.interior_angle - 1e-12
+                    assert _ear_key(node)[0] >= _ear_key(chosen)[0] - 1e-12
             left, right = chosen.prev, chosen.next
             remove_vertex(ring, chosen)
             update_after_cut(ring, left, right)
@@ -534,8 +534,8 @@ class TestUpdateAfterCut:
         left, right = v.prev, v.next
         remove_vertex(ring, v)
         update_after_cut(ring, left, right)
-        assert left.interior_angle == pytest.approx(45.0)
-        assert right.interior_angle == pytest.approx(45.0)
+        assert _ear_key(left)[0] == pytest.approx(45.0)
+        assert _ear_key(right)[0] == pytest.approx(45.0)
         assert left.is_convex and right.is_convex
         # both flags are pending, stamped with the cut; resolved, both hold
         assert ring.clock == left.stamp == right.stamp == 1
@@ -553,18 +553,19 @@ class TestUpdateAfterCut:
         remove_vertex(ring, b)
         update_after_cut(ring, left, right)
         assert c.is_convex
-        assert c.interior_angle < 180.0
+        assert _ear_key(c)[0] < 180.0
 
     def test_far_vertex_untouched(self):
         ring = start_clip(build_ring(Ring([(0, 0), (2, 0), (1.2, 0.4), (2, 2), (0, 1)])))
         nodes = list(ring)
         far = nodes[4]
-        before = (far.interior_angle, far.is_convex, far.is_ear)
+        before = (_ear_key(far)[0], far.is_convex, far.is_ear)
         b = nodes[1]
         left, right = b.prev, b.next
         remove_vertex(ring, b)
         update_after_cut(ring, left, right)
-        assert (far.interior_angle, far.is_convex, far.is_ear) == before
+        # not refreshed: the cached angle is still there
+        assert (far._angle, far.is_convex, far.is_ear) == before
 
     def test_unreflexing_cut_stays_in_the_index_gone_at_the_cut(self):
         # clipping the ear at B turns its reflex neighbour C convex; C stays
@@ -590,10 +591,10 @@ class TestUpdateAfterCut:
         # forge a collapsed edge: drag a convex node onto its neighbour
         nodes[1].x, nodes[1].y = nodes[2].x, nodes[2].y
         assert nodes[1].is_convex and nodes[1] not in reflex_members(ring.reflex)
+        _ear_key(nodes[1])
         remove_vertex(ring, nodes[0])
         update_after_cut(ring, nodes[4], nodes[1])
-        assert not nodes[1].is_convex
-        assert nodes[1].interior_angle == 360.0
+        assert not nodes[1].is_convex and nodes[1]._angle is None
         assert ring.reflex is not grid
         assert reflex_members(ring.reflex) == {n for n in ring if not n.is_convex} >= {nodes[1]}
         assert nodes[1].gone_at == math.inf and nodes[1].is_ear is False

@@ -20,6 +20,7 @@ from polytri.geom import (
     triangle_angles_xy,
     triangle_min_angle_xy,
 )
+from polytri.earclip import _ear_key
 from polytri.pipeline import triangulate_polygon
 from polytri.polygon import VertexNode, refresh_node
 from conftest import (
@@ -99,7 +100,7 @@ def corner_angle(prev, v, nxt):
         node.prev = nodes[i - 1]
         node.next = nodes[(i + 1) % 3]
     refresh_node(nodes[1], strict=True)
-    return nodes[1].interior_angle
+    return _ear_key(nodes[1])[0]
 
 
 class TestInteriorAngle:

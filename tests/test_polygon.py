@@ -1,5 +1,7 @@
+import ast
 import copy
 import math
+import pathlib
 import random
 from contextlib import contextmanager
 from types import SimpleNamespace
@@ -15,9 +17,11 @@ from polytri import (
     build_ring,
     generate_corpus,
     normalize,
+    parse_polygon,
     triangulate_polygon,
 )
 from polytri import earclip
+from polytri import polygon as polygon_module
 from polytri.bridge import eliminate_holes
 from polytri.earclip import (
     ReflexGrid,
@@ -48,6 +52,7 @@ from polytri.polygon import (
 from conftest import (
     FAR_SQUARE,
     FAR_STAR,
+    WIDE_EXTENT,
     brute_force_is_ear,
     reflex_members,
     remove_vertex,
@@ -56,6 +61,7 @@ from conftest import (
 )
 
 P = Point2
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 class TestRing:
@@ -187,13 +193,29 @@ class TestNormalize:
         with pytest.raises(InvalidRing, match="overflows the float range"):
             triangulate_polygon(poly, algorithm)
 
+    @pytest.mark.parametrize("name", sorted(WIDE_EXTENT))
+    @pytest.mark.parametrize("algorithm", ["traditional", "basic", "improved"])
+    def test_extent_outside_the_float_range_raises(self, name, algorithm):
+        # finite area, but the box of all rings is wider than the float
+        # range; normalize refuses it before bridging or clipping
+        with pytest.raises(InvalidRing, match="extent overflows the float range; rescale"):
+            normalize(WIDE_EXTENT[name])
+        with pytest.raises(InvalidRing, match="extent overflows the float range; rescale"):
+            triangulate_polygon(WIDE_EXTENT[name], algorithm)
+
+    @pytest.mark.parametrize("algorithm", ["traditional", "basic", "improved"])
+    def test_wide_thin_rectangle_with_a_finite_extent_meshes(self, algorithm):
+        poly = PolygonWithHoles(Ring([(0, 0), (1e308, 0), (1e308, 1e-8), (0, 1e-8)]))
+        tri, _ = triangulate_polygon(poly, algorithm)
+        assert [t.indices() for t in tri.triangles] == [(3, 0, 1), (1, 2, 3)]
+
 
 class TestBuildRing:
     def test_unit_square(self, unit_square):
         ring = start_clip(build_ring(unit_square))
         assert ring.count == 4
         for node in ring:
-            assert node.interior_angle == pytest.approx(90.0)
+            assert _ear_key(node)[0] == pytest.approx(90.0)
             assert node.is_convex
             assert not node.is_ear
         assert not reflex_members(ring.reflex)
@@ -203,17 +225,17 @@ class TestBuildRing:
         reflex = [n for n in ring if not n.is_convex]
         assert len(reflex) == 1
         assert reflex[0].point == P(1, 1)
-        assert reflex[0].interior_angle == pytest.approx(270.0)
+        assert _ear_key(reflex[0])[0] == pytest.approx(270.0)
         # every angle agrees with an unsigned-angle oracle folded by convexity
         for n in ring:
             raw = tri_angles_oracle(n.point, n.prev.point, n.next.point)[0]
             want = raw if n.is_convex else 360.0 - raw
-            assert n.interior_angle == pytest.approx(want, abs=1e-9)
+            assert _ear_key(n)[0] == pytest.approx(want, abs=1e-9)
 
     def test_triangle_angles_sum(self):
         ring = build_ring(Ring([(0, 0), (4, 0), (0, 3)]))
         assert ring.count == 3
-        assert math.fsum(n.interior_angle for n in ring) == pytest.approx(180.0)
+        assert math.fsum(_ear_key(n)[0] for n in ring) == pytest.approx(180.0)
 
     def test_original_indices_and_table(self, l_shape):
         ring = build_ring(l_shape)
@@ -235,16 +257,14 @@ class TestBuildRing:
     def test_straight_vertex_is_reflex(self):
         ring = start_clip(build_ring(Ring([(0, 0), (1, 0), (2, 0), (2, 1), (0, 1)])))
         mid = next(n for n in ring if n.point == P(1, 0))
-        assert mid.interior_angle == 180.0
-        assert not mid.is_convex
+        assert not mid.is_convex and mid._angle is None
         assert mid in reflex_members(ring.reflex)
 
     def test_spike_vertex_is_full_turn(self):
         # both neighbours leave the tip along the same ray: zero-width spike
         ring = start_clip(build_ring(Ring([(2, 0), (0, 0), (1, 0), (1, 2)])))
         tip = next(n for n in ring if n.point == P(0, 0))
-        assert tip.interior_angle == 360.0
-        assert not tip.is_convex
+        assert not tip.is_convex and tip._angle is None
         assert tip in reflex_members(ring.reflex)
 
     def test_linkage(self, unit_square):
@@ -257,8 +277,40 @@ class TestBuildRing:
         # turning angles of a simple CCW ring add up to one full turn
         for poly in small_corpus:
             ring = build_ring(poly.outer)
-            total = math.fsum(180.0 - n.interior_angle for n in ring)
+            total = math.fsum(180.0 - _ear_key(n)[0] for n in ring)
             assert total == pytest.approx(360.0, abs=1e-6)
+
+    @pytest.mark.parametrize("shape", ["star", "comb", "bridged"])
+    def test_no_angle_before_the_selection_reads_one(self, shape):
+        # build_ring's refresh decides convexity and empties the cache; only
+        # earclip._ear_key fills it
+        if shape == "star":
+            ring = build_ring(generate_corpus(seed=909, count=1, vertex_range=(200, 200))[0].outer)
+        elif shape == "comb":
+            ring = build_ring(parse_polygon((FIXTURES / "comb.poly").read_text()).outer)
+        else:
+            ring = bridged_ring(normalize(parse_polygon((FIXTURES / "square_hole.poly").read_text())))
+        assert ring.count > 3
+        assert any(n.is_convex for n in ring) and any(not n.is_convex for n in ring)
+        assert all(n._angle is None for n in ring)
+
+    def test_polygon_computes_no_angle(self):
+        # the vertex angle is earclip._ear_key's alone: polygon.py calls no
+        # atan2 and imports no _DEG
+        tree = ast.parse(pathlib.Path(polygon_module.__file__).read_text())
+        called = {
+            n.func.attr if isinstance(n.func, ast.Attribute) else getattr(n.func, "id", None)
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Call)
+        }
+        imported = {
+            a.asname or a.name
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Import, ast.ImportFrom))
+            for a in n.names
+        }
+        assert "atan2" not in called
+        assert "_DEG" not in imported
 
 
 class TestRemoveVertex:
@@ -339,15 +391,17 @@ class TestRefreshNode:
         nodes = list(ring)
         # forge a collapsed edge: drag a node onto its neighbour
         nodes[1].x, nodes[1].y = nodes[2].x, nodes[2].y
+        _ear_key(nodes[1])
         refresh_node(nodes[1])
-        assert not nodes[1].is_convex
-        assert nodes[1].interior_angle == 360.0
+        assert not nodes[1].is_convex and nodes[1]._angle is None
 
 
 def eager_refresh_node(node, strict=False):
     """``refresh_node`` as it was when it computed every node's angle,
     verbatim, as an oracle. It writes ``interior_angle`` and ``is_convex``,
-    so ``node`` is a plain object with ``x``, ``y``, ``prev`` and ``next``."""
+    so ``node`` is a plain object with ``x``, ``y``, ``prev`` and ``next``.
+    Its 180 and 360 degree angles at straight and collapsed corners are
+    no longer computed: the clip keys convex nodes only."""
     p, n = node.prev, node.next
     ux, uy = p.x - node.x, p.y - node.y
     wx, wy = n.x - node.x, n.y - node.y
@@ -438,10 +492,18 @@ def test_refresh_node_matches_the_eager_oracle(legs, center, strict):
         return
     refresh_node(node, strict)
     assert node.is_convex == ref.is_convex
-    assert node.interior_angle == ref.interior_angle
-    # the heap key fills an empty cache with the same float
-    refresh_node(node, strict)
-    assert _ear_key(node)[0] == node.interior_angle == ref.interior_angle
+    assert node._angle is None
+    # the oracle's legs, from the points as placed
+    p, n = ref.prev, ref.next
+    ux, uy = p.x - ref.x, p.y - ref.y
+    wx, wy = n.x - ref.x, n.y - ref.y
+    coincident = math.hypot(ux, uy) <= EPS_LEN or math.hypot(wx, wy) <= EPS_LEN
+    if not coincident and abs(wx * uy - wy * ux) > EPS_AREA:
+        # the heap key fills the empty cache with the oracle's float
+        assert _ear_key(node)[0] == node._angle == ref.interior_angle
+        # and the next refresh empties it again
+        refresh_node(node, strict)
+        assert node._angle is None
 
 
 def clip_steps(ring):
@@ -500,6 +562,7 @@ def member_node(x, y, index, seq):
     an index built over it, and reflex since the clip started (``gone_at``
     inf, as ``earclip._start_flags`` sets it)."""
     node = VertexNode(x, y, index, seq)
+    node.is_convex = False
     node.gone_at = math.inf
     return node
 
